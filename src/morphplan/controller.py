@@ -2,12 +2,18 @@
 estimation fed into the horizon model, incremental torque compensation,
 allocation inversion and the servo proportional loop.
 
-The horizon solver linearizes the rigid-body rollout around the current
-input sequence and solves a box-constrained least-squares step, repeating
-until the step stalls; attitude error enters the cost as the vector part of
+The horizon model is `dynamics.rigid_body_step`, the same RK4 rigid body the
+simulator (`dynamics.step`) integrates.  The solver is single-shooting
+Gauss-Newton: it rolls the model forward on Python floats, linearizes every
+stage at once by finite differences on one batch of rows, and takes the
+least-squares step from the Cholesky-factored normal equations, or from a
+bounded solver when the step hits an input bound; backtracking keeps each
+iteration monotone.  Attitude error enters the cost as the vector part of
 the reference-relative quaternion.  The estimated external force acts on the
 model's translational dynamics, so the solver plans the tilt and collective
 that cancel it rather than correcting it after a position error builds up.
+Each control tick takes its horizon of references from one batched
+`flat_reference` call.
 """
 
 from __future__ import annotations
@@ -16,17 +22,16 @@ import logging
 from dataclasses import dataclass, field as _field
 
 import numpy as np
+from scipy.linalg import cho_factor, cho_solve
 from scipy.optimize import lsq_linear
 
 from .dynamics import (
     GRAVITY,
     RigidBodyState,
     VehicleParams,
-    Wrench,
     allocation_matrix,
     inertia_of,
-    quat_mul,
-    quat_to_rot,
+    rigid_body_step,
     rot_to_quat,
     step,
 )
@@ -66,13 +71,10 @@ class NmpcConfig:
         self.u_max = np.asarray(self.u_max, dtype=float).reshape(4)
         if self.horizon < 2:
             raise ValueError("horizon must be at least 2")
-
-
-@dataclass(eq=False)
-class DisturbanceEstimate:
-    force: np.ndarray
-    torque_filtered: np.ndarray
-    omega_dot_filtered: np.ndarray
+        if not np.all(self.w_input > 0.0):   # keeps the Gauss-Newton normal matrix definite
+            raise ValueError("every input weight must be positive")
+        if not np.all(self.u_min <= self.u_max):
+            raise ValueError("u_min must not exceed u_max")
 
 
 class LowPassFilter:
@@ -98,58 +100,13 @@ class SecondOrderLowPass:
         return self.b.update(self.a.update(x))
 
 
-# ---------------------------------------------------------------------------
-# batched discrete model used by the horizon solver
-
-def _z_body_batch(q: np.ndarray) -> np.ndarray:
-    w, x, y, z = q[:, 0], q[:, 1], q[:, 2], q[:, 3]
-    return np.stack([2 * (x * z + w * y), 2 * (y * z - w * x), 1 - 2 * (x * x + y * y)], axis=1)
-
-
-def _quat_mul_omega(q: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """q (B,4) times the pure quaternion (0, w), batched."""
-    qw, qx, qy, qz = q[:, 0], q[:, 1], q[:, 2], q[:, 3]
-    wx, wy, wz = w[:, 0], w[:, 1], w[:, 2]
-    return np.stack([
-        -qx * wx - qy * wy - qz * wz,
-        qw * wx + qy * wz - qz * wy,
-        qw * wy - qx * wz + qz * wx,
-        qw * wz + qx * wy - qy * wx,
-    ], axis=1)
-
-
-def _deriv_batch(x: np.ndarray, u: np.ndarray, mass: float, inertia: np.ndarray,
-                 inertia_inv: np.ndarray, f_ext: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x)
-    out[:, 0:3] = x[:, 3:6]
-    out[:, 3:6] = (u[:, 0:1] * _z_body_batch(x[:, 6:10]) + f_ext) / mass + GRAVITY
-    out[:, 6:10] = 0.5 * _quat_mul_omega(x[:, 6:10], x[:, 10:13])
-    w = x[:, 10:13]
-    jw = w @ inertia.T
-    out[:, 10:13] = (u[:, 1:4] - np.cross(w, jw)) @ inertia_inv.T
-    return out
-
-
-def _model_step(x: np.ndarray, u: np.ndarray, mass: float, inertia: np.ndarray,
-                inertia_inv: np.ndarray, f_ext: np.ndarray, dt: float) -> np.ndarray:
-    k1 = _deriv_batch(x, u, mass, inertia, inertia_inv, f_ext)
-    k2 = _deriv_batch(x + 0.5 * dt * k1, u, mass, inertia, inertia_inv, f_ext)
-    k3 = _deriv_batch(x + 0.5 * dt * k2, u, mass, inertia, inertia_inv, f_ext)
-    k4 = _deriv_batch(x + dt * k3, u, mass, inertia, inertia_inv, f_ext)
-    out = x + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-    out[:, 6:10] /= np.linalg.norm(out[:, 6:10], axis=1, keepdims=True)
-    return out
-
-
-def _quat_error_matrix(q_ref: np.ndarray) -> np.ndarray:
-    """Rows 1..3 of the left-multiplication matrix of conj(q_ref): the map
-    q -> vec(q_ref^-1 * q), exact because it is linear in q."""
-    w, x, y, z = q_ref[0], -q_ref[1], -q_ref[2], -q_ref[3]
-    return np.array([
-        [x, w, -z, y],
-        [y, z, w, -x],
-        [z, -y, x, w],
-    ])
+def _quat_error_matrices(q_ref: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Rows 1..3 of the left-multiplication matrix of conj(q_ref) per stage,
+    (N, 3, 4): the map q -> vec(q_ref^-1 * q), exact because it is linear in
+    q.  Each q_ref (N, 4) takes the sign that makes q_ref . q >= 0."""
+    q_ref = np.where(np.sum(q_ref * q, axis=1, keepdims=True) < 0.0, -q_ref, q_ref)
+    w, x, y, z = q_ref[:, 0], -q_ref[:, 1], -q_ref[:, 2], -q_ref[:, 3]
+    return np.stack([x, w, -z, y, y, z, w, -x, z, -y, x, w], axis=1).reshape(-1, 3, 4)
 
 
 @dataclass(eq=False)
@@ -179,8 +136,8 @@ def nmpc_solve(x_now: np.ndarray, x_ref: np.ndarray, u_ref: np.ndarray,
     f_ext = np.asarray(f_ext, dtype=float).reshape(3)
 
     inertia = inertia_of(params, r)
-    inertia_inv = np.linalg.inv(inertia)
-    mass = params.mass
+    model = (f_ext.tolist(), params.mass, inertia.tolist(), np.linalg.inv(inertia).tolist(),
+             config.dt)
 
     if warm_start is not None and warm_start.shape == (n, 4):
         u_seq = np.vstack([warm_start[1:], warm_start[-1:]])
@@ -191,78 +148,57 @@ def nmpc_solve(x_now: np.ndarray, x_ref: np.ndarray, u_ref: np.ndarray,
     sq = np.sqrt
     w_state = np.concatenate([np.full(3, sq(config.q_pos)), np.full(3, sq(config.q_vel)),
                               np.full(3, sq(config.q_att)), np.full(3, sq(config.q_omega))])
-    w_term = w_state * sq(config.terminal_scale)
+    w_x = np.tile(w_state, (n, 1))   # output weights per stage 1..N
+    w_x[-1] *= sq(config.terminal_scale)
     w_in = sq(config.w_input)
 
     def rollout(useq):
-        xs = np.empty((n + 1, 13))
-        xs[0] = x_now
-        for k in range(n):
-            xs[k + 1] = _model_step(xs[k][None, :], useq[k][None, :], mass,
-                                    inertia, inertia_inv, f_ext, config.dt)[0]
-        return xs
+        xs = [x_now.tolist()]
+        for u in useq.tolist():
+            xs.append(rigid_body_step(xs[-1], u[0], u[1:], *model))
+        return np.array(xs)
 
     def residuals(xs, useq):
-        rows = []
-        for k in range(1, n + 1):
-            wk = w_term if k == n else w_state
-            q_r = x_ref[k, 6:10]
-            if q_r @ xs[k, 6:10] < 0.0:
-                q_r = -q_r
-            e_q = _quat_error_matrix(q_r) @ xs[k, 6:10]
-            rows.append(np.concatenate([
-                wk[0:3] * (xs[k, 0:3] - x_ref[k, 0:3]),
-                wk[3:6] * (xs[k, 3:6] - x_ref[k, 3:6]),
-                wk[6:9] * e_q,
-                wk[9:12] * (xs[k, 10:13] - x_ref[k, 10:13]),
-            ]))
-        for k in range(n):
-            rows.append(w_in * (useq[k] - u_ref[k]))
-        return np.concatenate(rows)
+        """Weighted residual vector, and the attitude error maps at xs."""
+        e_mats = _quat_error_matrices(x_ref[1:, 6:10], xs[1:, 6:10])
+        r_x = np.concatenate([xs[1:, 0:6] - x_ref[1:, 0:6],
+                              (e_mats @ xs[1:, 6:10, None])[:, :, 0],
+                              xs[1:, 10:13] - x_ref[1:, 10:13]], axis=1)
+        return np.concatenate([(w_x * r_x).ravel(), (w_in * (useq - u_ref)).ravel()]), e_mats
 
     eps = 1e-6
     n_u = 4 * n
+    pert = np.zeros((n, 18, 13 + 4))
+    pert[:, 1:, :] = np.eye(17)[None, :, :] * eps
+    jac = np.zeros((16 * n, n_u))
+    jac[12 * n:] = np.diag(np.tile(w_in, n))
     converged = False
     it = 0
     xs = rollout(u_seq)
-    cost = float(residuals(xs, u_seq) @ residuals(xs, u_seq))
+    res, e_mats = residuals(xs, u_seq)
+    cost = float(res @ res)
 
     for it in range(1, config.max_iters + 1):
         # linearize the one-step model at every stage in one batch
-        base_x = xs[:n]
-        base_u = u_seq
-        pert = np.zeros((n, 18, 13 + 4))
-        pert[:, 1:, :] = np.eye(17)[None, :, :] * eps
-        xb = base_x[:, None, :] + pert[:, :, :13]
-        ub = base_u[:, None, :] + pert[:, :, 13:]
-        nom_next = _model_step(xb.reshape(-1, 13), ub.reshape(-1, 4), mass,
-                               inertia, inertia_inv, f_ext, config.dt).reshape(n, 18, 13)
+        xb = (xs[:n, None, :] + pert[:, :, :13]).reshape(-1, 13)
+        ub = (u_seq[:, None, :] + pert[:, :, 13:]).reshape(-1, 4)
+        nom_next = np.array(rigid_body_step(list(xb.T), ub[:, 0], list(ub[:, 1:].T), *model))
+        nom_next = nom_next.T.reshape(n, 18, 13)
         a_mats = (nom_next[:, 1:14] - nom_next[:, :1]) / eps   # (n, 13, 13) transposed
         b_mats = (nom_next[:, 14:18] - nom_next[:, :1]) / eps  # (n, 4, 13)
 
-        # sensitivities of x_k w.r.t. the stacked inputs
-        jac = np.zeros((16 * n, n_u))
+        # sensitivities s_k of x_k w.r.t. the stacked inputs; the output rows
+        # of all stages are mapped and weighted at once, in place in jac
+        jx = jac[:12 * n].reshape(n, 12, n_u)
+        s_q = np.empty((n, 4, n_u))
         s_k = np.zeros((13, n_u))
-        row = 0
         for k in range(n):
             s_k = a_mats[k].T @ s_k
             s_k[:, 4 * k:4 * k + 4] += b_mats[k].T
-            wk = w_term if k == n - 1 else w_state
-            q_r = x_ref[k + 1, 6:10]
-            if q_r @ xs[k + 1, 6:10] < 0.0:
-                q_r = -q_r
-            c_block = np.zeros((12, 13))
-            c_block[0:3, 0:3] = np.diag(wk[0:3])
-            c_block[3:6, 3:6] = np.diag(wk[3:6])
-            c_block[6:9, 6:10] = wk[6:9, None] * _quat_error_matrix(q_r)
-            c_block[9:12, 10:13] = np.diag(wk[9:12])
-            jac[row:row + 12] = c_block @ s_k
-            row += 12
-        for k in range(n):
-            jac[row:row + 4, 4 * k:4 * k + 4] = np.diag(w_in)
-            row += 4
+            jx[k, 0:6], s_q[k], jx[k, 9:12] = s_k[0:6], s_k[6:10], s_k[10:13]
+        jx[:, 6:9] = e_mats @ s_q
+        jx *= w_x[:, :, None]
 
-        res = residuals(xs, u_seq)
         lo = np.tile(config.u_min, n) - u_seq.ravel()
         hi = np.tile(config.u_max, n) - u_seq.ravel()
         du, _ = _bounded_lsq(jac, -res, lo, hi)
@@ -272,12 +208,12 @@ def nmpc_solve(x_now: np.ndarray, x_ref: np.ndarray, u_ref: np.ndarray,
         for alpha in (1.0, 0.5, 0.25, 0.125):
             u_try = np.clip(u_seq + alpha * du.reshape(n, 4), config.u_min, config.u_max)
             xs_try = rollout(u_try)
-            r_try = residuals(xs_try, u_try)
+            r_try, e_try = residuals(xs_try, u_try)
             c_try = float(r_try @ r_try)
             if c_try <= cost:
                 improved = True
                 step_norm = float(np.max(np.abs(u_try - u_seq)))
-                u_seq, xs, cost = u_try, xs_try, c_try
+                u_seq, xs, res, e_mats, cost = u_try, xs_try, r_try, e_try, c_try
                 break
         if not improved:
             converged = True
@@ -295,8 +231,10 @@ def nmpc_solve(x_now: np.ndarray, x_ref: np.ndarray, u_ref: np.ndarray,
 
 def _bounded_lsq(a: np.ndarray, b: np.ndarray, lo: np.ndarray, hi: np.ndarray):
     """Least squares with box bounds; unconstrained solve first, falling back
-    to the bounded solver only when a bound is hit."""
-    x, *_ = np.linalg.lstsq(a, b, rcond=None)
+    to the bounded solver only when a bound is hit.  The unconstrained step
+    solves the normal equations by Cholesky: a^T a is positive definite
+    because the input rows of a add diag(w_input)."""
+    x = cho_solve(cho_factor(a.T @ a), a.T @ b)
     if np.all(x >= lo - 1e-12) and np.all(x <= hi + 1e-12):
         return np.clip(x, lo, hi), True
     res = lsq_linear(a, b, bounds=(lo, hi), method="bvls")
@@ -315,14 +253,6 @@ def estimate_external_force(mass: float, accel_meas, thrust: float, z_body,
     raw = mass * np.asarray(accel_meas, dtype=float) - mass * GRAVITY \
         - thrust * np.asarray(z_body, dtype=float)
     return lp.update(raw) if lp is not None else raw
-
-
-def compensate_thrust(thrust_cmd: float, z_body, f_ext) -> float:
-    """Desired collective after cancelling the estimated external force."""
-    if thrust_cmd < 0.0:
-        raise ValueError("thrust command must be non-negative")
-    return float(np.linalg.norm(thrust_cmd * np.asarray(z_body, dtype=float)
-                                - np.asarray(f_ext, dtype=float)))
 
 
 def indi_torque(torque_cmd, omega, inertia, torque_filtered, omega_dot_filtered) -> np.ndarray:
@@ -376,31 +306,34 @@ def servo_command(radius_des: float, theta_est: float, params: VehicleParams,
 # ---------------------------------------------------------------------------
 # differential-flatness reference and the closed-loop harness
 
-def flat_reference(traj, t: float, params: VehicleParams):
+def flat_reference(traj, t, params: VehicleParams):
     """Full reference state and input from the flat trajectory at time t
-    (yaw fixed to zero); clamps beyond the trajectory end."""
-    t = float(np.clip(t, 0.0, traj.total_time))
-    sig = traj.sample([t], orders=(0, 1, 2, 3))[0]
-    pos, vel, acc, jerk = sig[0], sig[1], sig[2], sig[3]
-    thrust_vec = acc[:3] - GRAVITY
-    f_ref = params.mass * float(np.linalg.norm(thrust_vec))
-    z_b = thrust_vec / np.linalg.norm(thrust_vec)
-    x_c = np.array([1.0, 0.0, 0.0])
-    y_b = np.cross(z_b, x_c)
-    if np.linalg.norm(y_b) < 1e-6:
-        x_c = np.array([0.0, 1.0, 0.0])
-        y_b = np.cross(z_b, x_c)
-    y_b /= np.linalg.norm(y_b)
+    (yaw fixed to zero); clamps beyond the trajectory end.  For an array of
+    times, returns the stacked x_ref (T, 13), u_ref (T, 4) and radii (T,)
+    from one trajectory sample."""
+    times = np.clip(np.asarray(t, dtype=float), 0.0, traj.total_time)
+    sig = traj.sample(times.reshape(-1), orders=(0, 1, 2, 3))
+    pos, vel, acc, jerk = sig[:, 0], sig[:, 1], sig[:, 2, :3], sig[:, 3, :3]
+    thrust_vec = acc - GRAVITY
+    norm = np.linalg.norm(thrust_vec, axis=1, keepdims=True)
+    z_b = thrust_vec / norm
+    y_b = np.cross(z_b, [1.0, 0.0, 0.0])
+    along_x = np.linalg.norm(y_b, axis=1) < 1e-6   # z_b along world x: head by world y
+    if along_x.any():
+        y_b[along_x] = np.cross(z_b[along_x], [0.0, 1.0, 0.0])
+    y_b /= np.linalg.norm(y_b, axis=1, keepdims=True)
     x_b = np.cross(y_b, z_b)
-    rot = np.column_stack([x_b, y_b, z_b])
-    quat = rot_to_quat(rot)
-    if quat[0] < 0.0:
-        quat = -quat
-    h_vec = (params.mass / f_ref) * (jerk[:3] - (z_b @ jerk[:3]) * z_b)
-    omega_ref = np.array([-h_vec @ y_b, h_vec @ x_b, 0.0])
-    x_ref = np.concatenate([pos[:3], vel[:3], quat, omega_ref])
-    u_ref = np.array([f_ref, 0.0, 0.0, 0.0])
-    return x_ref, u_ref, float(pos[3])
+    quat = rot_to_quat(np.stack([x_b, y_b, z_b], axis=-1))
+    quat[quat[:, 0] < 0.0] *= -1.0
+    f_ref = params.mass * norm
+    h_vec = (params.mass / f_ref) * (jerk - np.sum(z_b * jerk, axis=1, keepdims=True) * z_b)
+    omega_ref = np.stack([-np.sum(h_vec * y_b, axis=1), np.sum(h_vec * x_b, axis=1),
+                          np.zeros(len(sig))], axis=1)
+    x_ref = np.concatenate([pos[:, :3], vel[:, :3], quat, omega_ref], axis=1)
+    u_ref = np.concatenate([f_ref, np.zeros((len(sig), 3))], axis=1)
+    if times.ndim == 0:
+        return x_ref[0], u_ref[0], float(pos[0, 3])
+    return x_ref, u_ref, pos[:, 3]
 
 
 @dataclass
@@ -485,9 +418,8 @@ def run_tracking(traj, params: VehicleParams, nmpc: NmpcConfig,
                 accel = accel + rng.normal(scale=config.accel_noise_std, size=3)
             f_ext_est = estimate_external_force(params.mass, accel,
                                                 float(np.sum(last_thrusts)), z_b, force_lp)
-            refs = [flat_reference(traj, t + i * nmpc.dt, params) for i in range(nmpc.horizon + 1)]
-            x_refs = np.stack([r[0] for r in refs])
-            u_refs = np.stack([r[1] for r in refs])
+            x_refs, u_refs, _ = flat_reference(traj, t + np.arange(nmpc.horizon + 1) * nmpc.dt,
+                                               params)
             x13 = np.concatenate([state.position, state.velocity, state.quaternion, state.omega])
             u_cmd, info = nmpc_solve(x13, x_refs, u_refs, nmpc, params, state.radius,
                                      warm_start=warm,
@@ -507,10 +439,9 @@ def run_tracking(traj, params: VehicleParams, nmpc: NmpcConfig,
             tau_cmd = u_cmd.torque
 
         thrusts, _ = allocate(u_cmd.thrust, tau_cmd, h_mat, params.thrust_min, params.thrust_max)
-        _, _, r_des = flat_reference(traj, t, params)
+        ref_now, _, r_des = flat_reference(traj, t, params)
         kappa = servo_command(r_des, state.servo_angle, params, config.servo_rate_limit)
 
-        ref_now, _, _ = flat_reference(traj, t, params)
         err = state.position - ref_now[0:3]
         sq_err += float(err @ err)
         times[k] = t

@@ -1,19 +1,28 @@
-"""6-DoF rigid-body simulation of the morphing quadrotor.
+"""6-DoF rigid-body model of the morphing quadrotor, shared by the
+simulator and the horizon solver.
 
 The vehicle is four rotors on arms that scale with the deformation radius,
 plus a central body.  Collective thrust and body torque follow from the
-radius-dependent allocation matrix; translational and rotational dynamics
-integrate with RK4 at a fixed step; the servo angle integrates the
-commanded rate and maps affinely back to the radius.
+radius-dependent allocation matrix.  `rigid_body_rates` and
+`rigid_body_step` (RK4 with quaternion renormalisation) are the one
+rigid-body model: they are written once over the 13 state components
+[p, v, q, w] with explicit cross and quaternion products, and run either on
+Python floats (one state) or on numpy rows of one shape (a batch).  `step`,
+the simulator, calls them on floats and also integrates the servo angle,
+which maps affinely back to the radius; `controller.nmpc_solve` calls them
+on floats for its rollouts and on rows for its finite-difference
+linearization.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field as _field
 
 import numpy as np
 
 GRAVITY = np.array([0.0, 0.0, -9.81])
+_GRAVITY = tuple(GRAVITY.tolist())  # as Python floats, for the float path
 
 
 def quat_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -46,21 +55,26 @@ def quat_to_rot(q: np.ndarray) -> np.ndarray:
 
 
 def rot_to_quat(r: np.ndarray) -> np.ndarray:
-    t = np.trace(r)
-    if t > 0.0:
-        s = np.sqrt(t + 1.0) * 2.0
-        q = np.array([0.25 * s, (r[2, 1] - r[1, 2]) / s,
-                      (r[0, 2] - r[2, 0]) / s, (r[1, 0] - r[0, 1]) / s])
-    else:
-        i = int(np.argmax(np.diag(r)))
-        j, k = (i + 1) % 3, (i + 2) % 3
-        s = np.sqrt(r[i, i] - r[j, j] - r[k, k] + 1.0) * 2.0
-        q = np.empty(4)
-        q[0] = (r[k, j] - r[j, k]) / s
-        q[1 + i] = 0.25 * s
-        q[1 + j] = (r[j, i] + r[i, j]) / s
-        q[1 + k] = (r[k, i] + r[i, k]) / s
-    return q / np.linalg.norm(q)
+    """Unit quaternion of a rotation matrix, or of each of a stack (..., 3, 3).
+
+    Entries of the symmetric 4 q q^T are linear in r.  Its row 0 (when the
+    trace is positive) or the row of the largest diagonal entry of r is
+    proportional to q, with no division by a small number; that component
+    of q comes out positive.
+    """
+    r = np.asarray(r, dtype=float)
+    r00, r01, r02 = r[..., 0, 0], r[..., 0, 1], r[..., 0, 2]
+    r10, r11, r12 = r[..., 1, 0], r[..., 1, 1], r[..., 1, 2]
+    r20, r21, r22 = r[..., 2, 0], r[..., 2, 1], r[..., 2, 2]
+    col = np.where(r00 + r11 + r22 > 0.0, 0, 1 + np.argmax(np.diagonal(r, 0, -2, -1), axis=-1))
+    k = np.stack([
+        1.0 + r00 + r11 + r22, r21 - r12, r02 - r20, r10 - r01,
+        r21 - r12, 1.0 + r00 - r11 - r22, r10 + r01, r02 + r20,
+        r02 - r20, r10 + r01, 1.0 - r00 + r11 - r22, r21 + r12,
+        r10 - r01, r02 + r20, r21 + r12, 1.0 - r00 - r11 + r22,
+    ], axis=-1).reshape(-1, 4, 4)
+    q = k[np.arange(len(k)), col.reshape(-1)].reshape(r.shape[:-2] + (4,))
+    return q / np.linalg.norm(q, axis=-1, keepdims=True)
 
 
 @dataclass(eq=False)
@@ -177,16 +191,59 @@ def arm_inertia(params: VehicleParams, r: float) -> np.ndarray:
     return j
 
 
-def _derivative(x: np.ndarray, force_world: np.ndarray, torque_body: np.ndarray,
-                mass: float, inertia: np.ndarray, inertia_inv: np.ndarray) -> np.ndarray:
-    """State layout [p(3), v(3), q(4), w(3)]."""
-    out = np.empty(13)
-    out[0:3] = x[3:6]
-    out[3:6] = force_world / mass + GRAVITY
-    q = x[6:10]
-    w = x[10:13]
-    out[6:10] = 0.5 * quat_mul(q, np.array([0.0, *w]))
-    out[10:13] = inertia_inv @ (torque_body - np.cross(w, inertia @ w))
+def rigid_body_rates(x, thrust, torque, force, mass, inertia, inertia_inv) -> list:
+    """Time derivative of the state [p(3), v(3), q(4), w(3)] as 13 components.
+
+    x holds 13 Python floats (one state) or 13 numpy rows of one shape (a
+    batch); thrust is the collective along body z, torque the 3 body-frame
+    components, force the 3 world-frame external components, each a float
+    or a row.  inertia and inertia_inv are 3x3 nested float lists.  The
+    thrust direction is the third column of the rotation of q as given.
+    """
+    _, _, _, vx, vy, vz, qw, qx, qy, qz, wx, wy, wz = x
+    (j00, j01, j02), (j10, j11, j12), (j20, j21, j22) = inertia
+    (i00, i01, i02), (i10, i11, i12), (i20, i21, i22) = inertia_inv
+    zx = 2 * (qx * qz + qw * qy)
+    zy = 2 * (qy * qz - qw * qx)
+    zz = 1 - 2 * (qx * qx + qy * qy)
+    # w x (J w), subtracted from the torque
+    jx = j00 * wx + j01 * wy + j02 * wz
+    jy = j10 * wx + j11 * wy + j12 * wz
+    jz = j20 * wx + j21 * wy + j22 * wz
+    tx = torque[0] - (wy * jz - wz * jy)
+    ty = torque[1] - (wz * jx - wx * jz)
+    tz = torque[2] - (wx * jy - wy * jx)
+    return [
+        vx, vy, vz,
+        (thrust * zx + force[0]) / mass + _GRAVITY[0],
+        (thrust * zy + force[1]) / mass + _GRAVITY[1],
+        (thrust * zz + force[2]) / mass + _GRAVITY[2],
+        0.5 * (-qx * wx - qy * wy - qz * wz),   # q * (0, w) / 2
+        0.5 * (qw * wx + qy * wz - qz * wy),
+        0.5 * (qw * wy - qx * wz + qz * wx),
+        0.5 * (qw * wz + qx * wy - qy * wx),
+        i00 * tx + i01 * ty + i02 * tz,
+        i10 * tx + i11 * ty + i12 * tz,
+        i20 * tx + i21 * ty + i22 * tz,
+    ]
+
+
+def rigid_body_step(x, thrust, torque, force, mass, inertia, inertia_inv, dt: float) -> list:
+    """One RK4 step of `rigid_body_rates` with the inputs held, the
+    quaternion renormalised at the end; same argument forms."""
+    def f(y):
+        return rigid_body_rates(y, thrust, torque, force, mass, inertia, inertia_inv)
+
+    h = 0.5 * dt
+    k1 = f(x)
+    k2 = f([a + h * b for a, b in zip(x, k1)])
+    k3 = f([a + h * b for a, b in zip(x, k2)])
+    k4 = f([a + dt * b for a, b in zip(x, k3)])
+    c = dt / 6.0
+    out = [a + c * (b1 + 2 * b2 + 2 * b3 + b4) for a, b1, b2, b3, b4 in zip(x, k1, k2, k3, k4)]
+    qw, qx, qy, qz = out[6:10]
+    norm = (math.sqrt if isinstance(qw, float) else np.sqrt)(qw * qw + qx * qx + qy * qy + qz * qz)
+    out[6:10] = qw / norm, qx / norm, qy / norm, qz / norm
     return out
 
 
@@ -208,41 +265,20 @@ def step(state: RigidBodyState, thrusts, servo_rate: float, disturbance: Wrench 
     if info is not None:
         info["thrust_clamped"] = bool(np.any(clamped != thrusts))
 
-    h_k = allocation_matrix(params, state.radius)
-    general = h_k @ clamped
-    collective, torque = general[0], general[1:]
-
-    q = state.quaternion / np.linalg.norm(state.quaternion)
-    z_b = quat_to_rot(q)[:, 2]
-    force_world = collective * z_b
-    torque_body = torque.copy()
+    general = allocation_matrix(params, state.radius) @ clamped
+    torque = general[1:]
+    force = (0.0, 0.0, 0.0)
     if disturbance is not None:
-        force_world = force_world + disturbance.force
-        torque_body = torque_body + disturbance.torque
-
+        force = disturbance.force.tolist()
+        torque = torque + disturbance.torque
     inertia = inertia_of(params, state.radius)
-    inertia_inv = np.linalg.inv(inertia)
-    x = np.concatenate([state.position, state.velocity, q, state.omega])
-
-    def f(xk):
-        # thrust direction follows the instantaneous attitude inside the step
-        zb = quat_to_rot(xk[6:10] / np.linalg.norm(xk[6:10]))[:, 2]
-        fw = collective * zb
-        if disturbance is not None:
-            fw = fw + disturbance.force
-        return _derivative(xk, fw, torque_body, params.mass, inertia, inertia_inv)
-
-    k1 = f(x)
-    k2 = f(x + 0.5 * dt * k1)
-    k3 = f(x + 0.5 * dt * k2)
-    k4 = f(x + dt * k3)
-    x_new = x + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-
-    q_new = x_new[6:10]
-    q_new = q_new / np.linalg.norm(q_new)
+    q = state.quaternion / np.linalg.norm(state.quaternion)
+    x = np.concatenate([state.position, state.velocity, q, state.omega]).tolist()
+    x_new = rigid_body_step(x, float(general[0]), torque.tolist(), force, params.mass,
+                            inertia.tolist(), np.linalg.inv(inertia).tolist(), dt)
     theta = float(np.clip(state.servo_angle + servo_rate * dt, 0.0, np.pi))
     return RigidBodyState(
-        position=x_new[0:3], velocity=x_new[3:6], quaternion=q_new,
+        position=x_new[0:3], velocity=x_new[3:6], quaternion=x_new[6:10],
         omega=x_new[10:13], radius=params.radius_of_servo_angle(theta),
         servo_angle=theta,
     )

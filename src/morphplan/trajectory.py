@@ -58,18 +58,18 @@ class PiecewiseTrajectory:
     def total_time(self) -> float:
         return float(self.durations.sum())
 
-    def piece_index(self, t: float) -> tuple[int, float]:
-        """Piece index and local time; junction times select the right piece,
-        the total time selects the last piece."""
-        if t < 0.0 or t > self.total_time + 1e-12:
+    def piece_index(self, t):
+        """Piece index and local time of a time, or of each of an array of
+        times; junction times select the right piece, the total time selects
+        the last piece."""
+        t = np.asarray(t, dtype=float)
+        if np.any(t < 0.0) or np.any(t > self.total_time + 1e-12):
             raise ValueError(f"time {t} outside [0, {self.total_time}]")
-        t = min(t, self.total_time)
+        t = np.minimum(t, self.total_time)
         ends = np.cumsum(self.durations)
-        i = int(np.searchsorted(ends, t, side="right"))
-        if i >= self.n_pieces:
-            i = self.n_pieces - 1
-        t0 = ends[i] - self.durations[i]
-        return i, t - t0
+        i = np.minimum(np.searchsorted(ends, t, side="right"), self.n_pieces - 1)
+        tau = t - (ends[i] - self.durations[i])
+        return (int(i), float(tau)) if t.ndim == 0 else (i, tau)
 
     def eval(self, t: float, order: int = 0) -> np.ndarray:
         """Order-th time derivative of all four channels at global time t."""
@@ -80,13 +80,11 @@ class PiecewiseTrajectory:
 
     def sample(self, times, orders=(0,)) -> np.ndarray:
         """Vectorized evaluation; returns (len(times), len(orders), 4)."""
-        times = np.asarray(times, dtype=float)
-        out = np.empty((len(times), len(orders), N_CHANNELS))
-        for j, t in enumerate(times):
-            i, tau = self.piece_index(float(t))
-            for oi, order in enumerate(orders):
-                out[j, oi] = poly_basis(tau, order) @ self.coeffs[i]
-        return out
+        i, tau = self.piece_index(np.asarray(times, dtype=float).reshape(-1))
+        coeffs = self.coeffs[i]
+        # a (1, 6) @ (6, 4) product per sample and order: the same arithmetic as eval
+        return np.concatenate([poly_basis(tau, order)[:, None, :] @ coeffs for order in orders],
+                              axis=1)
 
 
 class MinJerkSystem:

@@ -3,11 +3,11 @@ import pytest
 
 from morphplan.controller import (
     ControlInput,
+    _bounded_lsq,
     LowPassFilter,
     NmpcConfig,
     TrackingConfig,
     allocate,
-    compensate_thrust,
     estimate_external_force,
     flat_reference,
     indi_torque,
@@ -121,6 +121,38 @@ class TestNmpc:
         assert abs(out.torque[2]) < 1e-6
 
 
+class TestNmpcConfig:
+    def test_rejects_nonpositive_input_weight(self):
+        with pytest.raises(ValueError):
+            NmpcConfig(w_input=np.array([0.02, 0.0, 0.4, 0.4]))
+
+    def test_rejects_u_min_above_u_max(self):
+        with pytest.raises(ValueError):
+            NmpcConfig(u_min=np.array([0.0, -1.5, 2.0, -0.5]))
+
+
+class TestGaussNewtonStep:
+    def test_cholesky_step_matches_lstsq(self):
+        # random Jacobians of the solver's shape: 12 weighted output rows per
+        # stage, each depending on the inputs up to that stage, over the
+        # diagonal input-weight rows
+        cfg = NmpcConfig()
+        n = cfg.horizon
+        w_out = np.sqrt([cfg.q_pos] * 3 + [cfg.q_vel] * 3 + [cfg.q_att] * 3 + [cfg.q_omega] * 3)
+        rng = np.random.default_rng(12)
+        free = np.full(4 * n, np.inf)
+        for _ in range(20):
+            jx = rng.normal(scale=0.05, size=(n, 12, 4 * n)) * w_out[:, None]
+            for k in range(n):
+                jx[k, :, 4 * (k + 1):] = 0.0
+            a = np.vstack([jx.reshape(12 * n, 4 * n), np.diag(np.tile(np.sqrt(cfg.w_input), n))])
+            b = rng.normal(size=16 * n)
+            got, ok = _bounded_lsq(a, b, -free, free)
+            want = np.linalg.lstsq(a, b, rcond=None)[0]
+            assert ok
+            np.testing.assert_allclose(got, want, rtol=1e-9, atol=0.0)
+
+
 class TestForceEstimate:
     def test_hover_zero(self):
         out = estimate_external_force(1.0, np.zeros(3), 9.81, [0, 0, 1])
@@ -141,18 +173,6 @@ class TestForceEstimate:
         # raw estimate equals target, so after 5 time constants the filter is
         # within exp(-5) < 1%% of it
         assert np.linalg.norm(out - target) <= 0.05 * np.linalg.norm(target)
-
-
-class TestCompensateThrust:
-    def test_no_force(self):
-        assert compensate_thrust(9.81, [0, 0, 1], np.zeros(3)) == pytest.approx(9.81)
-
-    def test_vertical_force(self):
-        assert compensate_thrust(9.81, [0, 0, 1], [0, 0, 1.0]) == pytest.approx(8.81)
-
-    def test_lateral_force(self):
-        got = compensate_thrust(9.81, [0, 0, 1], [1.0, 0, 0])
-        assert got == pytest.approx(np.sqrt(9.81**2 + 1.0))
 
 
 class TestIndi:
@@ -254,6 +274,16 @@ class TestFlatReference:
             z_b = quat_to_rot(q)[:, 2]
             assert np.linalg.norm(z_b) == pytest.approx(1.0, abs=1e-12)
 
+    def test_batched_matches_scalar(self, fig8_traj):
+        params = VehicleParams()
+        times = np.linspace(-0.1, fig8_traj.total_time + 0.2, 41)
+        x_refs, u_refs, radii = flat_reference(fig8_traj, times, params)
+        for j, t in enumerate(times):
+            x_ref, u_ref, r_des = flat_reference(fig8_traj, t, params)
+            assert np.array_equal(x_refs[j], x_ref)
+            assert np.array_equal(u_refs[j], u_ref)
+            assert radii[j] == r_des
+
     def test_hover_reference(self):
         params = VehicleParams()
         traj = hover_traj()
@@ -278,6 +308,10 @@ class TestRunTracking:
         off = run_tracking(fig8_traj, params, NmpcConfig(), cfg_off)
         assert on.rmse <= 1.05 * off.rmse + 1e-6
         assert off.rmse <= 1.05 * on.rmse + 1e-6
+        # measured with the earlier numpy-batch model and SVD least-squares
+        # step; a change of arithmetic alone must stay within 1e-9 m
+        assert on.rmse == pytest.approx(0.004346184903904435, rel=0.0, abs=1e-9)
+        assert off.rmse == pytest.approx(0.004346233636593493, rel=0.0, abs=1e-9)
 
     def test_constant_wrench_compensation_helps(self, fig8_traj):
         params = VehicleParams()

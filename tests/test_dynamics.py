@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from morphplan.dynamics import (
     GRAVITY,
@@ -16,6 +17,8 @@ from morphplan.dynamics import (
     quat_rotate,
     quat_to_rot,
     ramp_wrench,
+    rigid_body_rates,
+    rigid_body_step,
     rot_to_quat,
     step,
 )
@@ -46,6 +49,56 @@ class TestQuaternions:
         e = np.array([1.0, 0, 0, 0])
         assert np.allclose(quat_mul(q, e), q)
         assert np.allclose(quat_mul(e, q), q)
+
+
+def _floats(n, bound):
+    return st.lists(st.floats(-bound, bound), min_size=n, max_size=n)
+
+
+@st.composite
+def _model_input(draw):
+    """One state with a unit quaternion, its collective, torque and force."""
+    q = np.array(draw(_floats(4, 1.0)))
+    assume(np.linalg.norm(q) > 0.1)
+    x = draw(_floats(6, 5.0)) + (q / np.linalg.norm(q)).tolist() + draw(_floats(3, 4.0))
+    return x, draw(st.floats(0.0, 32.0)), draw(_floats(3, 1.5)), draw(_floats(3, 3.0))
+
+
+class TestSharedModel:
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(_model_input(), min_size=1, max_size=6),
+           st.floats(VehicleParams().r_min, VehicleParams().r_max), st.floats(1e-3, 0.05))
+    def test_float_and_row_paths_bit_identical(self, cases, r, dt):
+        params = VehicleParams()
+        j = inertia_of(params, r)
+        model = (params.mass, j.tolist(), np.linalg.inv(j).tolist(), dt)
+        singles = np.array([rigid_body_step(x, u, tau, f, *model) for x, u, tau, f in cases])
+        xs, us, taus, fs = (np.array(c, dtype=float) for c in zip(*cases))
+        rows = rigid_body_step(list(xs.T), us, list(taus.T), list(fs.T), *model)
+        assert np.array_equal(np.array(rows).T, singles)
+
+    def test_rates_match_rotation_matrix_form(self):
+        params = VehicleParams()
+        rng = np.random.default_rng(9)
+        for _ in range(50):
+            q = rng.normal(size=4)
+            q /= np.linalg.norm(q)
+            x = np.concatenate([rng.normal(size=6), q, rng.normal(scale=3.0, size=3)])
+            thrust = rng.uniform(0.0, 32.0)
+            torque = rng.normal(scale=0.5, size=3)
+            force = rng.normal(size=3)
+            j = inertia_of(params, rng.uniform(params.r_min, params.r_max))
+            j_inv = np.linalg.inv(j)
+            got = rigid_body_rates(x.tolist(), thrust, torque.tolist(), force.tolist(),
+                                   params.mass, j.tolist(), j_inv.tolist())
+            w = x[10:13]
+            want = np.concatenate([
+                x[3:6],
+                (thrust * quat_to_rot(q)[:, 2] + force) / params.mass + GRAVITY,
+                0.5 * quat_mul(q, np.array([0.0, *w])),
+                j_inv @ (torque - np.cross(w, j @ w)),
+            ])
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
 
 
 class TestAllocation:

@@ -54,6 +54,21 @@ class TestEval:
         assert traj.eval(1.0, 1)[0] == pytest.approx(2.0)  # right piece at junction
         assert traj.eval(2.0, 0)[0] == pytest.approx(3.0)  # last piece at t = T
 
+    def test_sample_matches_eval(self):
+        rng = np.random.default_rng(5)
+        traj = fit_min_jerk(rng.normal(size=(3, 4)), rng.uniform(0.5, 2.0, size=4),
+                            rest(np.zeros(4)), rest(np.ones(4)))
+        times = np.concatenate([rng.uniform(0.0, traj.total_time, 30),
+                                np.cumsum(traj.durations)[:-1], [0.0, traj.total_time]])
+        got = traj.sample(times, orders=(0, 1, 2, 3))
+        for j, t in enumerate(times):
+            for order in range(4):
+                assert np.array_equal(got[j, order], traj.eval(t, order))
+        with pytest.raises(ValueError):
+            traj.sample([0.5, -0.1])
+        with pytest.raises(ValueError):
+            traj.sample([traj.total_time + 0.1])
+
     def test_minco_junction_continuity(self):
         rng = np.random.default_rng(4)
         wps = rng.normal(size=(3, 4))
