@@ -1,11 +1,15 @@
-"""Voxel occupancy maps and Euclidean signed distance fields.
+"""Voxel occupancy maps, Euclidean signed distance fields and the body hull.
 
 Sign convention: at a free voxel center the field stores the Euclidean
 distance to the nearest occupied voxel center; at an occupied voxel center
 it stores minus the distance to the nearest free voxel center.  Both sides
-are capped at the truncation radius.  Between centers the field is
-evaluated by trilinear interpolation, so the zero level sits inside the
-one-voxel band separating free from occupied centers.
+are capped at the truncation radius.  The distances come from scipy's exact
+Euclidean distance transform.  Between centers the field is evaluated by
+trilinear interpolation, so the zero level sits inside the one-voxel band
+separating free from occupied centers.
+
+`BodyGeometry.surface_points` is the one sampler of the deforming body's
+hull; the search's collision check and `clearance_batch` both use it.
 """
 
 from __future__ import annotations
@@ -14,7 +18,6 @@ from dataclasses import dataclass, field as _field
 
 import numpy as np
 
-_INT_INF = np.int64(1) << 50
 _CORNERS = np.array(list(np.ndindex(2, 2, 2)), dtype=np.int64)  # (8, 3)
 
 
@@ -79,34 +82,32 @@ def build_grid(obstacles, bounds_lo, bounds_hi, resolution: float) -> VoxelGrid:
         raise ValueError(f"bounds must have positive extent, got {lo} .. {hi}")
     dims = np.maximum(np.ceil((hi - lo) / resolution - 1e-9).astype(np.int64), 1)
     axes = [lo[k] + (np.arange(dims[k]) + 0.5) * resolution for k in range(3)]
-    cx, cy, cz = np.meshgrid(*axes, indexing="ij")
-    centers = np.stack([cx, cy, cz], axis=-1)
+    # broadcast views, so the stacked centers are the only full-size copy
+    centers = np.stack(np.meshgrid(*axes, indexing="ij", copy=False), axis=-1)
     occ = np.zeros(tuple(dims), dtype=bool)
     for obs in obstacles:
         occ |= obs.contains(centers)
     return VoxelGrid(origin=lo, resolution=float(resolution), occupancy=occ)
 
 
-def _squared_cell_distance(feature: np.ndarray) -> np.ndarray:
-    """Exact squared distance (integer cell units) to the nearest True cell.
+def _add_squared_feature_distance(sq: np.ndarray, feature: np.ndarray) -> None:
+    """Add to `sq` the squared distance (cell units) from every voxel to the
+    nearest voxel where `feature` is True; zero on the feature voxels.
 
-    Separable 3-pass composition of 1-D squared-distance lower envelopes;
-    integer arithmetic keeps the result bit-exact against brute force.
+    scipy's exact feature transform (Maurer, Qi & Raghavan, TPAMI 2003) gives
+    the index of the nearest feature voxel; the offsets are integers, so the
+    sum of their squares is exact.  `feature` must have a True voxel.
     """
-    sq = np.where(feature, np.int64(0), _INT_INF)
-    for axis in range(3):
-        n = sq.shape[axis]
-        if n == 1:
-            continue
-        moved = np.moveaxis(sq, axis, 0)
-        shape = moved.shape
-        flat = moved.reshape(n, -1)
-        out = np.empty_like(flat)
-        offs = np.arange(n, dtype=np.int64)
-        for i in range(n):
-            out[i] = (flat + ((offs - i) ** 2)[:, None]).min(axis=0)
-        sq = np.moveaxis(out.reshape(shape), 0, axis)
-    return sq
+    # imported on first use: scipy.ndimage adds about 70 ms to the import of
+    # morphplan, and only map builds need it
+    from scipy.ndimage import distance_transform_edt
+
+    nearest = distance_transform_edt(~feature, return_distances=False, return_indices=True)
+    for axis, idx in enumerate(nearest):
+        shape = [1, 1, 1]
+        shape[axis] = -1
+        idx -= np.arange(feature.shape[axis], dtype=idx.dtype).reshape(shape)
+        sq += np.square(idx, dtype=float)
 
 
 @dataclass(frozen=True, eq=False)
@@ -129,11 +130,18 @@ def compute_esdf(grid: VoxelGrid, truncation: float = 5.0) -> EsdfField:
     if truncation <= 0.0:
         raise ValueError(f"truncation must be positive, got {truncation}")
     occ = grid.occupancy
-    res = grid.resolution
-    sq_occ = _squared_cell_distance(occ)
-    sq_free = _squared_cell_distance(~occ)
-    dist = np.where(occ, -np.sqrt(sq_free.astype(float)), np.sqrt(sq_occ.astype(float))) * res
-    dist = np.clip(dist, -truncation, truncation)
+    if occ.any() and not occ.all():
+        # each voxel's own class adds zero, so the sum is the squared distance
+        # to the nearest voxel of the other class
+        dist = np.zeros(occ.shape)
+        _add_squared_feature_distance(dist, occ)
+        _add_squared_feature_distance(dist, ~occ)
+        np.sqrt(dist, out=dist)
+        dist *= grid.resolution
+    else:
+        dist = np.full(occ.shape, np.inf)  # no voxel of the other class
+    np.negative(dist, out=dist, where=occ)
+    np.clip(dist, -truncation, truncation, out=dist)
     return EsdfField(grid=grid, distance=dist, truncation=float(truncation))
 
 
@@ -235,43 +243,35 @@ class BodyGeometry:
             raise ValueError("invalid body geometry")
         object.__setattr__(self, "attachments", np.asarray(self.attachments, dtype=float).reshape(-1, 3))
 
-    def max_reach(self, radius: float) -> float:
-        reach = float(np.hypot(radius, 0.5 * self.height))
+    def max_reach(self, radius):
+        """Distance from the body center to its farthest sample, per radius."""
+        reach = np.hypot(radius, 0.5 * self.height)
         if len(self.attachments):
-            reach = max(reach, float(np.max(np.linalg.norm(self.attachments, axis=1))))
+            reach = np.maximum(reach, np.max(np.linalg.norm(self.attachments, axis=1)))
         return reach
 
+    def surface_points(self, centers: np.ndarray, radii: np.ndarray):
+        """World sample points (B, S, 3) of the hull at centers (B, 3) with
+        radii (B,), and the radial direction (S, 3) of each sample (the unit
+        lateral direction on the cylinder, zero on attachments).
 
-def surface_offsets(body: BodyGeometry, radius: float | None = None):
-    """Body-frame sample points and their derivative w.r.t. the radius."""
-    r = body.radius if radius is None else radius
-    ang = 2.0 * np.pi * np.arange(body.n_theta) / body.n_theta
-    zs = -0.5 * body.height + body.height * np.arange(body.n_l + 1) / body.n_l
-    dirs = np.stack([np.cos(ang), np.sin(ang), np.zeros_like(ang)], axis=1)  # (n_theta, 3)
-    lateral_dir = np.repeat(dirs, len(zs), axis=0)
-    lateral = lateral_dir * r
-    lateral[:, 2] = np.tile(zs, body.n_theta)
-    radial = lateral_dir.copy()
-    radial[:, 2] = 0.0
-    if len(body.attachments):
-        offsets = np.vstack([lateral, body.attachments])
-        radial = np.vstack([radial, np.zeros_like(body.attachments)])
-    else:
-        offsets = lateral
-    return offsets, radial
-
-
-@dataclass(eq=False)
-class ClearanceResult:
-    distance: float
-    point: np.ndarray
-    grad_position: np.ndarray
-    grad_radius: float
+        A cylinder sample's x and y are center + direction * radius and its z
+        is center_z + ring height; an attachment sits at center + offset.
+        """
+        ang = 2.0 * np.pi * np.arange(self.n_theta) / self.n_theta
+        zs = -0.5 * self.height + self.height * np.arange(self.n_l + 1) / self.n_l
+        dir_xy = np.stack([np.cos(ang), np.sin(ang), np.zeros_like(ang)], axis=1)
+        radial = np.repeat(dir_xy, len(zs), axis=0)  # (n_theta * (n_l + 1), 3)
+        pts = centers[:, None, :] + radial[None, :, :] * radii[:, None, None]
+        pts[:, :, 2] = centers[:, None, 2] + np.tile(zs, self.n_theta)[None, :]
+        if len(self.attachments):
+            pts = np.concatenate([pts, centers[:, None, :] + self.attachments[None, :, :]], axis=1)
+            radial = np.vstack([radial, np.zeros_like(self.attachments)])
+        return pts, radial
 
 
 def clearance_batch(field: EsdfField, centers: np.ndarray, radii: np.ndarray,
-                    body: BodyGeometry, rotation: np.ndarray | None = None,
-                    extend: bool = False):
+                    body: BodyGeometry, extend: bool = False):
     """Minimum surface-sample distance for a batch of (center, radius) poses.
 
     Returns (distance (B,), worst point (B,3), grad wrt center (B,3),
@@ -280,30 +280,8 @@ def clearance_batch(field: EsdfField, centers: np.ndarray, radii: np.ndarray,
     centers = np.asarray(centers, dtype=float).reshape(-1, 3)
     radii = np.asarray(radii, dtype=float).reshape(-1)
     n = centers.shape[0]
-
-    ang = 2.0 * np.pi * np.arange(body.n_theta) / body.n_theta
-    zs = -0.5 * body.height + body.height * np.arange(body.n_l + 1) / body.n_l
-    dir_xy = np.stack([np.cos(ang), np.sin(ang), np.zeros_like(ang)], axis=1)
-    dir_lat = np.repeat(dir_xy, len(zs), axis=0)  # (L, 3)
-    z_lat = np.tile(zs, body.n_theta)
-
-    n_lat = dir_lat.shape[0]
-    n_att = len(body.attachments)
-    offsets = np.empty((n, n_lat + n_att, 3))
-    offsets[:, :n_lat, :] = dir_lat[None, :, :] * radii[:, None, None]
-    offsets[:, :n_lat, 2] = z_lat[None, :]
-    if n_att:
-        offsets[:, n_lat:, :] = body.attachments[None, :, :]
-    radial = np.vstack([dir_lat, np.zeros((n_att, 3))]) if n_att else dir_lat
-
-    if rotation is not None:
-        rot = np.asarray(rotation, dtype=float).reshape(3, 3)
-        offsets = offsets @ rot.T
-        radial = radial @ rot.T
-
-    world = centers[:, None, :] + offsets
-    flat = world.reshape(-1, 3)
-    dist = query_distance_many(field, flat, extend=extend).reshape(n, -1)
+    world, radial = body.surface_points(centers, radii)
+    dist = query_distance_many(field, world.reshape(-1, 3), extend=extend).reshape(n, -1)
     sel = np.argmin(dist, axis=1)
     rows = np.arange(n)
     d_min = dist[rows, sel]
@@ -311,32 +289,3 @@ def clearance_batch(field: EsdfField, centers: np.ndarray, radii: np.ndarray,
     grad_pos = query_gradient_many(field, worst, extend=extend)
     grad_rad = np.einsum("ij,ij->i", grad_pos, radial[sel])
     return d_min, worst, grad_pos, grad_rad
-
-
-def body_clearance(field: EsdfField, center, rotation, body: BodyGeometry,
-                   extend: bool = False) -> ClearanceResult:
-    """Whole-body clearance of the cylinder-plus-attachments hull at one pose."""
-    d, pt, gp, gr = clearance_batch(
-        field,
-        np.asarray(center, dtype=float).reshape(1, 3),
-        np.array([body.radius]),
-        body,
-        rotation=rotation,
-        extend=extend,
-    )
-    return ClearanceResult(distance=float(d[0]), point=pt[0], grad_position=gp[0], grad_radius=float(gr[0]))
-
-
-def dump_distances(field: EsdfField, path, fmt: str = "csv") -> None:
-    """Debug dump of the per-voxel distances, row-major with x fastest."""
-    flat = np.transpose(field.distance, (2, 1, 0))
-    if fmt == "csv":
-        nx = field.grid.dims[0]
-        with open(path, "w", newline="\n") as fh:
-            fh.write("# dims=%d,%d,%d resolution=%.17g\n" % (*field.grid.dims, field.grid.resolution))
-            for row in flat.reshape(-1, nx):
-                fh.write(",".join(format(v, ".17g") for v in row) + "\n")
-    elif fmt == "bin":
-        flat.astype("<f8").ravel().tofile(path)
-    else:
-        raise ValueError(f"unknown dump format {fmt!r}")

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -46,40 +46,6 @@ def write_metrics_csv(rows, path) -> None:
         fh.write(MetricsRow.HEADER + "\n")
         for row in rows:
             fh.write(row.to_csv_line() + "\n")
-
-
-def read_metrics_csv(path) -> list[MetricsRow]:
-    rows = []
-    with open(path) as fh:
-        header = fh.readline().strip()
-        if header != MetricsRow.HEADER:
-            raise ValueError(f"unexpected metrics header {header!r}")
-        for line in fh:
-            parts = line.rstrip("\n").split(",")
-            rows.append(MetricsRow(
-                mode=parts[0], seed=int(parts[1]), pce=float(parts[2]),
-                rce=float(parts[3]), sorr=float(parts[4]), time_cost=float(parts[5]),
-                total_cost=float(parts[6]), total_energy=float(parts[7]),
-                tracking_rmse=float(parts[8]) if parts[8] else None,
-            ))
-    return rows
-
-
-def sample_costs(times: np.ndarray, data: np.ndarray, r_max: float,
-                 sorr_weight: float, time_weight: float) -> dict:
-    """Recompute PCE/RCE/SORR/total from fixed-rate trajectory samples by
-    Simpson quadrature (data shaped (N, 4 orders, 4 channels))."""
-    from scipy.integrate import simpson
-
-    jerk = data[:, 3, :]
-    pce = float(simpson((jerk[:, :3] ** 2).sum(axis=1), x=times))
-    rce = float(simpson(jerk[:, 3] ** 2, x=times))
-    shrink = (data[:, 0, 3] - r_max) / r_max
-    sorr = float(simpson(shrink**2, x=times))
-    time_cost = float(times[-1] - times[0])
-    total = pce + rce + sorr_weight * sorr + time_weight * time_cost
-    return {"pce": pce, "rce": rce, "sorr": sorr, "time_cost": time_cost,
-            "total_cost": total}
 
 
 def aggregate_rows(rows: list[MetricsRow]) -> dict:

@@ -4,7 +4,6 @@ three-mode benchmark."""
 
 from __future__ import annotations
 
-import dataclasses
 import logging
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -12,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .controller import NmpcConfig, TrackingConfig, run_tracking, write_tracking_csv
+from .controller import run_tracking, write_tracking_csv
 from .metrics import MetricsRow, aggregate_rows, metrics_from_report, write_metrics_csv
 from .scenario import MODES, Scenario, load_scenario
 from .search import search, write_path_csv
@@ -38,17 +37,9 @@ def run_plan(scenario: Scenario, mode: str | None = None, map_seed: int | None =
     cfg = scenario.search_config(mode)
     start = scenario.plan_state(scenario.start, mode)
     goal = scenario.plan_state(scenario.goal, mode)
-    body = scenario.body
-    if scenario.payload is not None:
-        # plan with the composite geometry so the seed path is payload-aware
-        from .traj_opt import attach_payload
-
-        prob_tmp = scenario.opt_problem(field, mode)
-        body = prob_tmp.body
-        problem = prob_tmp
-    else:
-        problem = scenario.opt_problem(field, mode)
-    result = search(start, goal, field, body, cfg)
+    problem = scenario.opt_problem(field, mode)
+    # the problem's body carries any payload, so the seed path is payload-aware
+    result = search(start, goal, field, problem.body, cfg)
     traj, report = optimize(result.path, problem)
     params = scenario.vehicle_params()
     metrics = metrics_from_report(report, traj, params, mode,

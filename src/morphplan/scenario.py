@@ -213,8 +213,7 @@ _PLANNING_DEFAULTS = {
 
 _SEARCH_KEYS = {"u_max", "dt_min", "dt_max", "accel_samples", "duration_samples",
                 "pos_dedup", "radius_dedup", "node_budget", "goal_pos_tol",
-                "goal_radius_tol", "goal_vel_tol", "use_heuristic", "analytic_connect",
-                "analytic_connect_range"}
+                "goal_radius_tol", "goal_vel_tol", "use_heuristic"}
 
 _OPT_KEYS = {"w_clearance", "w_dynamics", "clearance_buffer", "kappa"}
 

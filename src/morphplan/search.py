@@ -5,6 +5,12 @@ axes (three position axes plus the deformation radius) together with a
 primitive duration; double-integrator propagation gives the successor
 state.  Each primitive is charged its squared control effort, a penalty
 for flying below the maximum radius, and a time cost.
+
+A path ends only when a primitive lands within the goal tolerances; there
+is no analytic shot to the goal.  Primitives are collision-checked at
+sub-sampled states: a bounding ball around the body clears most of them
+cheaply, and the rest are checked at every sample of
+`BodyGeometry.surface_points`.
 """
 
 from __future__ import annotations
@@ -84,8 +90,6 @@ class SearchConfig:
     goal_radius_tol: float = 0.05
     goal_vel_tol: float | None = None
     use_heuristic: bool = True
-    analytic_connect: bool = False
-    analytic_connect_range: float = 3.0
 
     def __post_init__(self):
         self.u_max = np.asarray(self.u_max, dtype=float).reshape(4)
@@ -161,9 +165,7 @@ def _states_valid(field: EsdfField, body: BodyGeometry, config: SearchConfig,
     # cheap conservative pass: whole body ball inside the map and far from obstacles
     p = pos[idx]
     r = radius[idx]
-    reach = np.hypot(r, 0.5 * body.height)
-    if len(body.attachments):
-        reach = np.maximum(reach, np.max(np.linalg.norm(body.attachments, axis=1)))
+    reach = body.max_reach(r)
     margin_lo = np.min(p - field.lower, axis=1)
     margin_hi = np.min(field.upper - p, axis=1)
     ball_inside = np.minimum(margin_lo, margin_hi) >= reach
@@ -173,16 +175,7 @@ def _states_valid(field: EsdfField, body: BodyGeometry, config: SearchConfig,
     if len(hard):
         hard_idx = idx[hard]
         # exact pass: every surface sample must be inside the map and clear
-        ang = 2.0 * np.pi * np.arange(body.n_theta) / body.n_theta
-        zs = -0.5 * body.height + body.height * np.arange(body.n_l + 1) / body.n_l
-        dir_xy = np.stack([np.cos(ang), np.sin(ang), np.zeros_like(ang)], axis=1)
-        dir_lat = np.repeat(dir_xy, len(zs), axis=0)
-        z_lat = np.tile(zs, body.n_theta)
-        rr = radius[hard_idx]
-        pts = pos[hard_idx][:, None, :] + dir_lat[None, :, :] * rr[:, None, None]
-        pts[:, :, 2] = pos[hard_idx][:, None, 2] + z_lat[None, :]
-        if len(body.attachments):
-            pts = np.concatenate([pts, pos[hard_idx][:, None, :] + body.attachments[None, :, :]], axis=1)
+        pts, _ = body.surface_points(pos[hard_idx], radius[hard_idx])
         flat = pts.reshape(-1, 3)
         inb = points_in_bounds(field, flat).reshape(len(hard_idx), -1)
         d = query_distance_many(field, flat, extend=True).reshape(len(hard_idx), -1)
@@ -284,29 +277,6 @@ def _goal_reached(x: np.ndarray, goal: PlanState, config: SearchConfig) -> bool:
     return True
 
 
-def _cubic_connect_nodes(x0: np.ndarray, goal: PlanState, t_total: float, n_seg: int):
-    """Piecewise-constant-acceleration approximation of the optimal cubic from
-    x0 to the goal; each slice uses the cubic's mid-slice acceleration so the
-    velocity endpoints are exact."""
-    p0 = x0[:4]
-    v0 = x0[4:]
-    p1 = np.concatenate([goal.position, [goal.radius]])
-    v1 = np.concatenate([goal.velocity, [goal.radius_rate]])
-    d = p1 - p0
-    t = t_total
-    a2 = (3.0 * d - t * (2.0 * v0 + v1)) / t**2
-    a3 = (-2.0 * d + t * (v0 + v1)) / t**3
-    nodes = []
-    x = x0.copy()
-    dt = t / n_seg
-    for k in range(n_seg):
-        tm = (k + 0.5) * dt
-        u = 2.0 * a2 + 6.0 * a3 * tm
-        x = _propagate_batch(x, u[None, :], dt)[0]
-        nodes.append((x.copy(), u, dt))
-    return nodes
-
-
 def search(start: PlanState, goal: PlanState, field: EsdfField, body: BodyGeometry,
            config: SearchConfig) -> SearchResult:
     """Best-first search over sampled (acceleration, duration) primitives.
@@ -358,7 +328,7 @@ def search(start: PlanState, goal: PlanState, field: EsdfField, body: BodyGeomet
     seq = 1
     expansions = 0
 
-    def reconstruct(idx: int, tail=None) -> SearchResult:
+    def reconstruct(idx: int) -> SearchResult:
         chain = []
         k = idx
         while k >= 0:
@@ -369,12 +339,7 @@ def search(start: PlanState, goal: PlanState, field: EsdfField, body: BodyGeomet
             ))
             k = parents[k]
         chain.reverse()
-        cost = gs[idx]
-        if tail:
-            for x, u, dt in tail:
-                cost += primitive_cost(u, x[3], dt, config)
-                chain.append(PathNode(state=PlanState.from_array(x), control=u.copy(), duration=dt))
-        return SearchResult(path=chain, cost=cost, expansions=expansions)
+        return SearchResult(path=chain, cost=gs[idx], expansions=expansions)
 
     while heap:
         f, h, _, idx = heapq.heappop(heap)
@@ -392,11 +357,6 @@ def search(start: PlanState, goal: PlanState, field: EsdfField, body: BodyGeomet
 
         if _goal_reached(x, goal, config):
             return reconstruct(idx)
-
-        if config.analytic_connect and np.linalg.norm(x[:3] - goal.position) <= config.analytic_connect_range:
-            tail = _try_analytic_connect(x, goal, field, body, config)
-            if tail is not None:
-                return reconstruct(idx, tail=tail)
 
         if expansions >= config.node_budget:
             raise NodeBudgetExceededError(f"node budget {config.node_budget} exhausted")
@@ -482,26 +442,6 @@ def search(start: PlanState, goal: PlanState, field: EsdfField, body: BodyGeomet
                 seq += 1
 
     raise NoPathError("open set exhausted without reaching the goal")
-
-
-def _try_analytic_connect(x: np.ndarray, goal: PlanState, field: EsdfField,
-                          body: BodyGeometry, config: SearchConfig):
-    dp = np.concatenate([goal.position, [goal.radius]]) - x[:4]
-    v0 = x[4:]
-    v1 = np.concatenate([goal.velocity, [goal.radius_rate]])
-    cost, t_opt = _connect_cost(dp[None, :], v0[None, :], v1[None, :], config.time_weight)
-    t = float(t_opt[0])
-    if t <= 0.0:
-        return None
-    n_seg = max(4, int(np.ceil(t / max(config.dt_min, 1e-3))) * 4)
-    nodes = _cubic_connect_nodes(x, goal, t, n_seg)
-    xs = np.array([n[0] for n in nodes])
-    mask = _states_valid(field, body, config, xs[:, :3], xs[:, 3], xs[:, 4:7], xs[:, 7])
-    if not mask.all():
-        return None
-    if not _goal_reached(xs[-1], goal, config):
-        return None
-    return nodes
 
 
 def write_path_csv(result: SearchResult, path) -> None:

@@ -1,0 +1,30 @@
+"""The benchmark's tracer patches module attributes by name; a rename in the
+program must fail here rather than crash a benchmark run."""
+
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "perfbench"))
+
+import spans  # noqa: E402
+
+from morphplan.pipeline import run_plan  # noqa: E402
+
+
+def test_tracer_records_planning_spans_and_restores_names():
+    patched = [(module, attr) for module, attr, _, _ in spans.TARGETS]
+    patched.append((spans.traj_opt, "MinJerkSystem"))
+    originals = [getattr(module, attr) for module, attr in patched]
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        # looked up through the module, as the benchmark does, so the load is traced
+        scenario = spans.scenario.load_scenario(ROOT / "scenarios" / "slot.json")
+        run_plan(scenario, mode="fixed-min")
+    finally:
+        tracer.uninstall()
+    names = {s[spans.NAME] for s in tracer.spans}
+    assert {"esdf.build", "esdf.query", "esdf.clearance", "search", "opt", "gate"} <= names
+    for (module, attr), original in zip(patched, originals):
+        assert getattr(module, attr) is original, f"{module.__name__}.{attr} not restored"

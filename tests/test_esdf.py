@@ -8,11 +8,9 @@ from morphplan.esdf import (
     OutOfMapError,
     SphereObstacle,
     VoxelGrid,
-    body_clearance,
     build_grid,
     clearance_batch,
     compute_esdf,
-    dump_distances,
     points_in_bounds,
     query_distance,
     query_distance_many,
@@ -107,13 +105,25 @@ class TestComputeEsdf:
 
     def test_matches_brute_force_exactly(self):
         rng = np.random.default_rng(7)
-        for _ in range(10):
-            dims = tuple(rng.integers(2, 13, size=3))
-            occ = rng.random(dims) < 0.25
+        cases = [(rng.random(tuple(rng.integers(2, 13, size=3))) < 0.25, 5.0) for _ in range(10)]
+        # dims of 1, grids with no feature voxel on one side, and a truncation
+        # below the largest distance
+        cases += [
+            (rng.random((1, 7, 9)) < 0.25, 5.0),
+            (rng.random((6, 1, 1)) < 0.3, 5.0),
+            (np.zeros((4, 1, 5), dtype=bool), 5.0),
+            (np.ones((3, 4, 2), dtype=bool), 5.0),
+            (np.zeros((1, 1, 1), dtype=bool), 5.0),
+            (rng.random((12, 11, 10)) < 0.05, 0.25),
+        ]
+        for occ, truncation in cases:
             grid = VoxelGrid(origin=np.zeros(3), resolution=0.1, occupancy=occ)
-            field = compute_esdf(grid, truncation=5.0)
-            oracle = brute_force_signed(grid, 5.0)
+            field = compute_esdf(grid, truncation=truncation)
+            oracle = brute_force_signed(grid, truncation)
             assert np.array_equal(field.distance, oracle)
+        # the last case's truncation cuts off its largest distances
+        assert np.abs(brute_force_signed(grid, 5.0)).max() > truncation
+        assert np.abs(field.distance).max() == truncation
 
     def test_lipschitz_between_same_sign_neighbors(self):
         rng = np.random.default_rng(3)
@@ -217,21 +227,32 @@ class TestGradient:
         assert abs(query_distance(field, p + step) - lin) < 1e-3
 
 
+def one_row(field, center, body, radius=None, extend=False):
+    """clearance_batch for a single pose, at the body's own radius by default."""
+    radius = body.radius if radius is None else radius
+    d, pt, gp, gr = clearance_batch(field, np.reshape(center, (1, 3)), np.array([radius]), body,
+                                    extend=extend)
+    return d[0], pt[0], gp[0], gr[0]
+
+
 class TestBodyClearance:
     def test_sample_offset_formula(self):
         body = BodyGeometry(radius=0.2, height=0.1, n_theta=8, n_l=2)
-        from morphplan.esdf import surface_offsets
-
-        offsets, radial = surface_offsets(body)
-        assert np.allclose(offsets[0], [0.2, 0.0, -0.05])
+        center = np.array([[1.0, 2.0, 3.0]])
+        pts, radial = body.surface_points(center, np.array([0.2]))
+        assert pts.shape == (1, 8 * 3, 3) and radial.shape == (8 * 3, 3)
+        assert np.allclose(pts[0, 0] - center[0], [0.2, 0.0, -0.05])
         assert np.allclose(radial[0], [1.0, 0.0, 0.0])
+        # the radius only moves the lateral samples, along their radial direction
+        wide, _ = body.surface_points(center, np.array([0.3]))
+        assert np.allclose(wide[0] - pts[0], 0.1 * radial)
 
     def test_empty_map_truncation(self):
         grid = build_grid([], [0, 0, 0], [4, 4, 4], 0.1)
         field = compute_esdf(grid, truncation=2.0)
         body = BodyGeometry(radius=0.2, height=0.1)
-        res = body_clearance(field, [2.0, 2.0, 2.0], np.eye(3), body)
-        assert res.distance == pytest.approx(2.0, abs=1e-12)
+        d, _, _, _ = one_row(field, [2.0, 2.0, 2.0], body)
+        assert d == pytest.approx(2.0, abs=1e-12)
 
     def test_single_voxel_matches_exhaustive(self):
         # occupied voxel center at (1, 0, 0), body centered at the origin
@@ -241,12 +262,11 @@ class TestBodyClearance:
         field = compute_esdf(grid, truncation=5.0)
         body = BodyGeometry(radius=0.2, height=0.1, n_theta=16, n_l=2)
         center = np.zeros(3)
-        res = body_clearance(field, center, np.eye(3), body)
-        from morphplan.esdf import surface_offsets
-
-        offsets, _ = surface_offsets(body)
-        dists = [query_distance(field, center + o) for o in offsets]
-        assert res.distance == pytest.approx(min(dists), abs=1e-12)
+        d, _, _, _ = one_row(field, center, body)
+        samples = [center + [0.2 * np.cos(2 * np.pi * k / 16), 0.2 * np.sin(2 * np.pi * k / 16), z]
+                   for k in range(16) for z in (-0.05, 0.0, 0.05)]
+        dists = [query_distance(field, p) for p in samples]
+        assert d == pytest.approx(min(dists), abs=1e-12)
 
     def test_finer_sampling_is_conservative(self):
         occ = np.zeros((16, 16, 16), dtype=bool)
@@ -256,8 +276,8 @@ class TestBodyClearance:
         coarse = BodyGeometry(radius=0.25, height=0.12, n_theta=6, n_l=1)
         fine = BodyGeometry(radius=0.25, height=0.12, n_theta=12, n_l=2)
         for center in ([0.5, 0.8, 0.8], [0.6, 0.7, 0.8], [0.55, 0.85, 0.75]):
-            d_coarse = body_clearance(field, center, np.eye(3), coarse).distance
-            d_fine = body_clearance(field, center, np.eye(3), fine).distance
+            d_coarse = one_row(field, center, coarse)[0]
+            d_fine = one_row(field, center, fine)[0]
             assert d_fine <= d_coarse + 1e-12
 
     def test_gradients_match_finite_differences(self):
@@ -267,32 +287,28 @@ class TestBodyClearance:
         field = compute_esdf(grid)
         body = BodyGeometry(radius=0.2, height=0.1, n_theta=16, n_l=2)
         center = np.array([0.62, 0.71, 0.76])
-        res = body_clearance(field, center, np.eye(3), body)
+        _, _, grad_position, grad_radius = one_row(field, center, body)
         h = 1e-6
         fd_pos = np.empty(3)
         for k in range(3):
             e = np.zeros(3)
             e[k] = h
-            dp = body_clearance(field, center + e, np.eye(3), body).distance
-            dm = body_clearance(field, center - e, np.eye(3), body).distance
+            dp = one_row(field, center + e, body)[0]
+            dm = one_row(field, center - e, body)[0]
             fd_pos[k] = (dp - dm) / (2 * h)
-        import dataclasses
-
-        bp = dataclasses.replace(body, radius=body.radius + h)
-        bm = dataclasses.replace(body, radius=body.radius - h)
         fd_rad = (
-            body_clearance(field, center, np.eye(3), bp).distance
-            - body_clearance(field, center, np.eye(3), bm).distance
+            one_row(field, center, body, radius=body.radius + h)[0]
+            - one_row(field, center, body, radius=body.radius - h)[0]
         ) / (2 * h)
-        assert np.linalg.norm(res.grad_position - fd_pos) / max(np.linalg.norm(fd_pos), 1e-9) < 1e-3
-        assert abs(res.grad_radius - fd_rad) / max(abs(fd_rad), 1e-9) < 1e-3
+        assert np.linalg.norm(grad_position - fd_pos) / max(np.linalg.norm(fd_pos), 1e-9) < 1e-3
+        assert abs(grad_radius - fd_rad) / max(abs(fd_rad), 1e-9) < 1e-3
 
     def test_out_of_map_sample_raises_with_point(self):
         grid = build_grid([], [0, 0, 0], [1, 1, 1], 0.1)
         field = compute_esdf(grid)
         body = BodyGeometry(radius=0.3, height=0.1)
         with pytest.raises(OutOfMapError) as err:
-            body_clearance(field, [0.1, 0.5, 0.5], np.eye(3), body)
+            one_row(field, [0.1, 0.5, 0.5], body)
         assert err.value.point.shape == (3,)
 
     def test_attachments_only_lower_clearance(self):
@@ -304,31 +320,7 @@ class TestBodyClearance:
 
         loaded = dataclasses.replace(plain, attachments=np.array([[0.0, 0.0, -0.3], [0.3, 0.0, 0.0]]))
         center = [0.7, 0.8, 0.8]
-        assert (
-            body_clearance(field, center, np.eye(3), loaded).distance
-            <= body_clearance(field, center, np.eye(3), plain).distance + 1e-15
-        )
-
-
-class TestDump:
-    def test_csv_dump_x_fastest(self, tmp_path):
-        occ = np.zeros((3, 2, 2), dtype=bool)
-        occ[0, 0, 0] = True
-        field = compute_esdf(VoxelGrid(origin=np.zeros(3), resolution=0.1, occupancy=occ))
-        path = tmp_path / "esdf.csv"
-        dump_distances(field, path)
-        lines = [l for l in path.read_text().splitlines() if not l.startswith("#")]
-        first = [float(v) for v in lines[0].split(",")]
-        assert first == pytest.approx([field.distance[0, 0, 0], field.distance[1, 0, 0], field.distance[2, 0, 0]])
-
-    def test_bin_dump_roundtrip(self, tmp_path):
-        rng = np.random.default_rng(1)
-        occ = rng.random((4, 3, 2)) < 0.3
-        field = compute_esdf(VoxelGrid(origin=np.zeros(3), resolution=0.1, occupancy=occ))
-        path = tmp_path / "esdf.bin"
-        dump_distances(field, path, fmt="bin")
-        back = np.fromfile(path, dtype="<f8").reshape(2, 3, 4)
-        assert np.array_equal(back, np.transpose(field.distance, (2, 1, 0)))
+        assert one_row(field, center, loaded)[0] <= one_row(field, center, plain)[0] + 1e-15
 
 
 def test_points_in_bounds():
@@ -344,11 +336,8 @@ def test_clearance_batch_matches_single():
     body = BodyGeometry(radius=0.18, height=0.1)
     centers = np.array([[0.5, 0.7, 0.7], [0.6, 0.6, 0.7]])
     radii = np.array([0.18, 0.15])
-    d, pts, gp, gr = clearance_batch(field, centers, radii, body)
-    import dataclasses
-
+    batch = clearance_batch(field, centers, radii, body)
     for i in range(2):
-        single = body_clearance(field, centers[i], np.eye(3), dataclasses.replace(body, radius=radii[i]))
-        assert d[i] == pytest.approx(single.distance, abs=1e-14)
-        assert np.allclose(gp[i], single.grad_position)
-        assert gr[i] == pytest.approx(single.grad_radius, abs=1e-12)
+        single = clearance_batch(field, centers[i:i + 1], radii[i:i + 1], body)
+        for got, want in zip(batch, single):
+            assert np.array_equal(got[i], want[0])

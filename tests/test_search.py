@@ -1,15 +1,26 @@
 import dataclasses
+import functools
 import heapq
 import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from morphplan.esdf import BodyGeometry, BoxObstacle, build_grid, compute_esdf
+from morphplan.esdf import (
+    BodyGeometry,
+    BoxObstacle,
+    SphereObstacle,
+    build_grid,
+    compute_esdf,
+    points_in_bounds,
+    query_distance_many,
+)
 from morphplan.search import (
     NoPathError,
     PlanState,
     SearchConfig,
+    _states_valid,
     heuristic,
     is_valid,
     primitive_cost,
@@ -111,6 +122,44 @@ class TestIsValid:
         cfg = fast_config()
         s = PlanState(position=[10, 2, 1], radius=0.2, velocity=np.zeros(3))
         assert not is_valid(s, field, small_body(), cfg)
+
+
+@functools.cache
+def cluttered_field():
+    obstacles = [
+        BoxObstacle(lo=np.array([1.0, 0.0, 0.0]), hi=np.array([1.3, 1.4, 2.0])),
+        BoxObstacle(lo=np.array([2.2, 1.2, 0.0]), hi=np.array([2.6, 3.0, 1.1])),
+        SphereObstacle(center=np.array([3.1, 0.9, 1.2]), radius=0.35),
+    ]
+    return compute_esdf(build_grid(obstacles, [0, 0, 0], [4, 3, 2], 0.1))
+
+
+_position = st.tuples(st.floats(0.0, 4.0), st.floats(0.0, 3.0), st.floats(0.0, 2.0))
+_velocity = st.tuples(*[st.floats(-1.5, 1.5)] * 3)
+
+
+@settings(max_examples=300, deadline=None)
+@given(states=st.lists(st.tuples(_position, st.floats(0.131, 0.211), _velocity,
+                                 st.floats(-0.4, 0.4)), min_size=1, max_size=24),
+       attached=st.booleans())
+def test_cheap_pass_never_accepts_an_exact_reject(states, attached):
+    """A state the bounding-ball pass accepts must clear at every surface sample."""
+    field = cluttered_field()
+    body = small_body()
+    if attached:
+        body = dataclasses.replace(body, attachments=np.array([[0.0, 0.0, -0.25], [0.1, 0.1, -0.2]]))
+    cfg = fast_config(d_margin=0.1)
+    pos = np.array([s[0] for s in states])
+    radius = np.array([s[1] for s in states])
+    vel = np.array([s[2] for s in states])
+    rate = np.array([s[3] for s in states])
+    ok = _states_valid(field, body, cfg, pos, radius, vel, rate)
+    pts, _ = body.surface_points(pos, radius)
+    flat = pts.reshape(-1, 3)
+    inside = points_in_bounds(field, flat).reshape(len(states), -1).all(axis=1)
+    clear = query_distance_many(field, flat, extend=True).reshape(len(states), -1).min(axis=1)
+    exact_ok = inside & (clear >= cfg.d_margin)
+    assert not np.any(ok & ~exact_ok)
 
 
 def connect_cost_grid_oracle(dp, v0, v1, w_t, t_max=100.0, step=1e-4):

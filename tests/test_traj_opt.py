@@ -257,13 +257,11 @@ class TestAttachPayload:
         prob = empty_problem()
         prob = dataclasses.replace(prob, field=field)
         loaded = attach_payload(prob, size=[0.2, 0.2, 0.4], offset=[0, 0, -0.26])
-        from morphplan.esdf import body_clearance
+        from morphplan.esdf import clearance_batch
 
         for center in ([3.0, 1.5, 1.2], [2.5, 1.5, 1.0], [3.5, 1.8, 1.1]):
-            plain_body = dataclasses.replace(prob.body, radius=0.15)
-            loaded_body = dataclasses.replace(loaded.body, radius=0.15)
-            d0 = body_clearance(field, center, np.eye(3), plain_body).distance
-            d1 = body_clearance(field, center, np.eye(3), loaded_body).distance
+            d0 = clearance_batch(field, [center], [0.15], prob.body)[0][0]
+            d1 = clearance_batch(field, [center], [0.15], loaded.body)[0][0]
             assert d1 <= d0 + 1e-15
 
 
