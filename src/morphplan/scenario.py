@@ -288,7 +288,7 @@ def parse_scenario(raw: dict) -> Scenario:
 
     b = raw["body"]
     _check_keys(b, {"height", "n_theta", "n_l", "r_min", "r_max"}, "body")
-    body = BodyGeometry(radius=float(b["r_max"]), height=float(b["height"]),
+    body = BodyGeometry(height=float(b["height"]),
                         n_theta=int(b.get("n_theta", 16)), n_l=int(b.get("n_l", 2)),
                         r_min=float(b["r_min"]), r_max=float(b["r_max"]))
 

@@ -8,6 +8,15 @@ penalties for the sampled velocity/acceleration/deformation-rate/clearance
 constraints.  Gradients are exact: the sampled terms chain through the
 basis, and the spline coefficient map is differentiated with one adjoint
 solve.  The outer loop is scipy's L-BFGS.
+
+One evaluation visits all pieces in one pass: the sample times of every
+piece form one (M, kappa) grid, each term is evaluated on it as (M, kappa)
+arrays, and the whole-body clearance of all M * kappa samples is one
+`clearance_batch` call.  The results are added into the total and the
+gradients piece by piece, each piece's terms in a fixed order, so the
+rounding of every sum, and with it the optimizer's path, does not depend on
+how the work is batched.  The verification gate sweeps all pieces with one
+clearance batch as well.
 """
 
 from __future__ import annotations
@@ -21,6 +30,7 @@ from scipy.optimize import minimize
 
 from .esdf import BodyGeometry, EsdfField, clearance_batch
 from .trajectory import (
+    N_COEF,
     MinJerkSystem,
     PiecewiseTrajectory,
     jerk_energy_matrix,
@@ -155,6 +165,11 @@ def seed_to_pieces(path, min_duration: float = 0.1):
     return np.array(waypoints).reshape(-1, 4), np.array(durations)
 
 
+_XYZ = slice(0, 3)
+_R = slice(3, 4)
+_XYZR = slice(0, 4)
+
+
 def _hinge(g):
     """Cubic hinge max(0, g)^3 and its derivative, once differentiable at 0."""
     gp = np.maximum(g, 0.0)
@@ -187,137 +202,131 @@ def objective_and_gradient(waypoints, durations, problem: OptProblem):
     total = 0.0
 
     # jerk energy of all channels, closed form
+    qms = np.stack([jerk_energy_matrix(t) for t in t_vec])
     for i in range(m):
-        qm = jerk_energy_matrix(t_vec[i])
-        ci = coeffs[i]
-        total += float(np.einsum("ac,ab,bc->", ci, qm, ci))
-        grad_c[i] += 2.0 * qm @ ci
-        jerk_end = poly_basis(t_vec[i], 3) @ ci
-        grad_t[i] += float(jerk_end @ jerk_end)
+        total += float(np.einsum("ac,ab,bc->", coeffs[i], qms[i], coeffs[i]))
+    grad_c += 2.0 * qms @ coeffs
+    jerk_end = system.end_rows[:, 3, None, :] @ coeffs  # (M, 1, 4)
+    grad_t += (jerk_end @ jerk_end.transpose(0, 2, 1))[:, 0, 0]
 
     # time cost
     total += problem.time_weight * float(t_vec.sum())
     grad_t += problem.time_weight
 
-    # sampled terms share one midpoint grid per piece
+    # sampled terms share one midpoint grid per piece; every term is evaluated
+    # on all pieces at once, as (M, kappa) arrays
     frac = (np.arange(kappa) + 0.5) / kappa
-    for i in range(m):
-        ti = t_vec[i]
-        ts = frac * ti
-        w_quad = ti / kappa
-        b0 = poly_basis(ts, 0)
-        b1 = poly_basis(ts, 1)
-        b2 = poly_basis(ts, 2)
-        b3 = poly_basis(ts, 3)
-        ci = coeffs[i]
-        sig0 = b0 @ ci
-        sig1 = b1 @ ci
-        sig2 = b2 @ ci
-        sig3 = b3 @ ci
+    w_quad = t_vec / kappa
+    ts = frac[None, :] * t_vec[:, None]
+    b0, b1, b2, b3 = (poly_basis(ts, k) for k in range(4))  # (M, kappa, 6)
+    sig0, sig1, sig2, sig3 = (b @ coeffs for b in (b0, b1, b2, b3))  # (M, kappa, 4)
+    # per term, the pieces it is active on and each one's share of the total
+    shares = []
 
-        def add_term(val, dval_dsig, basis, chan, dval_dt_direct):
-            """Sum of val_j * w_quad with dval/dsig chained through the basis;
-            dval_dt_direct is dval/dt along the trajectory (coefficients fixed),
-            covering the sample-position dependence on T_i."""
-            grad_c[i][:, chan] += w_quad * basis.T @ dval_dsig
-            grad_t[i] += float(val.sum()) / kappa
-            grad_t[i] += w_quad * float(dval_dt_direct @ frac)
-            return float(val.sum()) * w_quad
+    def add_term(active, val, dval_dsig, basis, chan, dval_dt_direct):
+        """On the active pieces: sum of val_j * w_quad with dval/dsig chained
+        through the basis; dval_dt_direct is dval/dt along the trajectory
+        (coefficients fixed), covering the sample-position dependence on T_i."""
+        idx = np.flatnonzero(active)
+        if not idx.size:
+            return
+        wq = w_quad[idx]
+        grad_c[idx, :, chan] += (wq[:, None, None] * basis[idx].transpose(0, 2, 1)) @ dval_dsig[idx]
+        val_sum = val[idx].sum(axis=1)
+        grad_t[idx] += val_sum / kappa
+        grad_t[idx] += wq * (dval_dt_direct[idx][:, None, :] @ frac[:, None])[:, 0, 0]
+        share = np.zeros(m)
+        share[idx] = val_sum * wq
+        shares.append((active, share))
 
-        # radius regularization (integrated shrink cost)
-        r = sig0[:, 3]
-        rdot = sig1[:, 3]
-        shrink = (r - r_max) / r_max
-        val = problem.sorr_weight * shrink**2
-        dval = problem.sorr_weight * 2.0 * shrink / r_max
-        total += add_term(val, dval[:, None], b0, [3], dval * rdot)
-
-        # velocity bound
-        v = sig1[:, :3]
-        g = np.einsum("ij,ij->i", v, v) - problem.v_max**2
+    def hinge(g):
         pen, dpen = _hinge(g)
-        if pen.any():
-            a = sig2[:, :3]
-            gdot = 2.0 * np.einsum("ij,ij->i", v, a)
-            total += add_term(problem.w_dynamics * pen,
-                              problem.w_dynamics * dpen[:, None] * 2.0 * v,
-                              b1, [0, 1, 2], problem.w_dynamics * dpen * gdot)
+        return pen, dpen, pen.any(axis=1)
 
-        # acceleration bound
-        a = sig2[:, :3]
-        g = np.einsum("ij,ij->i", a, a) - problem.a_max**2
-        pen, dpen = _hinge(g)
-        if pen.any():
-            j3 = sig3[:, :3]
-            gdot = 2.0 * np.einsum("ij,ij->i", a, j3)
-            total += add_term(problem.w_dynamics * pen,
-                              problem.w_dynamics * dpen[:, None] * 2.0 * a,
-                              b2, [0, 1, 2], problem.w_dynamics * dpen * gdot)
+    w_dyn = problem.w_dynamics
+    # radius regularization (integrated shrink cost)
+    r = sig0[..., 3]
+    rdot = sig1[..., 3]
+    shrink = (r - r_max) / r_max
+    val = problem.sorr_weight * shrink**2
+    dval = problem.sorr_weight * 2.0 * shrink / r_max
+    add_term(np.ones(m, dtype=bool), val, dval[..., None], b0, _R, dval * rdot)
 
-        if not problem.radius_frozen:
-            # deformation rate bound
-            g = rdot**2 - problem.radius_rate_max**2
-            pen, dpen = _hinge(g)
-            if pen.any():
-                rdd = sig2[:, 3]
-                total += add_term(problem.w_dynamics * pen,
-                                  (problem.w_dynamics * dpen * 2.0 * rdot)[:, None],
-                                  b1, [3], problem.w_dynamics * dpen * 2.0 * rdot * rdd)
-            # deformation acceleration bound
-            rdd = sig2[:, 3]
-            g = rdd**2 - problem.radius_acc_max**2
-            pen, dpen = _hinge(g)
-            if pen.any():
-                rddd = sig3[:, 3]
-                total += add_term(problem.w_dynamics * pen,
-                                  (problem.w_dynamics * dpen * 2.0 * rdd)[:, None],
-                                  b2, [3], problem.w_dynamics * dpen * 2.0 * rdd * rddd)
-            # radius box bounds
-            for sign, bound in ((1.0, r_max), (-1.0, r_min)):
-                g = sign * (r - bound)
-                pen, dpen = _hinge(g)
-                if pen.any():
-                    total += add_term(problem.w_dynamics * pen,
-                                      (problem.w_dynamics * dpen * sign)[:, None],
-                                      b0, [3], problem.w_dynamics * dpen * sign * rdot)
+    # velocity bound
+    v = sig1[..., :3]
+    a = sig2[..., :3]
+    pen, dpen, active = hinge(np.einsum("mkj,mkj->mk", v, v) - problem.v_max**2)
+    if active.any():
+        gdot = 2.0 * np.einsum("mkj,mkj->mk", v, a)
+        add_term(active, w_dyn * pen, w_dyn * dpen[..., None] * 2.0 * v, b1, _XYZ,
+                 w_dyn * dpen * gdot)
 
-        # whole-body clearance (raw radius; the box penalties own out-of-range r).
-        # The margin is buffered: an exterior penalty settles slightly on the
-        # infeasible side of an active constraint, and the buffer absorbs that
-        # so the true margin still verifies.
-        centers = sig0[:, :3]
-        dist, _, gpos, grad = clearance_batch(problem.field, centers, r,
-                                              problem.body, extend=True)
-        g = problem.d_margin + problem.clearance_buffer - dist
-        pen, dpen = _hinge(g)
-        if pen.any():
-            dg_dr = -grad if not problem.radius_frozen else np.zeros_like(grad)
-            gdot = -np.einsum("ij,ij->i", gpos, sig1[:, :3]) + dg_dr * rdot
-            dval_dsig = np.concatenate([
-                problem.w_clearance * dpen[:, None] * -gpos,
-                (problem.w_clearance * dpen * dg_dr)[:, None],
-            ], axis=1)
-            total += add_term(problem.w_clearance * pen, dval_dsig, b0,
-                              [0, 1, 2, 3], problem.w_clearance * dpen * gdot)
+    # acceleration bound
+    pen, dpen, active = hinge(np.einsum("mkj,mkj->mk", a, a) - problem.a_max**2)
+    if active.any():
+        gdot = 2.0 * np.einsum("mkj,mkj->mk", a, sig3[..., :3])
+        add_term(active, w_dyn * pen, w_dyn * dpen[..., None] * 2.0 * a, b2, _XYZ,
+                 w_dyn * dpen * gdot)
+
+    if not problem.radius_frozen:
+        # deformation rate bound
+        rdd = sig2[..., 3]
+        pen, dpen, active = hinge(rdot**2 - problem.radius_rate_max**2)
+        if active.any():
+            add_term(active, w_dyn * pen, (w_dyn * dpen * 2.0 * rdot)[..., None], b1, _R,
+                     w_dyn * dpen * 2.0 * rdot * rdd)
+        # deformation acceleration bound
+        pen, dpen, active = hinge(rdd**2 - problem.radius_acc_max**2)
+        if active.any():
+            rddd = sig3[..., 3]
+            add_term(active, w_dyn * pen, (w_dyn * dpen * 2.0 * rdd)[..., None], b2, _R,
+                     w_dyn * dpen * 2.0 * rdd * rddd)
+        # radius box bounds
+        for sign, bound in ((1.0, r_max), (-1.0, r_min)):
+            pen, dpen, active = hinge(sign * (r - bound))
+            if active.any():
+                add_term(active, w_dyn * pen, (w_dyn * dpen * sign)[..., None], b0, _R,
+                         w_dyn * dpen * sign * rdot)
+
+    # whole-body clearance (raw radius; the box penalties own out-of-range r),
+    # one batch over every sample of every piece.  The margin is buffered: an
+    # exterior penalty settles slightly on the infeasible side of an active
+    # constraint, and the buffer absorbs that so the true margin still verifies.
+    dist, _, gpos, grad = clearance_batch(problem.field, sig0[..., :3].reshape(-1, 3),
+                                          r.reshape(-1), problem.body, extend=True)
+    dist = dist.reshape(m, kappa)
+    gpos = gpos.reshape(m, kappa, 3)
+    grad = grad.reshape(m, kappa)
+    pen, dpen, active = hinge(problem.d_margin + problem.clearance_buffer - dist)
+    if active.any():
+        w_cl = problem.w_clearance
+        dg_dr = -grad if not problem.radius_frozen else np.zeros_like(grad)
+        gdot = -np.einsum("mkj,mkj->mk", gpos, v) + dg_dr * rdot
+        dval_dsig = np.concatenate([
+            w_cl * dpen[..., None] * -gpos,
+            (w_cl * dpen * dg_dr)[..., None],
+        ], axis=-1)
+        add_term(active, w_cl * pen, dval_dsig, b0, _XYZR, w_cl * dpen * gdot)
+
+    # the shares join the total piece by piece, each piece's terms in the
+    # order above, so the total's rounding does not depend on the batching
+    taken = np.stack([act for act, _ in shares], axis=1)
+    for share in np.stack([sh for _, sh in shares], axis=1)[taken].tolist():
+        total += share
 
     # backpropagate through the spline coefficient map
-    if problem.radius_frozen:
-        lam = system.adjoint(grad_c[:, :, :3].reshape(-1, 3))
-        grad_q = np.zeros((max(m - 1, 0), 4))
-        if m > 1:
-            grad_q[:, :3] = lam[system.waypoint_rows]
-        active = slice(0, 3)
-    else:
-        lam = system.adjoint(grad_c.reshape(-1, 4))
-        grad_q = lam[system.waypoint_rows].reshape(-1, 4) if m > 1 else np.zeros((0, 4))
-        active = slice(0, 4)
+    chan = _XYZ if problem.radius_frozen else _XYZR
+    lam = system.adjoint(grad_c[:, :, chan].reshape(m * N_COEF, -1))
+    grad_q = np.zeros((m - 1, 4))
+    grad_q[:, chan] = lam[system.waypoint_rows]
 
+    # d(matrix)/dT_i: each duration row's entries are basis rows of order d
+    # at T_i, so their derivative is the order d + 1 row at the piece's end
+    sig_end = (system.end_rows[:, :, None, :] @ coeffs[:, None, :, chan])[:, :, 0]  # (M, 6, C)
     for i in range(m):
-        ci = coeffs[i]
         acc = 0.0
         for row, d, sign in system.duration_rows(i):
-            sig_d1 = poly_basis(t_vec[i], d + 1) @ ci[:, active]
-            acc += sign * float(lam[row] @ sig_d1)
+            acc += sign * float(lam[row] @ sig_end[i, d + 1])
         grad_t[i] -= acc
 
     grad_tau = grad_t * t_vec
@@ -355,34 +364,24 @@ def trajectory_costs(traj: PiecewiseTrajectory, problem: OptProblem) -> dict:
 def verify_trajectory(traj: PiecewiseTrajectory, problem: OptProblem,
                       samples_per_piece: int | None = None) -> dict:
     """Max violation per constraint family over a dense sample sweep, in
-    natural units (m/s, m/s^2, m)."""
+    natural units (m/s, m/s^2, m).  The sweep covers all pieces at once, with
+    one clearance batch; each residual is a max, so its value does not depend
+    on how the samples are grouped."""
     n = samples_per_piece if samples_per_piece is not None else 4 * problem.kappa
-    res = {"velocity": 0.0, "acceleration": 0.0, "radius_rate": 0.0,
-           "radius_acc": 0.0, "radius_box": 0.0, "clearance": 0.0}
-    t0 = 0.0
-    for i in range(traj.n_pieces):
-        ts = np.linspace(0.0, traj.durations[i], n)
-        ci = traj.coeffs[i]
-        sig0 = poly_basis(ts, 0) @ ci
-        sig1 = poly_basis(ts, 1) @ ci
-        sig2 = poly_basis(ts, 2) @ ci
-        res["velocity"] = max(res["velocity"],
-                              float(np.max(np.linalg.norm(sig1[:, :3], axis=1)) - problem.v_max))
-        res["acceleration"] = max(res["acceleration"],
-                                  float(np.max(np.linalg.norm(sig2[:, :3], axis=1)) - problem.a_max))
-        res["radius_rate"] = max(res["radius_rate"],
-                                 float(np.max(np.abs(sig1[:, 3])) - problem.radius_rate_max))
-        res["radius_acc"] = max(res["radius_acc"],
-                                float(np.max(np.abs(sig2[:, 3])) - problem.radius_acc_max))
-        res["radius_box"] = max(res["radius_box"],
-                                float(np.max(sig0[:, 3]) - problem.body.r_max),
-                                float(problem.body.r_min - np.min(sig0[:, 3])))
-        dist, _, _, _ = clearance_batch(problem.field, sig0[:, :3], sig0[:, 3],
-                                        problem.body, extend=True)
-        res["clearance"] = max(res["clearance"], float(problem.d_margin - dist.min()))
-        t0 += traj.durations[i]
-    res = {k: max(v, 0.0) for k, v in res.items()}
-    return res
+    ts = np.linspace(0.0, traj.durations, n, axis=1)  # (M, n)
+    sig0, sig1, sig2 = (poly_basis(ts, k) @ traj.coeffs for k in range(3))  # (M, n, 4)
+    r = sig0[..., 3]
+    dist, _, _, _ = clearance_batch(problem.field, sig0[..., :3].reshape(-1, 3), r.reshape(-1),
+                                    problem.body, extend=True)
+    res = {
+        "velocity": np.linalg.norm(sig1[..., :3], axis=-1).max() - problem.v_max,
+        "acceleration": np.linalg.norm(sig2[..., :3], axis=-1).max() - problem.a_max,
+        "radius_rate": np.abs(sig1[..., 3]).max() - problem.radius_rate_max,
+        "radius_acc": np.abs(sig2[..., 3]).max() - problem.radius_acc_max,
+        "radius_box": max(r.max() - problem.body.r_max, problem.body.r_min - r.min()),
+        "clearance": problem.d_margin - dist.min(),
+    }
+    return {k: max(float(v), 0.0) for k, v in res.items()}
 
 
 # families gating acceptance of an optimized trajectory; the radius box is a

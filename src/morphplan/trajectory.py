@@ -33,6 +33,10 @@ def poly_basis(t, order: int = 0) -> np.ndarray:
     return out
 
 
+# basis rows of orders 0..4 at t = 0
+_START_ROWS = np.stack([poly_basis(0.0, d) for d in range(5)])
+
+
 @dataclass(eq=False)
 class PiecewiseTrajectory:
     """M quintic pieces; coeffs[i] is (6, 4): coefficient rows of 1..t^5 for
@@ -99,22 +103,20 @@ class MinJerkSystem:
         m = len(self.durations)
         self.n_pieces = m
         n = N_COEF * m
+        # basis rows of orders 0..5 at each piece's end (M, 6, 6)
+        ends = np.stack([poly_basis(self.durations, d) for d in range(N_COEF)], axis=1)
+        self.end_rows = ends
         mat = np.zeros((n, n))
-        for d in range(3):
-            mat[d, :N_COEF] = poly_basis(0.0, d)
-        self.waypoint_rows = np.empty(max(m - 1, 0), dtype=int)
-        for i in range(1, m):
-            base = 3 + 6 * (i - 1)
-            ti = self.durations[i - 1]
-            bi = N_COEF * (i - 1)
-            self.waypoint_rows[i - 1] = base
-            mat[base, bi:bi + N_COEF] = poly_basis(ti, 0)
-            for d in range(5):
-                mat[base + 1 + d, bi:bi + N_COEF] = -poly_basis(ti, d)
-                mat[base + 1 + d, bi + N_COEF:bi + 2 * N_COEF] = poly_basis(0.0, d)
-        tm = self.durations[-1]
-        for d in range(3):
-            mat[n - 3 + d, N_COEF * (m - 1):] = poly_basis(tm, d)
+        mat[:3, :N_COEF] = _START_ROWS[:3]
+        # junction i (between pieces i and i+1) owns rows 3 + 6i .. 8 + 6i: the
+        # waypoint row, then continuity of orders 0..4
+        k = np.arange(m - 1)
+        junctions = mat[3:n - 3].reshape(m - 1, N_COEF, m, N_COEF)
+        junctions[k, 0, k] = ends[:-1, 0]
+        junctions[k, 1:, k] = -ends[:-1, :5]
+        junctions[k, 1:, k + 1] = _START_ROWS
+        mat[n - 3:, N_COEF * (m - 1):] = ends[-1, :3]
+        self.waypoint_rows = 3 + N_COEF * k
         self.matrix = mat
         self._lu = lu_factor(mat)
 
@@ -128,8 +130,7 @@ class MinJerkSystem:
         m = self.n_pieces
         rhs = np.zeros((N_COEF * m, n_ch))
         rhs[:3] = b0
-        for i in range(1, m):
-            rhs[self.waypoint_rows[i - 1]] = waypoints[i - 1]
+        rhs[self.waypoint_rows] = waypoints
         rhs[-3:] = b1
         coef = lu_solve(self._lu, rhs)
         return coef.reshape(m, N_COEF, n_ch)

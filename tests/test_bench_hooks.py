@@ -25,6 +25,17 @@ def test_tracer_records_planning_spans_and_restores_names():
     finally:
         tracer.uninstall()
     names = {s[spans.NAME] for s in tracer.spans}
-    assert {"esdf.build", "esdf.query", "esdf.clearance", "search", "opt", "gate"} <= names
+    assert {"esdf.build", "esdf.query", "esdf.clearance", "search", "opt", "gate", "opt.eval",
+            "minjerk.build", "minjerk.solve", "minjerk.adjoint"} <= names
+    children = {}
+    for s in tracer.spans:
+        children.setdefault(s[spans.PARENT], []).append(s[spans.NAME])
+    for i, s in enumerate(tracer.spans):
+        # a clearance batch queries the field through the traced names
+        if s[spans.NAME] == "esdf.clearance":
+            assert "esdf.query" in children.get(i, [])
+        # one clearance batch per objective evaluation and per gate call
+        if s[spans.NAME] in ("opt.eval", "gate"):
+            assert children.get(i, []).count("esdf.clearance") == 1
     for (module, attr), original in zip(patched, originals):
         assert getattr(module, attr) is original, f"{module.__name__}.{attr} not restored"

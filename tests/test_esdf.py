@@ -1,13 +1,16 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from morphplan.esdf import (
+    _CORNERS,
     BodyGeometry,
     BoxObstacle,
     EsdfField,
     OutOfMapError,
     SphereObstacle,
     VoxelGrid,
+    _interp,
     build_grid,
     clearance_batch,
     compute_esdf,
@@ -180,6 +183,97 @@ class TestQueries:
         assert np.all(np.abs(v1 - v0) <= lip * np.linalg.norm(eps, axis=1) + 1e-12)
 
 
+def reference_interp(field, points, extend, want_grad):
+    """The (N, 8, 3) trilinear formula that the flat-gather kernel replaced:
+    corner weights as products over a (N, 8, 3) weight array, corner sums as
+    numpy reductions over the trailing axis of 8."""
+    pts = np.asarray(points, dtype=float).reshape(-1, 3)
+    lo, hi = field.lower, field.upper
+    res = field.grid.resolution
+    dims = field.grid.dims
+    if extend:
+        q = np.clip(pts, lo, hi)
+        out_vec = pts - q
+    else:
+        inside = (pts >= lo) & (pts <= hi)
+        if not inside.all():
+            raise OutOfMapError(pts[np.argmin(inside.all(axis=1))])
+        q = pts
+    u = (q - lo) / res - 0.5
+    i0 = np.floor(u)
+    on_face = (u == i0) & (i0 >= 1.0)
+    i0 = np.where(on_face, i0 - 1.0, i0)
+    i0 = np.clip(i0, 0, np.maximum(dims - 2, 0)).astype(np.int64)
+    f = u - i0
+    idx = np.minimum(i0[:, None, :] + _CORNERS[None, :, :], dims - 1)
+    vals8 = field.distance[idx[..., 0], idx[..., 1], idx[..., 2]]
+    w_axes = np.where(_CORNERS[None, :, :] == 1, f[:, None, :], 1.0 - f[:, None, :])
+    values = (vals8 * w_axes.prod(axis=2)).sum(axis=1)
+    grads = None
+    if want_grad:
+        grads = np.empty_like(pts)
+        for ax in range(3):
+            sign = np.where(_CORNERS[:, ax] == 1, 1.0, -1.0)[None, :]
+            others = [b for b in range(3) if b != ax]
+            w_other = w_axes[:, :, others[0]] * w_axes[:, :, others[1]]
+            grads[:, ax] = (vals8 * sign * w_other).sum(axis=1) / res
+    if extend:
+        excursion = np.linalg.norm(out_vec, axis=1)
+        values = values - excursion
+        if want_grad:
+            grads[out_vec != 0.0] = 0.0
+            outside = excursion > 0.0
+            grads[outside] -= out_vec[outside] / excursion[outside, None]
+    return values, grads
+
+
+@settings(max_examples=150, deadline=None)
+@given(dims=st.tuples(*[st.integers(1, 6)] * 3),
+       resolution=st.sampled_from([0.025, 0.1, 0.3]),
+       shifted=st.booleans(),
+       seed=st.integers(0, 2**32 - 1))
+def test_interp_equals_reference_formula(dims, resolution, shifted, seed):
+    """Bit for bit, values and gradients, on voxel centres, cell faces, the
+    map bounds, points beyond them and random points; axes of size 1 included."""
+    rng = np.random.default_rng(seed)
+    origin = rng.uniform(-2.0, 2.0, 3) if shifted else np.zeros(3)
+    grid = VoxelGrid(origin=origin, resolution=resolution, occupancy=np.zeros(dims, dtype=bool))
+    field = EsdfField(grid=grid, distance=rng.normal(scale=0.5, size=dims), truncation=5.0)
+    n = 96
+    size = np.asarray(dims, dtype=float)
+    cell = rng.integers(0, dims, size=(n, 3))
+    kind = rng.integers(0, 5, size=(n, 3))
+    excursion = rng.uniform(0.01, 4.0, (n, 3))
+    beyond = np.where(rng.random((n, 3)) < 0.5, -excursion, size + excursion)
+    coord = np.select(
+        [kind == 0, kind == 1, kind == 2, kind == 3],
+        [cell + 0.5,  # voxel centre
+         cell.astype(float),  # lower cell face (the lower map bound on cell 0)
+         np.broadcast_to(size, (n, 3)),  # upper map bound
+         rng.uniform(0.0, 1.0, (n, 3)) * size],  # anywhere inside
+        beyond)
+    pts = origin + coord * resolution
+    for want_grad in (False, True):
+        got = _interp(field, pts, True, want_grad)
+        want = reference_interp(field, pts, True, want_grad)
+        assert np.array_equal(got[0], want[0])
+        assert (got[1] is None) == (want[1] is None)
+        if want_grad:
+            assert np.array_equal(got[1], want[1])
+        inside = points_in_bounds(field, pts)
+        got = _interp(field, pts[inside], False, want_grad)
+        want = reference_interp(field, pts[inside], False, want_grad)
+        assert np.array_equal(got[0], want[0])
+        if want_grad:
+            assert np.array_equal(got[1], want[1])
+        if not inside.all():
+            with pytest.raises(OutOfMapError) as got_err:
+                _interp(field, pts, False, want_grad)
+            with pytest.raises(OutOfMapError) as want_err:
+                reference_interp(field, pts, False, want_grad)
+            assert np.array_equal(got_err.value.point, want_err.value.point)
+
+
 class TestGradient:
     def test_uniform_field_zero_gradient(self):
         field = uniform_field(0.7)
@@ -227,9 +321,8 @@ class TestGradient:
         assert abs(query_distance(field, p + step) - lin) < 1e-3
 
 
-def one_row(field, center, body, radius=None, extend=False):
-    """clearance_batch for a single pose, at the body's own radius by default."""
-    radius = body.radius if radius is None else radius
+def one_row(field, center, body, radius, extend=False):
+    """clearance_batch for a single pose."""
     d, pt, gp, gr = clearance_batch(field, np.reshape(center, (1, 3)), np.array([radius]), body,
                                     extend=extend)
     return d[0], pt[0], gp[0], gr[0]
@@ -237,7 +330,7 @@ def one_row(field, center, body, radius=None, extend=False):
 
 class TestBodyClearance:
     def test_sample_offset_formula(self):
-        body = BodyGeometry(radius=0.2, height=0.1, n_theta=8, n_l=2)
+        body = BodyGeometry(height=0.1, n_theta=8, n_l=2)
         center = np.array([[1.0, 2.0, 3.0]])
         pts, radial = body.surface_points(center, np.array([0.2]))
         assert pts.shape == (1, 8 * 3, 3) and radial.shape == (8 * 3, 3)
@@ -250,8 +343,8 @@ class TestBodyClearance:
     def test_empty_map_truncation(self):
         grid = build_grid([], [0, 0, 0], [4, 4, 4], 0.1)
         field = compute_esdf(grid, truncation=2.0)
-        body = BodyGeometry(radius=0.2, height=0.1)
-        d, _, _, _ = one_row(field, [2.0, 2.0, 2.0], body)
+        body = BodyGeometry(height=0.1)
+        d, _, _, _ = one_row(field, [2.0, 2.0, 2.0], body, 0.2)
         assert d == pytest.approx(2.0, abs=1e-12)
 
     def test_single_voxel_matches_exhaustive(self):
@@ -260,9 +353,9 @@ class TestBodyClearance:
         occ[20, 10, 10] = True
         grid = VoxelGrid(origin=np.full(3, -1.05), resolution=0.1, occupancy=occ)
         field = compute_esdf(grid, truncation=5.0)
-        body = BodyGeometry(radius=0.2, height=0.1, n_theta=16, n_l=2)
+        body = BodyGeometry(height=0.1, n_theta=16, n_l=2)
         center = np.zeros(3)
-        d, _, _, _ = one_row(field, center, body)
+        d, _, _, _ = one_row(field, center, body, 0.2)
         samples = [center + [0.2 * np.cos(2 * np.pi * k / 16), 0.2 * np.sin(2 * np.pi * k / 16), z]
                    for k in range(16) for z in (-0.05, 0.0, 0.05)]
         dists = [query_distance(field, p) for p in samples]
@@ -273,11 +366,11 @@ class TestBodyClearance:
         occ[10:12, 7:9, 7:9] = True
         grid = VoxelGrid(origin=np.zeros(3), resolution=0.1, occupancy=occ)
         field = compute_esdf(grid)
-        coarse = BodyGeometry(radius=0.25, height=0.12, n_theta=6, n_l=1)
-        fine = BodyGeometry(radius=0.25, height=0.12, n_theta=12, n_l=2)
+        coarse = BodyGeometry(height=0.12, n_theta=6, n_l=1)
+        fine = BodyGeometry(height=0.12, n_theta=12, n_l=2)
         for center in ([0.5, 0.8, 0.8], [0.6, 0.7, 0.8], [0.55, 0.85, 0.75]):
-            d_coarse = one_row(field, center, coarse)[0]
-            d_fine = one_row(field, center, fine)[0]
+            d_coarse = one_row(field, center, coarse, 0.25)[0]
+            d_fine = one_row(field, center, fine, 0.25)[0]
             assert d_fine <= d_coarse + 1e-12
 
     def test_gradients_match_finite_differences(self):
@@ -285,20 +378,21 @@ class TestBodyClearance:
         occ[11:13, 6:10, 6:10] = True
         grid = VoxelGrid(origin=np.zeros(3), resolution=0.1, occupancy=occ)
         field = compute_esdf(grid)
-        body = BodyGeometry(radius=0.2, height=0.1, n_theta=16, n_l=2)
+        body = BodyGeometry(height=0.1, n_theta=16, n_l=2)
         center = np.array([0.62, 0.71, 0.76])
-        _, _, grad_position, grad_radius = one_row(field, center, body)
+        radius = 0.2
+        _, _, grad_position, grad_radius = one_row(field, center, body, radius)
         h = 1e-6
         fd_pos = np.empty(3)
         for k in range(3):
             e = np.zeros(3)
             e[k] = h
-            dp = one_row(field, center + e, body)[0]
-            dm = one_row(field, center - e, body)[0]
+            dp = one_row(field, center + e, body, radius)[0]
+            dm = one_row(field, center - e, body, radius)[0]
             fd_pos[k] = (dp - dm) / (2 * h)
         fd_rad = (
-            one_row(field, center, body, radius=body.radius + h)[0]
-            - one_row(field, center, body, radius=body.radius - h)[0]
+            one_row(field, center, body, radius + h)[0]
+            - one_row(field, center, body, radius - h)[0]
         ) / (2 * h)
         assert np.linalg.norm(grad_position - fd_pos) / max(np.linalg.norm(fd_pos), 1e-9) < 1e-3
         assert abs(grad_radius - fd_rad) / max(abs(fd_rad), 1e-9) < 1e-3
@@ -306,21 +400,21 @@ class TestBodyClearance:
     def test_out_of_map_sample_raises_with_point(self):
         grid = build_grid([], [0, 0, 0], [1, 1, 1], 0.1)
         field = compute_esdf(grid)
-        body = BodyGeometry(radius=0.3, height=0.1)
+        body = BodyGeometry(height=0.1)
         with pytest.raises(OutOfMapError) as err:
-            one_row(field, [0.1, 0.5, 0.5], body)
+            one_row(field, [0.1, 0.5, 0.5], body, 0.3)
         assert err.value.point.shape == (3,)
 
     def test_attachments_only_lower_clearance(self):
         occ = np.zeros((16, 16, 16), dtype=bool)
         occ[12, 8, 8] = True
         field = compute_esdf(VoxelGrid(origin=np.zeros(3), resolution=0.1, occupancy=occ))
-        plain = BodyGeometry(radius=0.2, height=0.1)
+        plain = BodyGeometry(height=0.1)
         import dataclasses
 
         loaded = dataclasses.replace(plain, attachments=np.array([[0.0, 0.0, -0.3], [0.3, 0.0, 0.0]]))
         center = [0.7, 0.8, 0.8]
-        assert one_row(field, center, loaded)[0] <= one_row(field, center, plain)[0] + 1e-15
+        assert one_row(field, center, loaded, 0.2)[0] <= one_row(field, center, plain, 0.2)[0] + 1e-15
 
 
 def test_points_in_bounds():
@@ -333,7 +427,7 @@ def test_clearance_batch_matches_single():
     occ = np.zeros((14, 14, 14), dtype=bool)
     occ[9, 6:8, 6:8] = True
     field = compute_esdf(VoxelGrid(origin=np.zeros(3), resolution=0.1, occupancy=occ))
-    body = BodyGeometry(radius=0.18, height=0.1)
+    body = BodyGeometry(height=0.1)
     centers = np.array([[0.5, 0.7, 0.7], [0.6, 0.6, 0.7]])
     radii = np.array([0.18, 0.15])
     batch = clearance_batch(field, centers, radii, body)

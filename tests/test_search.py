@@ -35,7 +35,7 @@ def empty_field(extent=(4.0, 4.0, 2.0), resolution=0.1):
 
 
 def small_body():
-    return BodyGeometry(radius=0.211, height=0.12, n_theta=8, n_l=1)
+    return BodyGeometry(height=0.12, n_theta=8, n_l=1)
 
 
 def fast_config(**kw):

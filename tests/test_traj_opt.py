@@ -30,7 +30,7 @@ def boundary(p, r, v=(0, 0, 0), vr=0.0):
 
 def empty_problem(extent=(6.0, 3.0, 2.0), **kw):
     field = compute_esdf(build_grid([], [0, 0, 0], list(extent), 0.1), truncation=5.0)
-    body = BodyGeometry(radius=0.211, height=0.12, n_theta=8, n_l=1)
+    body = BodyGeometry(height=0.12, n_theta=8, n_l=1)
     defaults = dict(field=field, body=body,
                     sigma0=boundary([0.5, 1.5, 1.0], 0.211),
                     sigmaf=boundary([5.5, 1.5, 1.0], 0.211),
@@ -144,6 +144,45 @@ class TestObjective:
             e[k] = h
             fd[k] = (fun(x0 + e)[0] - fun(x0 - e)[0]) / (2 * h)
         assert np.linalg.norm(grad - fd) / max(np.linalg.norm(fd), 1e-9) < 1e-4
+
+
+def golden_problem():
+    """Four pieces past a sphere, too fast, with waypoint radii outside [r_min,
+    r_max]: the clearance, velocity and radius-box hinges are all active."""
+    obstacles = [SphereObstacle(center=np.array([3.0, 1.5, 1.0]), radius=0.35)]
+    prob = empty_problem(v_max=1.0, a_max=2.0, radius_rate_max=0.2)
+    prob = dataclasses.replace(prob, field=compute_esdf(build_grid(obstacles, [0, 0, 0], [6, 3, 2], 0.1)))
+    wps = np.array([[2.0, 1.3, 1.0, 0.18], [3.0, 1.05, 1.0, 0.125], [4.0, 1.3, 1.0, 0.23]])
+    return prob, wps, np.array([1.2, 1.0, 1.0, 1.3])
+
+
+class TestGoldenObjective:
+    """Value and gradients pinned bit for bit: the sampled terms, the one
+    clearance batch per evaluation and the adjoint keep their arithmetic."""
+
+    def test_adaptive_multi_piece(self):
+        prob, wps, durs = golden_problem()
+        val, gq, gtau, _ = objective_and_gradient(wps, durs, prob)
+        assert val == 95285.34904246301
+        assert np.array_equal(gq, [
+            [581025.5865215027, -66968.76101946742, 0.0, -15.963842570910726],
+            [-58448.44106740906, 3547.9054854599094, 0.0, 456.56353166119914],
+            [-115018.52866362117, -17663.841321097254, 0.0, 190.83243343722043]])
+        assert np.array_equal(gtau, [-1358223.1961244126, 3511.216656761429,
+                                     -20835.01726860142, -303091.85868775845])
+
+    def test_frozen_radius_payload(self):
+        prob, wps, durs = golden_problem()
+        prob = attach_payload(prob, size=[0.1, 0.1, 0.05], offset=[0.0, 0.0, -0.1])
+        wps[:, 3] = 0.211
+        val, gq, gtau, _ = objective_and_gradient(wps, durs, prob)
+        assert val == 95374.97245561898
+        assert np.array_equal(gq, [
+            [581134.4813986777, -66823.18316351283, -0.9905308405747006, 0.0],
+            [-58294.42283482465, 4099.775174273699, -38.216622363487694, 0.0],
+            [-115036.95536079029, -17673.014855443445, 0.009051428347552097, 0.0]])
+        assert np.array_equal(gtau, [-1358277.0654854185, 3594.468495233117,
+                                     -20760.133751074987, -303102.0948056048])
 
 
 class TestOptimize:
