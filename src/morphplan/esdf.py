@@ -4,9 +4,15 @@ Sign convention: at a free voxel center the field stores the Euclidean
 distance to the nearest occupied voxel center; at an occupied voxel center
 it stores minus the distance to the nearest free voxel center.  Both sides
 are capped at the truncation radius.  The distances come from scipy's exact
-Euclidean distance transform.  Between centers the field is evaluated by
-trilinear interpolation, so the zero level sits inside the one-voxel band
-separating free from occupied centers.
+Euclidean distance transform, run over the whole grid for the free side and
+over the occupied voxels' bounding box, grown by one voxel, for the occupied
+side.  Between centers the field is evaluated by trilinear interpolation, so
+the zero level sits inside the one-voxel band separating free from occupied
+centers.
+
+Voxelization tests each obstacle against the voxel centers' coordinates,
+given per axis and broadcast against each other, so no full-size array of
+centers is built.
 
 `BodyGeometry.surface_points` is the one sampler of the deforming body's
 hull; the search's collision check and `clearance_batch` both use it.
@@ -36,10 +42,14 @@ class BoxObstacle:
     lo: np.ndarray
     hi: np.ndarray
 
-    def contains(self, points: np.ndarray) -> np.ndarray:
+    def contains(self, x: np.ndarray, y: np.ndarray, z: np.ndarray) -> np.ndarray:
+        """Membership of the points (x, y, z), given per axis and broadcast
+        together: the AND of the three closed intervals."""
         lo = np.asarray(self.lo, dtype=float)
         hi = np.asarray(self.hi, dtype=float)
-        return np.all((points >= lo) & (points <= hi), axis=-1)
+        return (((x >= lo[0]) & (x <= hi[0]))
+                & ((y >= lo[1]) & (y <= hi[1]))
+                & ((z >= lo[2]) & (z <= hi[2])))
 
 
 @dataclass(frozen=True, eq=False)
@@ -47,9 +57,11 @@ class SphereObstacle:
     center: np.ndarray
     radius: float
 
-    def contains(self, points: np.ndarray) -> np.ndarray:
+    def contains(self, x: np.ndarray, y: np.ndarray, z: np.ndarray) -> np.ndarray:
+        """Membership of the points (x, y, z), given per axis and broadcast
+        together; the squared distance is summed as (dx² + dy²) + dz²."""
         c = np.asarray(self.center, dtype=float)
-        d2 = np.sum((points - c) ** 2, axis=-1)
+        d2 = ((x - c[0]) ** 2 + (y - c[1]) ** 2) + (z - c[2]) ** 2
         return d2 <= self.radius**2
 
 
@@ -75,7 +87,12 @@ class VoxelGrid:
 
 def build_grid(obstacles, bounds_lo, bounds_hi, resolution: float) -> VoxelGrid:
     """Voxelize a list of box/sphere obstacles; a voxel is occupied iff its center
-    lies inside any obstacle."""
+    lies inside any obstacle.
+
+    The centers' coordinates are passed to `contains` per axis, shaped
+    (nx, 1, 1), (1, ny, 1) and (1, 1, nz), so that only each obstacle's
+    (nx, ny, nz) mask is full-size.
+    """
     lo = np.asarray(bounds_lo, dtype=float).reshape(3)
     hi = np.asarray(bounds_hi, dtype=float).reshape(3)
     if resolution <= 0.0:
@@ -83,12 +100,11 @@ def build_grid(obstacles, bounds_lo, bounds_hi, resolution: float) -> VoxelGrid:
     if np.any(hi - lo <= 0.0):
         raise ValueError(f"bounds must have positive extent, got {lo} .. {hi}")
     dims = np.maximum(np.ceil((hi - lo) / resolution - 1e-9).astype(np.int64), 1)
-    axes = [lo[k] + (np.arange(dims[k]) + 0.5) * resolution for k in range(3)]
-    # broadcast views, so the stacked centers are the only full-size copy
-    centers = np.stack(np.meshgrid(*axes, indexing="ij", copy=False), axis=-1)
+    axes = [(lo[k] + (np.arange(dims[k]) + 0.5) * resolution).reshape(
+        [-1 if j == k else 1 for j in range(3)]) for k in range(3)]
     occ = np.zeros(tuple(dims), dtype=bool)
     for obs in obstacles:
-        occ |= obs.contains(centers)
+        occ |= obs.contains(*axes)
     return VoxelGrid(origin=lo, resolution=float(resolution), occupancy=occ)
 
 
@@ -128,7 +144,19 @@ class EsdfField:
 
 
 def compute_esdf(grid: VoxelGrid, truncation: float = 5.0) -> EsdfField:
-    """Signed distance at every voxel center, exact up to the truncation cap."""
+    """Signed distance at every voxel center, exact up to the truncation cap.
+
+    The free side (distance to the nearest occupied voxel) is transformed
+    over the whole grid; the occupied side (distance to the nearest free
+    voxel) only over the occupied voxels' bounding box grown by one voxel and
+    clipped to the grid.  The crop is exact: a free voxel outside the grown
+    box, clamped onto it, comes no farther from any occupied voxel on any
+    axis, and lands on the grown layer, which lies outside the bounding box
+    and so is free.  A nearest free voxel can thus always be found inside the grown
+    box, which holds one whenever the grid has a free voxel, and since the
+    distances are exact sums of squared integer offsets, which voxel wins a
+    tie does not change the result.
+    """
     if truncation <= 0.0:
         raise ValueError(f"truncation must be positive, got {truncation}")
     occ = grid.occupancy
@@ -137,7 +165,13 @@ def compute_esdf(grid: VoxelGrid, truncation: float = 5.0) -> EsdfField:
         # to the nearest voxel of the other class
         dist = np.zeros(occ.shape)
         _add_squared_feature_distance(dist, occ)
-        _add_squared_feature_distance(dist, ~occ)
+        from scipy.ndimage import find_objects  # imported on first use, as below
+
+        # the occupied voxels' bounding box, grown by one voxel (slicing clips
+        # the upper ends to the grid)
+        (bbox,) = find_objects(occ.view(np.int8))
+        box = tuple(slice(max(s.start - 1, 0), s.stop + 1) for s in bbox)
+        _add_squared_feature_distance(dist[box], ~occ[box])
         np.sqrt(dist, out=dist)
         dist *= grid.resolution
     else:

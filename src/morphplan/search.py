@@ -11,6 +11,12 @@ is no analytic shot to the goal.  Primitives are collision-checked at
 sub-sampled states: a bounding ball around the body clears most of them
 cheaply, and the rest are checked at every sample of
 `BodyGeometry.surface_points`.
+
+An expansion handles each primitive duration as one batch: the children's
+kinematic bounds, goal test and deduplication cells are arrays, only the
+closed-set and best-cost lookups run per child, and the sub-sampled states
+of every kept primitive are built by one broadcast and checked by one
+`_states_valid` call.
 """
 
 from __future__ import annotations
@@ -129,13 +135,12 @@ def propagate(state: PlanState, u, dt: float) -> PlanState:
 
 
 def _propagate_batch(x0: np.ndarray, us: np.ndarray, dt) -> np.ndarray:
-    """x0 (8,), us (B, 4), dt scalar or (B,) -> (B, 8)."""
-    dt = np.asarray(dt, dtype=float)
-    dtc = dt[..., None] if dt.ndim else dt
-    out = np.empty((us.shape[0], 8))
-    out[:, :4] = x0[:4] + x0[4:] * dtc + 0.5 * us * dtc * dtc
-    out[:, 4:] = x0[4:] + us * dtc
-    return out
+    """States reached from x0 (8,) under controls us (..., 4) after durations
+    dt, a scalar or an array that broadcasts against us[..., 0] -> (..., 8)."""
+    dt = np.asarray(dt, dtype=float)[..., None]
+    pos = x0[:4] + x0[4:] * dt + 0.5 * us * dt * dt
+    vel = x0[4:] + us * dt
+    return np.concatenate(np.broadcast_arrays(pos, vel), axis=-1)
 
 
 def primitive_cost(u, r_end: float, dt: float, config: SearchConfig) -> float:
@@ -277,6 +282,19 @@ def _goal_reached(x: np.ndarray, goal: PlanState, config: SearchConfig) -> bool:
     return True
 
 
+def _may_reach_goal(xs: np.ndarray, goal: PlanState, config: SearchConfig) -> np.ndarray:
+    """Rows of the states xs (B, 8) that `_goal_reached` may accept.
+
+    The row-wise norm here rounds differently from `_goal_reached`'s norm of
+    one vector (a BLAS dot, which may fuse multiply-adds) by a few units in
+    the last place, so the position test is widened by a relative 1e-9 and
+    `_goal_reached` decides the rows that pass.
+    """
+    near = np.linalg.norm(xs[:, :3] - goal.position, axis=1) <= config.goal_pos_tol * (1.0 + 1e-9)
+    near &= np.abs(xs[:, 3] - goal.radius) <= config.goal_radius_tol
+    return near
+
+
 def search(start: PlanState, goal: PlanState, field: EsdfField, body: BodyGeometry,
            config: SearchConfig) -> SearchResult:
     """Best-first search over sampled (acceleration, duration) primitives.
@@ -305,10 +323,11 @@ def search(start: PlanState, goal: PlanState, field: EsdfField, body: BodyGeomet
     us = np.array(list(itertools.product(*axes)))
     dts = np.unique(np.linspace(config.dt_min, config.dt_max, config.duration_samples))
 
-    def key_of(x: np.ndarray):
-        kp = np.floor((x[:3] - origin) / config.pos_dedup).astype(np.int64)
-        kr = int(np.floor((x[3] - config.r_min) / config.radius_dedup))
-        return (int(kp[0]), int(kp[1]), int(kp[2]), kr)
+    def keys_of(xs: np.ndarray) -> list[tuple]:
+        """Dedup cells (ix, iy, iz, ir) of the states xs (B, 8), as tuples of ints."""
+        kp = np.floor((xs[:, :3] - origin) / config.pos_dedup)
+        kr = np.floor((xs[:, 3:4] - config.r_min) / config.radius_dedup)
+        return list(map(tuple, np.hstack([kp, kr]).astype(np.int64).tolist()))
 
     goal_v = np.concatenate([goal.position, [goal.radius]])
     goal_vel = np.concatenate([goal.velocity, [goal.radius_rate]])
@@ -318,7 +337,7 @@ def search(start: PlanState, goal: PlanState, field: EsdfField, body: BodyGeomet
     controls: list[np.ndarray | None] = [None]
     durations: list[float] = [0.0]
     gs: list[float] = [0.0]
-    node_keys: list = [key_of(states[0])]
+    node_keys: list = keys_of(states[0][None, :])
 
     best_g: dict = {node_keys[0]: (0.0, 0)}
     closed: set = set()
@@ -379,13 +398,15 @@ def search(start: PlanState, goal: PlanState, field: EsdfField, body: BodyGeomet
                 continue
 
             cand = np.flatnonzero(ok)
-            g_new = gs[idx] + _primitive_cost_batch(us[cand], children[cand, 3], dt, config)
+            g_new = (gs[idx] + _primitive_cost_batch(us[cand], children[cand, 3], dt, config)).tolist()
+            near_goal = _may_reach_goal(children[cand], goal, config).tolist()
+            cand_keys = keys_of(children[cand])
             keep = []
-            for j, ci in enumerate(cand):
-                if _goal_reached(children[ci], goal, config):
+            for j, ci in enumerate(cand.tolist()):
+                if near_goal[j] and _goal_reached(children[ci], goal, config):
                     keep.append((j, ci, None))  # goal candidates bypass dedup
                     continue
-                ck = key_of(children[ci])
+                ck = cand_keys[j]
                 if ck in closed:
                     continue
                 entry = best_g.get(ck)
@@ -402,10 +423,8 @@ def search(start: PlanState, goal: PlanState, field: EsdfField, body: BodyGeomet
             arc = _arc_bound(x, dt, config)
             n_sub = int(np.clip(np.ceil(arc / (0.5 * res)), 1, 32))
             ts = dt * (np.arange(1, n_sub + 1) / n_sub)
-            sub_states = np.empty((len(keep), n_sub, 8))
-            for row, ci in enumerate(kept_ci):
-                sub_states[row] = _propagate_batch(x, np.tile(us[ci], (n_sub, 1)), ts)
-            flat = sub_states.reshape(-1, 8)
+            # (kept, n_sub, 8): each kept primitive at each sub-sample time
+            flat = _propagate_batch(x, us[kept_ci][:, None, :], ts).reshape(-1, 8)
             mask = _states_valid(field, body, config, flat[:, :3], flat[:, 3], flat[:, 4:7], flat[:, 7])
             valid_child = mask.reshape(len(keep), n_sub).all(axis=1)
             if not valid_child.any():
@@ -431,10 +450,10 @@ def search(start: PlanState, goal: PlanState, field: EsdfField, body: BodyGeomet
                 parents.append(idx)
                 controls.append(us[ci])
                 durations.append(dt)
-                gs.append(float(g_new[j]))
+                gs.append(g_new[j])
                 node_keys.append(ck)
                 if ck is not None:
-                    best_g[ck] = (float(g_new[j]), node_id)
+                    best_g[ck] = (g_new[j], node_id)
                     hval = float(hvals[out_i])
                 else:
                     hval = 0.0  # a goal candidate has no remaining cost

@@ -82,6 +82,57 @@ class TestBuildGrid:
             build_grid([], [0, 0, 0], [1, 0, 1], 0.1)
 
 
+def reference_occupancy(grid, obstacles):
+    """The per-centre membership formulas that per-axis voxelisation replaced:
+    every obstacle tested against a full (nx, ny, nz, 3) array of centres."""
+    axes = [grid.origin[k] + (np.arange(grid.dims[k]) + 0.5) * grid.resolution for k in range(3)]
+    centers = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
+    occ = np.zeros(tuple(grid.dims), dtype=bool)
+    for obs in obstacles:
+        if isinstance(obs, BoxObstacle):
+            occ |= np.all((centers >= obs.lo) & (centers <= obs.hi), axis=-1)
+        else:
+            occ |= np.sum((centers - obs.center) ** 2, axis=-1) <= obs.radius**2
+    return occ
+
+
+@settings(max_examples=200, deadline=None)
+@given(cells=st.tuples(*[st.integers(1, 9)] * 3),
+       resolution=st.sampled_from([0.025, 0.05, 0.07, 0.1, 0.3]),
+       kinds=st.lists(st.sampled_from(["box", "snapped box", "sphere", "snapped sphere"]),
+                      min_size=1, max_size=4),
+       seed=st.integers(0, 2**32 - 1))
+def test_build_grid_equals_reference_occupancy(cells, resolution, kinds, seed):
+    """Bit for bit, random boxes and spheres, box faces and sphere centres
+    snapped onto voxel centres, and axes of size 1."""
+    rng = np.random.default_rng(seed)
+    lo = rng.uniform(-1.0, 1.0, 3)
+    hi = lo + np.asarray(cells) * resolution
+    # the centres exactly as build_grid computes them
+    axes = [lo[k] + (np.arange(cells[k]) + 0.5) * resolution for k in range(3)]
+
+    def snapped():
+        return np.array([rng.choice(axes[k]) for k in range(3)])
+
+    def anywhere():
+        return rng.uniform(lo - resolution, hi + resolution)
+
+    obstacles = []
+    for kind in kinds:
+        if kind.endswith("box"):
+            a, b = (snapped(), snapped()) if kind == "snapped box" else (anywhere(), anywhere())
+            obstacles.append(BoxObstacle(lo=np.minimum(a, b), hi=np.maximum(a, b)))
+        elif kind == "snapped sphere":
+            # a radius of whole cells puts centres on the sphere, up to rounding
+            radius = resolution * float(rng.integers(0, 4)) * rng.choice([1.0, np.sqrt(2.0), np.sqrt(3.0)])
+            obstacles.append(SphereObstacle(center=snapped(), radius=radius))
+        else:
+            obstacles.append(SphereObstacle(center=anywhere(), radius=rng.uniform(0.0, 4.0 * resolution)))
+    grid = build_grid(obstacles, lo, hi, resolution)
+    assert grid.occupancy.shape == cells
+    assert np.array_equal(grid.occupancy, reference_occupancy(grid, obstacles))
+
+
 class TestComputeEsdf:
     def test_single_voxel_three_cells_away(self):
         occ = np.zeros((10, 10, 10), dtype=bool)
@@ -109,16 +160,38 @@ class TestComputeEsdf:
     def test_matches_brute_force_exactly(self):
         rng = np.random.default_rng(7)
         cases = [(rng.random(tuple(rng.integers(2, 13, size=3))) < 0.25, 5.0) for _ in range(10)]
-        # dims of 1, grids with no feature voxel on one side, and a truncation
-        # below the largest distance
+        # dims of 1, and grids with no feature voxel on one side
         cases += [
             (rng.random((1, 7, 9)) < 0.25, 5.0),
             (rng.random((6, 1, 1)) < 0.3, 5.0),
             (np.zeros((4, 1, 5), dtype=bool), 5.0),
             (np.ones((3, 4, 2), dtype=bool), 5.0),
             (np.zeros((1, 1, 1), dtype=bool), 5.0),
-            (rng.random((12, 11, 10)) < 0.05, 0.25),
         ]
+        # occupied bounding boxes smaller than the grid, so that the occupied
+        # side's transform runs on a crop: a compact block, a block on each of
+        # the six faces, one voxel in a corner, a single free voxel, and a
+        # wall with a gap that spans two axes (the `slot` shape)
+        block = np.zeros((9, 10, 11), dtype=bool)
+        block[3:6, 2:5, 4:8] = True
+        cases.append((block, 5.0))
+        for axis in range(3):
+            for face in (slice(0, 2), slice(-2, None)):
+                occ = np.zeros((7, 8, 9), dtype=bool)
+                index = [slice(2, 5)] * 3
+                index[axis] = face
+                occ[tuple(index)] = True
+                cases.append((occ, 5.0))
+        corner = np.zeros((6, 5, 7), dtype=bool)
+        corner[-1, 0, -1] = True
+        one_free = np.ones((5, 6, 4), dtype=bool)
+        one_free[2, 3, 1] = False
+        wall = np.zeros((12, 9, 6), dtype=bool)
+        wall[5:7] = True
+        wall[5:7, 3:6] = False
+        cases += [(corner, 5.0), (one_free, 5.0), (wall, 5.0)]
+        # last, a truncation below the largest distance
+        cases.append((rng.random((12, 11, 10)) < 0.05, 0.25))
         for occ, truncation in cases:
             grid = VoxelGrid(origin=np.zeros(3), resolution=0.1, occupancy=occ)
             field = compute_esdf(grid, truncation=truncation)

@@ -2,11 +2,14 @@ import dataclasses
 import functools
 import heapq
 import itertools
+import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from morphplan import search as search_module
 from morphplan.esdf import (
     BodyGeometry,
     BoxObstacle,
@@ -28,6 +31,7 @@ from morphplan.search import (
     search,
     write_path_csv,
 )
+from morphplan.scenario import parse_scenario
 
 
 def empty_field(extent=(4.0, 4.0, 2.0), resolution=0.1):
@@ -437,3 +441,65 @@ class TestSearch:
         first = [float(v) for v in lines[1].split(",")]
         assert first[0] == 0.0
         assert first[1:4] == pytest.approx(list(start.position))
+
+
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
+
+# (state, control, duration) of every path node
+BENCHMARK_LEG_PATH = [
+    ([1.2, 1.0, 0.8, 0.211, 0.0, 0.0, 0.0, 0.0], None, 0.0),
+    ([1.3875, 1.0, 0.8, 0.211, 0.75, 0.0, 0.0, 0.0], [1.5, 0.0, 0.0, 0.0], 0.5),
+    ([1.7625, 0.8125, 0.8, 0.211, 0.75, -0.75, 0.0, 0.0], [0.0, -1.5, 0.0, 0.0], 0.5),
+    ([2.1375, 0.4375, 0.8, 0.211, 0.75, -0.75, 0.0, 0.0], [0.0, 0.0, 0.0, 0.0], 0.5),
+    ([2.5125, 0.25, 0.8, 0.211, 0.75, 0.0, 0.0, 0.0], [0.0, 1.5, 0.0, 0.0], 0.5),
+    ([2.8875, 0.25, 0.8, 0.211, 0.75, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 0.0], 0.5),
+    ([3.6375, 1.0, 0.8, 0.211, 0.75, 1.5, 0.0, 0.0], [0.0, 1.5, 0.0, 0.0], 1.0),
+]
+SLOT_FINE_PATH = [
+    ([0.6, 1.0, 0.8, 0.211, 0.0, 0.0, 0.0, 0.0], None, 0.0),
+    ([1.08, 1.0, 0.8, 0.211, 1.2000000000000002, 0.0, 0.0, 0.0], [1.5, 0.0, 0.0, 0.0], 0.8),
+    ([1.56, 1.0, 0.8, 0.211, 1.2000000000000002, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 0.0], 0.4),
+    ([2.04, 1.0, 0.8, 0.187, 1.2000000000000002, 0.0, 0.0, -0.12], [0.0, 0.0, 0.0, -0.3], 0.4),
+    ([3.0, 1.0, 0.8, 0.187, 1.2000000000000002, 0.0, 0.0, 0.12], [0.0, 0.0, 0.0, 0.3], 0.8),
+    ([3.48, 1.0, 0.8, 0.211, 1.2000000000000002, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, -0.3], 0.4),
+    ([4.44, 1.0, 0.8, 0.211, 1.2000000000000002, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 0.0], 0.8),
+]
+
+
+@pytest.mark.parametrize("name, resolution, map_seed, ends, expansions, cost, path, points", [
+    # benchmark.json, map seed 0, x = 1.2 -> 3.8 m past the first sphere
+    ("benchmark", None, 0, ([1.2, 1.0, 0.8], [3.8, 1.0, 0.8]), 73, 12.625, BENCHMARK_LEG_PATH, 422999),
+    # slot at 0.05 m, shrinking through the gap
+    ("slot", 0.05, None, None, 18, 9.268202061948294, SLOT_FINE_PATH, 196983),
+])
+def test_adaptive_search_golden(monkeypatch, name, resolution, map_seed, ends, expansions, cost,
+                                path, points):
+    """Expansions, cost and every path node pinned exactly, and the number of
+    points the collision checks query, so that no wasted validity work creeps in."""
+    raw = json.loads((SCENARIOS / f"{name}.json").read_text())
+    if resolution is not None:
+        raw["map"]["resolution"] = resolution
+    if ends is not None:
+        raw["start"]["position"], raw["goal"]["position"] = ends
+    scenario = parse_scenario(raw)
+    field = scenario.build_field(map_seed=map_seed)
+    body = scenario.opt_problem(field, "adaptive").body
+    queried = []
+    query = search_module.query_distance_many
+
+    def counting_query(field, points, *args, **kwargs):
+        queried.append(len(points))
+        return query(field, points, *args, **kwargs)
+
+    monkeypatch.setattr(search_module, "query_distance_many", counting_query)
+    result = search(scenario.plan_state(scenario.start, "adaptive"),
+                    scenario.plan_state(scenario.goal, "adaptive"),
+                    field, body, scenario.search_config("adaptive"))
+    assert result.expansions == expansions
+    assert result.cost == cost
+    assert len(result.path) == len(path)
+    for node, (state, control, duration) in zip(result.path, path):
+        assert node.state.as_array().tolist() == state
+        assert (node.control is None and control is None) or node.control.tolist() == control
+        assert node.duration == duration
+    assert sum(queried) == points
