@@ -21,6 +21,8 @@ from dataclasses import dataclass, field as _field
 
 import numpy as np
 
+from .trajectory import fixed_rate_times
+
 GRAVITY = np.array([0.0, 0.0, -9.81])
 _GRAVITY = tuple(GRAVITY.tolist())  # as Python floats, for the float path
 
@@ -284,32 +286,25 @@ def step(state: RigidBodyState, thrusts, servo_rate: float, disturbance: Wrench 
     )
 
 
-def power(thrust: float, radius: float, params: VehicleParams,
-          c1: float = 1.0, c2: float = 1.0) -> float:
-    """Instantaneous power model: c1 * F^1.5 plus a shrink penalty term."""
-    if thrust < 0.0:
+def power(thrust, radius, params: VehicleParams, c1: float = 1.0, c2: float = 1.0):
+    """Instantaneous power model: c1 * F^1.5 plus a shrink penalty term;
+    elementwise on arrays of thrusts and radii."""
+    if np.any(np.asarray(thrust) < 0.0):
         raise ValueError("thrust must be non-negative")
     shrink = (radius - params.r_max) / params.r_max
-    return c1 * thrust**1.5 + c2 * shrink * shrink
+    return c1 * thrust**1.5 + c2 * shrink**2
 
 
-def trajectory_energy(traj, params: VehicleParams, c1: float = 1.0, c2: float = 1.0,
-                      hz: float = 100.0) -> float:
-    """Model energy of a flat trajectory: Simpson integral of the power over
-    the fixed-rate sample grid, with thrust from differential flatness."""
+def trajectory_energy(traj, params: VehicleParams, hz: float = 100.0, **coeffs) -> float:
+    """Model energy of a flat trajectory: Simpson integral of the power (with
+    `power`'s coefficients c1, c2) over the export's fixed-rate sample grid,
+    with thrust from differential flatness."""
     from scipy.integrate import simpson
 
-    n = int(np.floor(traj.total_time * hz)) + 1
-    times = np.arange(n) / hz
-    if times[-1] < traj.total_time - 1e-9:
-        times = np.append(times, traj.total_time)
+    times = fixed_rate_times(traj.total_time, hz)
     data = traj.sample(times, orders=(0, 2))
-    acc = data[:, 1, :3]
-    radius = data[:, 0, 3]
-    thrust = params.mass * np.linalg.norm(acc - GRAVITY, axis=1)
-    shrink = (radius - params.r_max) / params.r_max
-    p = c1 * thrust**1.5 + c2 * shrink**2
-    return float(simpson(p, x=times))
+    thrust = params.mass * np.linalg.norm(data[:, 1, :3] - GRAVITY, axis=1)
+    return float(simpson(power(thrust, data[:, 0, 3], params, **coeffs), x=times))
 
 
 def constant_wrench(force, torque):

@@ -34,8 +34,9 @@ class MetricsRow:
 
 
 def metrics_from_report(report: OptReport, traj, params, mode: str, seed: int,
-                        c1: float = 1.0, c2: float = 1.0) -> MetricsRow:
-    energy = trajectory_energy(traj, params, c1=c1, c2=c2)
+                        **energy_coeffs) -> MetricsRow:
+    """A metrics row; energy_coeffs are the power model's c1, c2."""
+    energy = trajectory_energy(traj, params, **energy_coeffs)
     return MetricsRow(mode=mode, seed=seed, pce=report.pce, rce=report.rce,
                       sorr=report.sorr, time_cost=report.time_cost,
                       total_cost=report.total_cost, total_energy=energy)

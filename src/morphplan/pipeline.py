@@ -44,7 +44,7 @@ def run_plan(scenario: Scenario, mode: str | None = None, map_seed: int | None =
     params = scenario.vehicle_params()
     metrics = metrics_from_report(report, traj, params, mode,
                                   map_seed if map_seed is not None else scenario.seed,
-                                  c1=scenario.sim["energy_c1"], c2=scenario.sim["energy_c2"])
+                                  **scenario.energy_coeffs())
     return PlanOutput(trajectory=traj, report=report, metrics=metrics, search_result=result)
 
 

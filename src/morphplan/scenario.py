@@ -1,12 +1,19 @@
 """Scenario files: a versioned JSON schema describing the map, endpoints,
-body, mode and all planning/control parameters.  Unknown keys are rejected
-so benchmark definitions stay reproducible."""
+body, mode and all planning/control parameters.
+
+The schema here is only the set of keys each section may set; unknown keys
+are rejected so benchmark definitions stay reproducible.  Every parameter's
+default lives in the config class it feeds (`SearchConfig`, `OptProblem`,
+`VehicleParams`, `NmpcConfig`, `TrackingConfig`), and a section's entries are
+passed to those classes by field name.  `parse_scenario` builds each config
+once, so a missing key, a wrong type or a value a config rejects fails at
+load as a `ScenarioError`, before any map is built."""
 
 from __future__ import annotations
 
 import dataclasses
 import json
-from dataclasses import dataclass, field as _field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -14,9 +21,29 @@ from .controller import NmpcConfig, TrackingConfig
 from .dynamics import VehicleParams, constant_wrench, noise_wrench, ramp_wrench
 from .esdf import BodyGeometry, BoxObstacle, SphereObstacle, build_grid, compute_esdf
 from .search import PlanState, SearchConfig
-from .traj_opt import OptProblem
+from .traj_opt import OptProblem, attach_payload
 
 MODES = ("adaptive", "fixed-max", "fixed-min")
+
+# the keys each parameter section may set
+SCHEMA = {
+    "planning": {"v_max", "a_max", "radius_rate_max", "radius_acc_max", "d_margin",
+                 "sorr_weight", "time_weight"},
+    "search": {"u_max", "dt_min", "dt_max", "accel_samples", "duration_samples",
+               "pos_dedup", "radius_dedup", "node_budget", "goal_pos_tol",
+               "goal_radius_tol", "use_heuristic"},
+    "opt": {"w_clearance", "w_dynamics", "clearance_buffer", "kappa"},
+    "control": {f.name for f in dataclasses.fields(NmpcConfig)} | {
+        "control_dt", "force_compensation", "indi", "force_cutoff_hz",
+        "omega_cutoff_hz", "servo_rate_limit"},
+    # sim.dt is TrackingConfig.sim_dt; energy_c1/c2 are `power`'s c1/c2
+    "sim": {"dt", "mass", "central_mass_fraction", "central_radius", "thrust_coeff",
+            "torque_coeff", "thrust_min", "thrust_max", "servo_tau", "accel_noise_std",
+            "duration_pad", "energy_c1", "energy_c2", "disturbance"},
+}
+
+_DISTURBANCE_KEYS = {"profile", "force", "torque", "t_ramp", "force_std", "torque_std",
+                     "cutoff_hz"}
 
 
 class ScenarioError(ValueError):
@@ -34,6 +61,12 @@ def _vec(x, n, where):
     if arr.shape != (n,):
         raise ScenarioError(f"{where} must be a {n}-vector")
     return arr
+
+
+def _pick(section: dict, cls) -> dict:
+    """The entries of a scenario section that are fields of the config class."""
+    names = {f.name for f in dataclasses.fields(cls)}
+    return {k: v for k, v in section.items() if k in names}
 
 
 @dataclass(eq=False)
@@ -76,9 +109,10 @@ class Scenario:
     goal: EndpointSpec
     mode: str
     payload: dict | None
+    # the parameter sections as the file sets them (keys from SCHEMA)
     planning: dict
-    search_extra: dict
-    opt_extra: dict
+    search: dict
+    opt: dict
     control: dict
     sim: dict
     benchmark_seeds: list
@@ -111,17 +145,8 @@ class Scenario:
                          velocity=spec.velocity, radius_rate=rate)
 
     def search_config(self, mode: str | None = None) -> SearchConfig:
-        mode = mode or self.mode
-        cfg = SearchConfig(
-            v_max=self.planning["v_max"],
-            radius_rate_max=self.planning["radius_rate_max"],
-            d_margin=self.planning["d_margin"],
-            sorr_weight=self.planning["sorr_weight"],
-            time_weight=self.planning["time_weight"],
-            r_min=self.body.r_min,
-            r_max=self.body.r_max,
-            **self.search_extra,
-        )
+        cfg = SearchConfig(**_pick(self.planning, SearchConfig), **self.search,
+                           r_min=self.body.r_min, r_max=self.body.r_max)
         fixed = self.mode_radius(mode)
         if fixed is not None:
             # radius frozen: the shrink regularizer is constant per unit time, so
@@ -142,97 +167,42 @@ class Scenario:
         sigmaf = np.zeros((3, 4))
         sigmaf[0] = np.concatenate([goal.position, [goal.radius]])
         sigmaf[1] = np.concatenate([goal.velocity, [goal.radius_rate]])
-        prob = OptProblem(
-            field=field, body=self.body, sigma0=sigma0, sigmaf=sigmaf,
-            v_max=self.planning["v_max"], a_max=self.planning["a_max"],
-            radius_rate_max=self.planning["radius_rate_max"],
-            radius_acc_max=self.planning["radius_acc_max"],
-            d_margin=self.planning["d_margin"],
-            sorr_weight=self.planning["sorr_weight"],
-            time_weight=self.planning["time_weight"],
-            radius_frozen=(mode != "adaptive"),
-            **self.opt_extra,
-        )
+        prob = OptProblem(field=field, body=self.body, sigma0=sigma0, sigmaf=sigmaf,
+                          **_pick(self.planning, OptProblem), **self.opt,
+                          radius_frozen=(mode != "adaptive"))
         if self.payload is not None:
-            from .traj_opt import attach_payload
-
             prob = attach_payload(prob, self.payload["size"], self.payload["offset"])
         return prob
 
     def vehicle_params(self) -> VehicleParams:
-        sim = self.sim
-        return VehicleParams(
-            mass=sim["mass"], central_mass_fraction=sim["central_mass_fraction"],
-            central_radius=sim["central_radius"], height=self.body.height,
-            thrust_coeff=sim["thrust_coeff"], torque_coeff=sim["torque_coeff"],
-            r_min=self.body.r_min, r_max=self.body.r_max,
-            thrust_min=sim["thrust_min"], thrust_max=sim["thrust_max"],
-            servo_tau=sim["servo_tau"],
-        )
+        return VehicleParams(**_pick(self.sim, VehicleParams), height=self.body.height,
+                             r_min=self.body.r_min, r_max=self.body.r_max)
 
     def nmpc_config(self) -> NmpcConfig:
-        c = self.control
-        return NmpcConfig(
-            horizon=c["horizon"], dt=c["dt"], q_pos=c["q_pos"], q_vel=c["q_vel"],
-            q_att=c["q_att"], q_omega=c["q_omega"], terminal_scale=c["terminal_scale"],
-            w_input=np.asarray(c["w_input"], dtype=float),
-            u_min=np.asarray(c["u_min"], dtype=float),
-            u_max=np.asarray(c["u_max"], dtype=float),
-            max_iters=c["max_iters"], tol=c["tol"],
-        )
+        return NmpcConfig(**_pick(self.control, NmpcConfig))
 
     def tracking_config(self) -> TrackingConfig:
-        c = self.control
-        s = self.sim
-        return TrackingConfig(
-            sim_dt=s["dt"], control_dt=c["control_dt"],
-            force_compensation=c["force_compensation"], indi=c["indi"],
-            force_cutoff_hz=c["force_cutoff_hz"], omega_cutoff_hz=c["omega_cutoff_hz"],
-            servo_rate_limit=c["servo_rate_limit"],
-            accel_noise_std=s["accel_noise_std"], duration_pad=s["duration_pad"],
-            seed=self.seed,
-        )
+        sim_dt = {"sim_dt": self.sim["dt"]} if "dt" in self.sim else {}
+        return TrackingConfig(**_pick(self.control, TrackingConfig),
+                              **_pick(self.sim, TrackingConfig), **sim_dt, seed=self.seed)
+
+    def energy_coeffs(self) -> dict:
+        """The power model's coefficients the scenario sets, as `power`'s c1, c2."""
+        return {k[-2:]: float(v) for k, v in self.sim.items() if k in ("energy_c1", "energy_c2")}
 
     def disturbance(self, duration: float):
-        d = self.sim["disturbance"]
-        profile = d["profile"]
+        d = self.sim.get("disturbance", {})
+        profile = d.get("profile", "none")
         if profile == "none":
             return None
         if profile == "constant":
             return constant_wrench(d["force"], d["torque"])
         if profile == "ramp":
             return ramp_wrench(d["force"], d["torque"], d["t_ramp"])
-        return noise_wrench(d["force_std"], d["torque_std"], d["cutoff_hz"],
-                            self.sim["dt"], duration, seed=self.seed)
-
-
-_PLANNING_DEFAULTS = {
-    "v_max": 2.0, "a_max": 4.0, "radius_rate_max": 0.4, "radius_acc_max": 2.0,
-    "d_margin": 0.15, "sorr_weight": 8.0, "time_weight": 2.0,
-}
-
-_SEARCH_KEYS = {"u_max", "dt_min", "dt_max", "accel_samples", "duration_samples",
-                "pos_dedup", "radius_dedup", "node_budget", "goal_pos_tol",
-                "goal_radius_tol", "goal_vel_tol", "use_heuristic"}
-
-_OPT_KEYS = {"w_clearance", "w_dynamics", "clearance_buffer", "kappa"}
-
-_CONTROL_DEFAULTS = {
-    "horizon": 20, "dt": 0.05, "control_dt": 0.01, "q_pos": 40.0, "q_vel": 8.0,
-    "q_att": 16.0, "q_omega": 1.0, "terminal_scale": 2.0,
-    "w_input": [0.02, 0.4, 0.4, 0.4], "u_min": [0.0, -1.5, -1.5, -0.5],
-    "u_max": [32.0, 1.5, 1.5, 0.5], "max_iters": 30, "tol": 1e-6,
-    "force_compensation": True, "indi": True, "force_cutoff_hz": 5.0,
-    "omega_cutoff_hz": 20.0, "servo_rate_limit": 6.0,
-}
-
-_SIM_DEFAULTS = {
-    "dt": 0.005, "mass": 1.0, "central_mass_fraction": 0.6, "central_radius": 0.06,
-    "thrust_coeff": 1.0e-5, "torque_coeff": 1.6e-7, "thrust_min": 0.0,
-    "thrust_max": 8.0, "servo_tau": 0.1, "accel_noise_std": 0.0,
-    "duration_pad": 0.5, "energy_c1": 1.0, "energy_c2": 1.0,
-    "disturbance": {"profile": "none"},
-}
+        if profile == "noise":
+            return noise_wrench(d["force_std"], d["torque_std"], d["cutoff_hz"],
+                                self.tracking_config().sim_dt, duration, seed=self.seed)
+        raise ScenarioError("sim.disturbance.profile must be none|constant|ramp|noise")
 
 
 def _endpoint(section: dict, where: str) -> EndpointSpec:
@@ -245,6 +215,12 @@ def _endpoint(section: dict, where: str) -> EndpointSpec:
     )
 
 
+def _int(x, where) -> int:
+    if isinstance(x, bool) or not isinstance(x, int):
+        raise ScenarioError(f"{where} must be an integer")
+    return x
+
+
 def load_scenario(path) -> Scenario:
     try:
         with open(path) as fh:
@@ -255,8 +231,28 @@ def load_scenario(path) -> Scenario:
 
 
 def parse_scenario(raw: dict) -> Scenario:
+    """Parse a scenario and build each of its configs once, so that a
+    malformed part, or a value a config rejects, raises ScenarioError here."""
+    try:
+        scenario = _parse(raw)
+        scenario.search_config()
+        scenario.opt_problem(field=None)
+        scenario.vehicle_params()
+        scenario.nmpc_config()
+        scenario.energy_coeffs()
+        scenario.disturbance(scenario.tracking_config().duration_pad)
+    except ScenarioError:
+        raise
+    except KeyError as err:
+        raise ScenarioError(f"missing key {err}") from err
+    except (AttributeError, TypeError, ValueError) as err:
+        raise ScenarioError(str(err)) from err
+    return scenario
+
+
+def _parse(raw: dict) -> Scenario:
     top = {"version", "name", "seed", "map", "body", "start", "goal", "mode",
-           "payload", "planning", "search", "opt", "control", "sim", "benchmark"}
+           "payload", "benchmark"} | set(SCHEMA)
     _check_keys(raw, top, "scenario")
     if raw.get("version") != 1:
         raise ScenarioError("scenario version must be 1")
@@ -288,9 +284,7 @@ def parse_scenario(raw: dict) -> Scenario:
 
     b = raw["body"]
     _check_keys(b, {"height", "n_theta", "n_l", "r_min", "r_max"}, "body")
-    body = BodyGeometry(height=float(b["height"]),
-                        n_theta=int(b.get("n_theta", 16)), n_l=int(b.get("n_l", 2)),
-                        r_min=float(b["r_min"]), r_max=float(b["r_max"]))
+    body = BodyGeometry(**b)
 
     mode = raw["mode"]
     if mode not in MODES:
@@ -302,47 +296,25 @@ def parse_scenario(raw: dict) -> Scenario:
         payload = {"size": _vec(payload["size"], 3, "payload.size"),
                    "offset": _vec(payload["offset"], 3, "payload.offset")}
 
-    planning = dict(_PLANNING_DEFAULTS)
-    _check_keys(raw.get("planning", {}), set(_PLANNING_DEFAULTS), "planning")
-    planning.update(raw.get("planning", {}))
-
-    search_extra = dict(raw.get("search", {}))
-    _check_keys(search_extra, _SEARCH_KEYS, "search")
-    if "u_max" in search_extra:
-        search_extra["u_max"] = _vec(search_extra["u_max"], 4, "search.u_max")
-
-    opt_extra = dict(raw.get("opt", {}))
-    _check_keys(opt_extra, _OPT_KEYS, "opt")
-
-    control = dict(_CONTROL_DEFAULTS)
-    _check_keys(raw.get("control", {}), set(_CONTROL_DEFAULTS), "control")
-    control.update(raw.get("control", {}))
-
-    sim = dict(_SIM_DEFAULTS)
-    _check_keys(raw.get("sim", {}), set(_SIM_DEFAULTS), "sim")
-    sim.update(raw.get("sim", {}))
-    dist = dict(sim["disturbance"])
-    allowed_dist = {"profile", "force", "torque", "t_ramp", "force_std",
-                    "torque_std", "cutoff_hz"}
-    _check_keys(dist, allowed_dist, "sim.disturbance")
-    if dist.get("profile", "none") not in ("none", "constant", "ramp", "noise"):
-        raise ScenarioError("sim.disturbance.profile must be none|constant|ramp|noise")
-    sim["disturbance"] = dist
+    sections = {}
+    for name, keys in SCHEMA.items():
+        sections[name] = dict(raw.get(name, {}))
+        _check_keys(sections[name], keys, name)
+    _check_keys(sections["sim"].get("disturbance", {}), _DISTURBANCE_KEYS, "sim.disturbance")
 
     bench = raw.get("benchmark", {})
     _check_keys(bench, {"seeds", "n_seeds"}, "benchmark")
     if "seeds" in bench:
-        seeds = [int(s) for s in bench["seeds"]]
+        seeds = [_int(s, "benchmark.seeds[]") for s in bench["seeds"]]
     else:
-        seeds = list(range(int(bench.get("n_seeds", 20))))
+        seeds = list(range(_int(bench.get("n_seeds", 20), "benchmark.n_seeds")))
 
     scenario = Scenario(
-        version=1, name=str(raw.get("name", "scenario")), seed=int(raw.get("seed", 0)),
+        version=1, name=str(raw.get("name", "scenario")), seed=_int(raw.get("seed", 0), "seed"),
         bounds_lo=lo, bounds_hi=hi, resolution=resolution,
         truncation=float(m.get("truncation", 5.0)), obstacles=obstacles, body=body,
         start=_endpoint(raw["start"], "start"), goal=_endpoint(raw["goal"], "goal"),
-        mode=mode, payload=payload, planning=planning, search_extra=search_extra,
-        opt_extra=opt_extra, control=control, sim=sim, benchmark_seeds=seeds,
+        mode=mode, payload=payload, benchmark_seeds=seeds, **sections,
     )
     _validate_endpoints(scenario)
     return scenario

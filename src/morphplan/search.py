@@ -84,7 +84,7 @@ class SearchConfig:
     duration_samples: int = 3
     v_max: float = 2.0
     radius_rate_max: float = 0.4
-    d_margin: float = 0.1
+    d_margin: float = 0.15
     sorr_weight: float = 8.0
     time_weight: float = 2.0
     r_min: float = 0.131
@@ -94,7 +94,6 @@ class SearchConfig:
     node_budget: int = 100000
     goal_pos_tol: float = 0.2
     goal_radius_tol: float = 0.05
-    goal_vel_tol: float | None = None
     use_heuristic: bool = True
 
     def __post_init__(self):
@@ -272,14 +271,7 @@ def _arc_bound(x: np.ndarray, dt: float, config: SearchConfig) -> float:
 def _goal_reached(x: np.ndarray, goal: PlanState, config: SearchConfig) -> bool:
     if np.linalg.norm(x[:3] - goal.position) > config.goal_pos_tol:
         return False
-    if abs(x[3] - goal.radius) > config.goal_radius_tol:
-        return False
-    if config.goal_vel_tol is not None:
-        if np.linalg.norm(x[4:7] - goal.velocity) > config.goal_vel_tol:
-            return False
-        if abs(x[7] - goal.radius_rate) > config.goal_vel_tol:
-            return False
-    return True
+    return abs(x[3] - goal.radius) <= config.goal_radius_tol
 
 
 def _may_reach_goal(xs: np.ndarray, goal: PlanState, config: SearchConfig) -> np.ndarray:

@@ -33,6 +33,7 @@ from .trajectory import (
     N_COEF,
     MinJerkSystem,
     PiecewiseTrajectory,
+    jerk_energy,
     jerk_energy_matrix,
     poly_basis,
 )
@@ -68,7 +69,7 @@ class OptProblem:
     a_max: float = 4.0
     radius_rate_max: float = 0.4
     radius_acc_max: float = 2.0
-    d_margin: float = 0.1
+    d_margin: float = 0.15
     sorr_weight: float = 8.0
     time_weight: float = 2.0
     w_clearance: float = 1e4
@@ -170,6 +171,17 @@ _R = slice(3, 4)
 _XYZR = slice(0, 4)
 
 
+def _coefficients(system: MinJerkSystem, q, problem: OptProblem) -> np.ndarray:
+    """Coefficients (M, 6, 4) of the minimum-jerk spline through the interior
+    waypoints q; with the radius frozen only x, y, z are solved and r is held."""
+    if not problem.radius_frozen:
+        return system.solve(q, problem.sigma0, problem.sigmaf)
+    coeffs = np.zeros((system.n_pieces, N_COEF, 4))
+    coeffs[:, :, :3] = system.solve(q[:, :3], problem.sigma0[:, :3], problem.sigmaf[:, :3])
+    coeffs[:, 0, 3] = problem.frozen_radius
+    return coeffs
+
+
 def _hinge(g):
     """Cubic hinge max(0, g)^3 and its derivative, once differentiable at 0."""
     gp = np.maximum(g, 0.0)
@@ -186,13 +198,7 @@ def objective_and_gradient(waypoints, durations, problem: OptProblem):
     t_vec = np.asarray(durations, dtype=float).reshape(-1)
     m = len(t_vec)
     system = MinJerkSystem(t_vec)
-
-    if problem.radius_frozen:
-        coeffs = np.zeros((m, 6, 4))
-        coeffs[:, :, :3] = system.solve(q[:, :3], problem.sigma0[:, :3], problem.sigmaf[:, :3])
-        coeffs[:, 0, 3] = problem.frozen_radius
-    else:
-        coeffs = system.solve(q, problem.sigma0, problem.sigmaf)
+    coeffs = _coefficients(system, q, problem)
 
     grad_c = np.zeros_like(coeffs)
     grad_t = np.zeros(m)
@@ -347,14 +353,8 @@ def _exact_sorr(traj: PiecewiseTrajectory, r_max: float) -> float:
 
 def trajectory_costs(traj: PiecewiseTrajectory, problem: OptProblem) -> dict:
     """Penalty-free cost decomposition of a trajectory."""
-    pce = 0.0
-    rce = 0.0
-    for i in range(traj.n_pieces):
-        qm = jerk_energy_matrix(traj.durations[i])
-        ci = traj.coeffs[i]
-        for ch in range(3):
-            pce += float(ci[:, ch] @ qm @ ci[:, ch])
-        rce += float(ci[:, 3] @ qm @ ci[:, 3])
+    pce = jerk_energy(traj, channels=range(3))
+    rce = jerk_energy(traj, channels=(3,))
     sorr = _exact_sorr(traj, problem.body.r_max)
     time_cost = traj.total_time
     total = pce + rce + problem.sorr_weight * sorr + problem.time_weight * time_cost
@@ -425,8 +425,8 @@ def optimize(seed_path, problem: OptProblem, max_iters: int = 300,
 
 
 def _build(q, t_vec, problem) -> PiecewiseTrajectory:
-    _, _, _, coeffs = objective_and_gradient(q, t_vec, problem)
-    return PiecewiseTrajectory(durations=t_vec, coeffs=coeffs)
+    return PiecewiseTrajectory(durations=t_vec,
+                               coeffs=_coefficients(MinJerkSystem(t_vec), q, problem))
 
 
 def _solve(q0, tau0, problem, max_iters, grad_tol):

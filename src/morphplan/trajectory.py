@@ -181,12 +181,18 @@ def jerk_energy(traj: PiecewiseTrajectory, channels=range(N_CHANNELS)) -> float:
     return total
 
 
+def fixed_rate_times(total_time: float, hz: float = 100.0) -> np.ndarray:
+    """The sample grid 0, 1/hz, 2/hz, ..., closed with total_time itself."""
+    n = int(np.floor(total_time * hz)) + 1
+    times = np.arange(n) / hz
+    if times[-1] < total_time - 1e-9:
+        times = np.append(times, total_time)
+    return times
+
+
 def write_sample_csv(traj: PiecewiseTrajectory, path, hz: float = 100.0) -> None:
     """Fixed-rate export with value and first three derivatives per channel."""
-    n = int(np.floor(traj.total_time * hz)) + 1
-    times = np.arange(n) / hz
-    if times[-1] < traj.total_time - 1e-9:
-        times = np.append(times, traj.total_time)
+    times = fixed_rate_times(traj.total_time, hz)
     data = traj.sample(times, orders=(0, 1, 2, 3))
     header = ["t"]
     for tag in ("", "d", "dd", "ddd"):

@@ -1,11 +1,13 @@
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from morphplan import cli
-from morphplan.pipeline import run_plan
+from morphplan.pipeline import _CsvTrajectory, load_trajectory_file, run_plan
 from morphplan.scenario import load_scenario, parse_scenario
+from morphplan.trajectory import fit_min_jerk, write_coeff_dump, write_sample_csv
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -38,3 +40,61 @@ def test_cli_plan_writes_outputs(tmp_path):
     assert code == 0
     for name in ("trajectory.csv", "coefficients.txt", "seed_path.csv", "metrics.csv"):
         assert (tmp_path / name).stat().st_size > 0
+
+
+def short_scenario(tmp_path, **sections):
+    """empty.json with a short tracking pad, plus the given sections."""
+    raw = json.loads((SCENARIOS / "empty.json").read_text())
+    raw["sim"]["duration_pad"] = 0.05
+    raw.update(sections)
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(raw))
+    return path
+
+
+def hover():
+    """A 0.1 s minimum-jerk piece holding one point of empty.json at r_max."""
+    b0 = np.zeros((3, 4))
+    b0[0] = [3.0, 1.5, 0.8, 0.211]
+    return fit_min_jerk(np.zeros((0, 4)), [0.1], b0, b0)
+
+
+def test_cli_simulate_reads_both_plan_formats(tmp_path):
+    """A hover exported as a coefficient dump and as a sample CSV (read back
+    through _CsvTrajectory) tracks the same: the CSV's linear interpolation is
+    exact on a constant reference."""
+    scenario = short_scenario(tmp_path)
+    write_coeff_dump(hover(), tmp_path / "hover.txt")
+    write_sample_csv(hover(), tmp_path / "hover.csv")
+    assert isinstance(load_trajectory_file(tmp_path / "hover.csv"), _CsvTrajectory)
+    rmse = []
+    for name in ("hover.txt", "hover.csv"):
+        out = tmp_path / name.replace(".", "_")
+        assert cli.main(["simulate", str(scenario), str(tmp_path / name), "-o", str(out)]) == 0
+        assert (out / "tracking_log.csv").stat().st_size > 0
+        rmse.append(float((out / "rmse.txt").read_text()))
+    assert np.isfinite(rmse[0])
+    assert rmse[1] == pytest.approx(rmse[0], rel=0.0, abs=1e-12)
+
+
+def test_cli_benchmark_one_seed(tmp_path):
+    scenario = short_scenario(tmp_path, benchmark={"seeds": [0]})
+    out = tmp_path / "bench"
+    assert cli.main(["benchmark", str(scenario), "-o", str(out)]) == 0
+    for name in ("benchmark_runs.csv", "benchmark_summary.csv", "benchmark_failures.csv"):
+        assert (out / name).stat().st_size > 0
+    summary = np.genfromtxt(out / "benchmark_summary.csv", delimiter=",", names=True,
+                            dtype=None, encoding="utf-8")
+    assert sorted(summary["mode"]) == ["adaptive", "fixed-max", "fixed-min"]
+    assert np.all(summary["success_rate"] == 1.0)
+
+
+def test_cli_plot_trajectory_and_tracking_log(tmp_path):
+    scenario = short_scenario(tmp_path)
+    write_sample_csv(hover(), tmp_path / "hover.csv")
+    assert cli.main(["simulate", str(scenario), str(tmp_path / "hover.csv"), "-o", str(tmp_path)]) == 0
+    plots = tmp_path / "plots"
+    assert cli.main(["plot", str(tmp_path / "hover.csv"), str(tmp_path / "tracking_log.csv"),
+                     "-o", str(plots)]) == 0
+    for name in ("hover_topdown.svg", "hover_series.svg", "tracking_log_error.svg"):
+        assert (plots / name).read_text().startswith("<svg")
