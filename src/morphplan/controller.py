@@ -4,16 +4,22 @@ allocation inversion and the servo proportional loop.
 
 The horizon model is `dynamics.rigid_body_step`, the same RK4 rigid body the
 simulator (`dynamics.step`) integrates.  The solver is single-shooting
-Gauss-Newton: it rolls the model forward on Python floats, linearizes every
-stage at once by finite differences on one batch of rows, and takes the
-least-squares step from the Cholesky-factored normal equations, or from a
-bounded solver when the step hits an input bound; backtracking keeps each
-iteration monotone.  Attitude error enters the cost as the vector part of
-the reference-relative quaternion.  The estimated external force acts on the
-model's translational dynamics, so the solver plans the tilt and collective
-that cancel it rather than correcting it after a position error builds up.
-Each control tick takes its horizon of references from one batched
-`flat_reference` call.
+Gauss-Newton run as a real-time iteration: each control tick starts from the
+previous tick's input sequence as it is (no shift) and takes at most
+`NmpcConfig.max_iters` iterations (3 by default), stopping early when the
+input step falls below `tol`.  An iteration rolls the model forward on
+Python floats, recording the RK stage points, linearizes every stage at
+once with the exact sensitivities `dynamics.rk4_jacobians` chains from
+them, and takes the least-squares step from the Cholesky-factored normal
+equations, or from a bounded solver when the step hits an input bound;
+backtracking keeps each iteration monotone.  Attitude error enters the cost
+as the vector part of the reference-relative quaternion.  The estimated
+external force acts on the model's translational dynamics, so the solver
+plans the tilt and collective that cancel it rather than correcting it
+after a position error builds up.  `run_tracking` samples the reference of
+every simulator step and the horizon of every control tick in two batched
+`flat_reference` calls before its loop, and builds the radius model
+(allocation, inertia) once per step.
 """
 
 from __future__ import annotations
@@ -27,14 +33,16 @@ from scipy.optimize import lsq_linear
 
 from .dynamics import (
     GRAVITY,
+    RadiusModel,
     RigidBodyState,
     VehicleParams,
-    allocation_matrix,
-    inertia_of,
+    radius_model,
     rigid_body_step,
+    rk4_jacobians,
     rot_to_quat,
     step,
 )
+from .fields import check_field_types
 
 log = logging.getLogger(__name__)
 
@@ -52,6 +60,11 @@ class ControlInput:
 
 @dataclass
 class NmpcConfig:
+    """Horizon solver settings.  max_iters is the Gauss-Newton budget of one
+    control tick: the real-time iteration takes a few iterations per tick
+    from the previous tick's solution rather than solving each horizon to
+    convergence; tol ends a tick early once the input step is below it."""
+
     horizon: int = 20
     dt: float = 0.05
     q_pos: float = 40.0
@@ -62,15 +75,22 @@ class NmpcConfig:
     w_input: np.ndarray = _field(default_factory=lambda: np.array([0.02, 0.4, 0.4, 0.4]))
     u_min: np.ndarray = _field(default_factory=lambda: np.array([0.0, -1.5, -1.5, -0.5]))
     u_max: np.ndarray = _field(default_factory=lambda: np.array([32.0, 1.5, 1.5, 0.5]))
-    max_iters: int = 30
+    max_iters: int = 3
     tol: float = 1e-6
 
     def __post_init__(self):
+        check_field_types(self)
         self.w_input = np.asarray(self.w_input, dtype=float).reshape(4)
         self.u_min = np.asarray(self.u_min, dtype=float).reshape(4)
         self.u_max = np.asarray(self.u_max, dtype=float).reshape(4)
         if self.horizon < 2:
             raise ValueError("horizon must be at least 2")
+        if self.max_iters < 1:
+            raise ValueError("max_iters must be at least 1")
+        if not (self.dt > 0.0 and self.tol > 0.0):
+            raise ValueError("dt and tol must be positive")
+        if min(self.q_pos, self.q_vel, self.q_att, self.q_omega, self.terminal_scale) < 0.0:
+            raise ValueError("state weights must be non-negative")
         if not np.all(self.w_input > 0.0):   # keeps the Gauss-Newton normal matrix definite
             raise ValueError("every input weight must be positive")
         if not np.all(self.u_min <= self.u_max):
@@ -119,13 +139,18 @@ class NmpcInfo:
 def nmpc_solve(x_now: np.ndarray, x_ref: np.ndarray, u_ref: np.ndarray,
                config: NmpcConfig, params: VehicleParams, r: float,
                warm_start: np.ndarray | None = None,
-               f_ext=(0.0, 0.0, 0.0)) -> tuple[ControlInput, NmpcInfo]:
+               f_ext=(0.0, 0.0, 0.0), model: RadiusModel | None = None
+               ) -> tuple[ControlInput, NmpcInfo]:
     """Finite-horizon tracking solve; returns the first input.
 
     x_now (13,), x_ref (N+1, 13), u_ref (N, 4) or (N+1, 4).  The model is the
-    rigid body at the given radius under the constant world-frame external
-    force f_ext [N] (zero by default), discretized with RK4 at config.dt.
-    Warm starts shift the previous solution by one stage.
+    rigid body at radius r (its `radius_model` when the caller passes one)
+    under the constant world-frame external force f_ext [N] (zero by
+    default), discretized with RK4 at config.dt.  The Gauss-Newton iteration
+    starts from warm_start, the previous tick's (N, 4) input sequence, as
+    given, or from u_ref; it stops after config.max_iters iterations or once
+    the input step is below config.tol (then `converged`).  Each iteration
+    linearizes on the exact RK4 sensitivities of its rollout.
     """
     n = config.horizon
     x_now = np.asarray(x_now, dtype=float).reshape(13)
@@ -135,14 +160,14 @@ def nmpc_solve(x_now: np.ndarray, x_ref: np.ndarray, u_ref: np.ndarray,
     u_ref = np.asarray(u_ref, dtype=float)[:n]
     f_ext = np.asarray(f_ext, dtype=float).reshape(3)
 
-    inertia = inertia_of(params, r)
-    model = (f_ext.tolist(), params.mass, inertia.tolist(), np.linalg.inv(inertia).tolist(),
-             config.dt)
+    if model is None:
+        model = radius_model(params, r)
+    elif model.radius != r:
+        raise ValueError(f"radius model at {model.radius}, solve at {r}")
+    body = (f_ext.tolist(), params.mass, model.inertia.tolist(), model.inertia_inv.tolist(),
+            config.dt)
 
-    if warm_start is not None and warm_start.shape == (n, 4):
-        u_seq = np.vstack([warm_start[1:], warm_start[-1:]])
-    else:
-        u_seq = u_ref.copy()
+    u_seq = warm_start if warm_start is not None and warm_start.shape == (n, 4) else u_ref
     u_seq = np.clip(u_seq, config.u_min, config.u_max)
 
     sq = np.sqrt
@@ -153,10 +178,12 @@ def nmpc_solve(x_now: np.ndarray, x_ref: np.ndarray, u_ref: np.ndarray,
     w_in = sq(config.w_input)
 
     def rollout(useq):
+        """States x_0..x_N, and the RK stage points of each step."""
         xs = [x_now.tolist()]
+        stages = []
         for u in useq.tolist():
-            xs.append(rigid_body_step(xs[-1], u[0], u[1:], *model))
-        return np.array(xs)
+            xs.append(rigid_body_step(xs[-1], u[0], u[1:], *body, stages))
+        return np.array(xs), stages
 
     def residuals(xs, useq):
         """Weighted residual vector, and the attitude error maps at xs."""
@@ -166,26 +193,18 @@ def nmpc_solve(x_now: np.ndarray, x_ref: np.ndarray, u_ref: np.ndarray,
                               xs[1:, 10:13] - x_ref[1:, 10:13]], axis=1)
         return np.concatenate([(w_x * r_x).ravel(), (w_in * (useq - u_ref)).ravel()]), e_mats
 
-    eps = 1e-6
     n_u = 4 * n
-    pert = np.zeros((n, 18, 13 + 4))
-    pert[:, 1:, :] = np.eye(17)[None, :, :] * eps
     jac = np.zeros((16 * n, n_u))
     jac[12 * n:] = np.diag(np.tile(w_in, n))
     converged = False
     it = 0
-    xs = rollout(u_seq)
+    xs, stages = rollout(u_seq)
     res, e_mats = residuals(xs, u_seq)
     cost = float(res @ res)
 
     for it in range(1, config.max_iters + 1):
-        # linearize the one-step model at every stage in one batch
-        xb = (xs[:n, None, :] + pert[:, :, :13]).reshape(-1, 13)
-        ub = (u_seq[:, None, :] + pert[:, :, 13:]).reshape(-1, 4)
-        nom_next = np.array(rigid_body_step(list(xb.T), ub[:, 0], list(ub[:, 1:].T), *model))
-        nom_next = nom_next.T.reshape(n, 18, 13)
-        a_mats = (nom_next[:, 1:14] - nom_next[:, :1]) / eps   # (n, 13, 13) transposed
-        b_mats = (nom_next[:, 14:18] - nom_next[:, :1]) / eps  # (n, 4, 13)
+        a_mats, b_mats = rk4_jacobians(stages, u_seq[:, 0], params.mass, model.inertia,
+                                       model.inertia_inv, config.dt)
 
         # sensitivities s_k of x_k w.r.t. the stacked inputs; the output rows
         # of all stages are mapped and weighted at once, in place in jac
@@ -193,8 +212,8 @@ def nmpc_solve(x_now: np.ndarray, x_ref: np.ndarray, u_ref: np.ndarray,
         s_q = np.empty((n, 4, n_u))
         s_k = np.zeros((13, n_u))
         for k in range(n):
-            s_k = a_mats[k].T @ s_k
-            s_k[:, 4 * k:4 * k + 4] += b_mats[k].T
+            s_k = a_mats[k] @ s_k
+            s_k[:, 4 * k:4 * k + 4] += b_mats[k]
             jx[k, 0:6], s_q[k], jx[k, 9:12] = s_k[0:6], s_k[6:10], s_k[10:13]
         jx[:, 6:9] = e_mats @ s_q
         jx *= w_x[:, :, None]
@@ -207,13 +226,13 @@ def nmpc_solve(x_now: np.ndarray, x_ref: np.ndarray, u_ref: np.ndarray,
         improved = False
         for alpha in (1.0, 0.5, 0.25, 0.125):
             u_try = np.clip(u_seq + alpha * du.reshape(n, 4), config.u_min, config.u_max)
-            xs_try = rollout(u_try)
+            xs_try, stages_try = rollout(u_try)
             r_try, e_try = residuals(xs_try, u_try)
             c_try = float(r_try @ r_try)
             if c_try <= cost:
                 improved = True
                 step_norm = float(np.max(np.abs(u_try - u_seq)))
-                u_seq, xs, res, e_mats, cost = u_try, xs_try, r_try, e_try, c_try
+                u_seq, stages, res, e_mats, cost = u_try, stages_try, r_try, e_try, c_try
                 break
         if not improved:
             converged = True
@@ -223,7 +242,8 @@ def nmpc_solve(x_now: np.ndarray, x_ref: np.ndarray, u_ref: np.ndarray,
             break
 
     if not converged:
-        log.debug("horizon solver hit the iteration cap (cost %.3e)", cost)
+        log.debug("horizon solver stopped at its budget of %d iterations (cost %.3e)",
+                  config.max_iters, cost)
     u0 = u_seq[0]
     return (ControlInput(thrust=max(float(u0[0]), 0.0), torque=u0[1:]),
             NmpcInfo(converged=converged, iterations=it, inputs=u_seq))
@@ -357,6 +377,14 @@ class TrackingConfig:
     duration_pad: float = 0.5
     seed: int = 0
 
+    def __post_init__(self):
+        check_field_types(self)
+        if min(self.sim_dt, self.control_dt, self.force_cutoff_hz, self.omega_cutoff_hz,
+               self.servo_rate_limit) <= 0.0:
+            raise ValueError("time steps, cutoffs and the servo rate limit must be positive")
+        if min(self.accel_noise_std, self.duration_pad) < 0.0:
+            raise ValueError("accel_noise_std and duration_pad must be non-negative")
+
 
 @dataclass(eq=False)
 class TrackingResult:
@@ -367,6 +395,8 @@ class TrackingResult:
     radii: np.ndarray
     rmse: float
     log_rows: list
+    gn_iterations: np.ndarray   # (ticks,) Gauss-Newton iterations of each control tick
+    gn_converged: np.ndarray    # (ticks,) whether the tick's solve met the tolerance
 
 
 def run_tracking(traj, params: VehicleParams, nmpc: NmpcConfig,
@@ -376,17 +406,28 @@ def run_tracking(traj, params: VehicleParams, nmpc: NmpcConfig,
     Tick order per control step: force estimate, then the horizon solve with
     that estimate in its model when force compensation is on; torque
     compensation and allocation run at the simulation rate.  Returns the
-    position RMSE over the run.
+    position RMSE over the run, and each tick's Gauss-Newton iteration count
+    and converged flag.
     """
     if traj.total_time <= 0.0:
         raise ValueError("trajectory must have positive duration")
     rng = np.random.default_rng(config.seed)
-    x0, _, r0 = flat_reference(traj, 0.0, params)
+    n_steps = int(np.ceil((traj.total_time + config.duration_pad) / config.sim_dt))
+    ticks_per_control = max(1, int(round(config.control_dt / config.sim_dt)))
+    # the references of every step and the horizons of every tick, from two
+    # batched calls; batched and scalar calls agree to the bit
+    step_times = np.arange(n_steps) * config.sim_dt
+    ref_states, _, ref_radii = flat_reference(traj, step_times, params)
+    tick_times = step_times[::ticks_per_control]
+    horizon_x, horizon_u, _ = flat_reference(
+        traj, (tick_times[:, None] + np.arange(nmpc.horizon + 1) * nmpc.dt).ravel(), params)
+    horizon_x = horizon_x.reshape(len(tick_times), nmpc.horizon + 1, 13)
+    horizon_u = horizon_u.reshape(len(tick_times), nmpc.horizon + 1, 4)
+
+    x0, r0 = ref_states[0], float(ref_radii[0])
     state = RigidBodyState(position=x0[0:3], velocity=x0[3:6], quaternion=x0[6:10],
                            omega=x0[10:13], radius=r0,
                            servo_angle=params.servo_angle_of_radius(r0))
-    n_steps = int(np.ceil((traj.total_time + config.duration_pad) / config.sim_dt))
-    ticks_per_control = max(1, int(round(config.control_dt / config.sim_dt)))
 
     force_lp = LowPassFilter(config.force_cutoff_hz, config.control_dt, 3)
     omega_lp = SecondOrderLowPass(config.omega_cutoff_hz, config.sim_dt, 3)
@@ -403,14 +444,18 @@ def run_tracking(traj, params: VehicleParams, nmpc: NmpcConfig,
     references = np.empty((n_steps, 3))
     estimates = np.empty((n_steps, 3))
     radii = np.empty(n_steps)
+    gn_iterations = np.zeros(len(tick_times), dtype=int)
+    gn_converged = np.zeros(len(tick_times), dtype=bool)
     log_rows = []
     sq_err = 0.0
 
     for k in range(n_steps):
         t = k * config.sim_dt
         wrench = disturbance(t) if disturbance is not None else None
+        model = radius_model(params, state.radius)
 
         if k % ticks_per_control == 0:
+            tick = k // ticks_per_control
             z_b = state.z_body
             accel = (np.sum(last_thrusts) * z_b
                      + (wrench.force if wrench is not None else 0.0)) / params.mass + GRAVITY
@@ -418,29 +463,28 @@ def run_tracking(traj, params: VehicleParams, nmpc: NmpcConfig,
                 accel = accel + rng.normal(scale=config.accel_noise_std, size=3)
             f_ext_est = estimate_external_force(params.mass, accel,
                                                 float(np.sum(last_thrusts)), z_b, force_lp)
-            x_refs, u_refs, _ = flat_reference(traj, t + np.arange(nmpc.horizon + 1) * nmpc.dt,
-                                               params)
             x13 = np.concatenate([state.position, state.velocity, state.quaternion, state.omega])
-            u_cmd, info = nmpc_solve(x13, x_refs, u_refs, nmpc, params, state.radius,
-                                     warm_start=warm,
-                                     f_ext=f_ext_est if config.force_compensation else np.zeros(3))
+            u_cmd, info = nmpc_solve(x13, horizon_x[tick], horizon_u[tick], nmpc, params,
+                                     state.radius, warm_start=warm,
+                                     f_ext=f_ext_est if config.force_compensation else np.zeros(3),
+                                     model=model)
             warm = info.inputs
+            gn_iterations[tick], gn_converged[tick] = info.iterations, info.converged
 
-        h_mat = allocation_matrix(params, state.radius)
-        inertia = inertia_of(params, state.radius)
         omega_dot_raw = (state.omega - omega_prev) / config.sim_dt
         omega_prev = state.omega.copy()
         omega_dot_f = omega_lp.update(omega_dot_raw)
-        tau_f = h_mat[1:] @ thrust_lp.update(last_thrusts)
+        tau_f = model.allocation[1:] @ thrust_lp.update(last_thrusts)
 
         if config.indi:
-            tau_cmd = indi_torque(u_cmd.torque, state.omega, inertia, tau_f, omega_dot_f)
+            tau_cmd = indi_torque(u_cmd.torque, state.omega, model.inertia, tau_f, omega_dot_f)
         else:
             tau_cmd = u_cmd.torque
 
-        thrusts, _ = allocate(u_cmd.thrust, tau_cmd, h_mat, params.thrust_min, params.thrust_max)
-        ref_now, _, r_des = flat_reference(traj, t, params)
-        kappa = servo_command(r_des, state.servo_angle, params, config.servo_rate_limit)
+        thrusts, _ = allocate(u_cmd.thrust, tau_cmd, model.allocation, params.thrust_min,
+                              params.thrust_max)
+        ref_now = ref_states[k]
+        kappa = servo_command(ref_radii[k], state.servo_angle, params, config.servo_rate_limit)
 
         err = state.position - ref_now[0:3]
         sq_err += float(err @ err)
@@ -453,13 +497,14 @@ def run_tracking(traj, params: VehicleParams, nmpc: NmpcConfig,
                          *state.quaternion, *state.omega, state.radius,
                          state.servo_angle, *f_ext_est, u_cmd.thrust, *tau_cmd, *thrusts])
 
-        state = step(state, thrusts, kappa, wrench, params, config.sim_dt)
+        state = step(state, thrusts, kappa, wrench, params, config.sim_dt, model=model)
         last_thrusts = thrusts
 
     rmse = float(np.sqrt(sq_err / n_steps))
     return TrackingResult(times=times, positions=positions, references=references,
                           force_estimates=estimates, radii=radii, rmse=rmse,
-                          log_rows=log_rows)
+                          log_rows=log_rows, gn_iterations=gn_iterations,
+                          gn_converged=gn_converged)
 
 
 TRACKING_LOG_HEADER = (

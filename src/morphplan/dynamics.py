@@ -3,15 +3,17 @@ simulator and the horizon solver.
 
 The vehicle is four rotors on arms that scale with the deformation radius,
 plus a central body.  Collective thrust and body torque follow from the
-radius-dependent allocation matrix.  `rigid_body_rates` and
+radius-dependent allocation matrix; `radius_model` builds it with the
+inertia and its inverse once per radius.  `rigid_body_rates` and
 `rigid_body_step` (RK4 with quaternion renormalisation) are the one
 rigid-body model: they are written once over the 13 state components
 [p, v, q, w] with explicit cross and quaternion products, and run either on
 Python floats (one state) or on numpy rows of one shape (a batch).  `step`,
 the simulator, calls them on floats and also integrates the servo angle,
 which maps affinely back to the radius; `controller.nmpc_solve` calls them
-on floats for its rollouts and on rows for its finite-difference
-linearization.
+on floats for its rollouts, recording each step's RK stage points, from
+which `rk4_jacobians` chains the exact one-step sensitivities.  The row
+path is the tests' finite-difference oracle for those sensitivities.
 """
 
 from __future__ import annotations
@@ -184,6 +186,22 @@ def inertia_of(params: VehicleParams, r: float) -> np.ndarray:
     return j
 
 
+@dataclass(frozen=True, eq=False)
+class RadiusModel:
+    """The radius-dependent parts of the model at one radius."""
+
+    radius: float
+    allocation: np.ndarray   # `allocation_matrix`
+    inertia: np.ndarray      # `inertia_of`
+    inertia_inv: np.ndarray
+
+
+def radius_model(params: VehicleParams, r: float) -> RadiusModel:
+    inertia = inertia_of(params, r)
+    return RadiusModel(radius=r, allocation=allocation_matrix(params, r), inertia=inertia,
+                       inertia_inv=np.linalg.inv(inertia))
+
+
 def arm_inertia(params: VehicleParams, r: float) -> np.ndarray:
     """Point-mass arm contribution alone (diagnostics and tests)."""
     m_arm = (params.mass - params.central_mass_fraction * params.mass) / 4.0
@@ -230,33 +248,113 @@ def rigid_body_rates(x, thrust, torque, force, mass, inertia, inertia_inv) -> li
     ]
 
 
-def rigid_body_step(x, thrust, torque, force, mass, inertia, inertia_inv, dt: float) -> list:
+def rigid_body_step(x, thrust, torque, force, mass, inertia, inertia_inv, dt: float,
+                    stages: list | None = None) -> list:
     """One RK4 step of `rigid_body_rates` with the inputs held, the
-    quaternion renormalised at the end; same argument forms."""
+    quaternion renormalised at the end; same argument forms.  When `stages`
+    is a list, the step appends its stage points (x, y2, y3, y4) and its
+    quaternion before renormalisation, as `rk4_jacobians` takes them."""
     def f(y):
         return rigid_body_rates(y, thrust, torque, force, mass, inertia, inertia_inv)
 
     h = 0.5 * dt
     k1 = f(x)
-    k2 = f([a + h * b for a, b in zip(x, k1)])
-    k3 = f([a + h * b for a, b in zip(x, k2)])
-    k4 = f([a + dt * b for a, b in zip(x, k3)])
+    y2 = [a + h * b for a, b in zip(x, k1)]
+    k2 = f(y2)
+    y3 = [a + h * b for a, b in zip(x, k2)]
+    k3 = f(y3)
+    y4 = [a + dt * b for a, b in zip(x, k3)]
+    k4 = f(y4)
     c = dt / 6.0
     out = [a + c * (b1 + 2 * b2 + 2 * b3 + b4) for a, b1, b2, b3, b4 in zip(x, k1, k2, k3, k4)]
     qw, qx, qy, qz = out[6:10]
+    if stages is not None:
+        stages.append((x, y2, y3, y4, out[6:10]))
     norm = (math.sqrt if isinstance(qw, float) else np.sqrt)(qw * qw + qx * qx + qy * qy + qz * qz)
     out[6:10] = qw / norm, qx / norm, qy / norm, qz / norm
     return out
 
 
+def _rate_jacobians(y: np.ndarray, thrust: np.ndarray, mass: float, inertia: np.ndarray,
+                    inertia_inv: np.ndarray) -> np.ndarray:
+    """Partials of `rigid_body_rates` at the points y (..., 13) with the
+    collectives thrust (broadcast against y[..., 0]): (..., 13, 17), the
+    columns [x (13), thrust, torque (3)].  The external force enters
+    additively and has no partial."""
+    qw, qx, qy, qz = (y[..., i] for i in range(6, 10))
+    w = y[..., 10:13]
+    wx, wy, wz = w[..., 0], w[..., 1], w[..., 2]
+    zero = np.zeros_like(qw)
+    d = np.zeros(y.shape[:-1] + (13, 17))
+    d[..., 0:3, 3:6] = np.eye(3)
+    # thrust * dz/dq, z the third column of the rotation of q
+    dz = 2.0 * np.stack([qy, qz, qw, qx, -qx, -qw, qz, qy, zero, -2.0 * qx, -2.0 * qy, zero],
+                        axis=-1).reshape(y.shape[:-1] + (3, 4))
+    d[..., 3:6, 6:10] = (thrust / mass)[..., None, None] * dz
+    d[..., 3:6, 13] = np.stack([2.0 * (qx * qz + qw * qy), 2.0 * (qy * qz - qw * qx),
+                                1.0 - 2.0 * (qx * qx + qy * qy)], axis=-1) / mass
+    # q' = Omega(w) q / 2 = Xi(q) w / 2
+    d[..., 6:10, 6:10] = 0.5 * np.stack([zero, -wx, -wy, -wz, wx, zero, wz, -wy,
+                                         wy, -wz, zero, wx, wz, wy, -wx, zero],
+                                        axis=-1).reshape(y.shape[:-1] + (4, 4))
+    d[..., 6:10, 10:13] = 0.5 * np.stack([-qx, -qy, -qz, qw, -qz, qy, qz, qw, -qx, -qy, qx, qw],
+                                         axis=-1).reshape(y.shape[:-1] + (4, 3))
+    # w' = J^-1 (tau - w x J w): d/dw = -J^-1 ([w]x J - [J w]x), d/dtau = J^-1
+    d[..., 10:13, 10:13] = -inertia_inv @ (_skew(w) @ inertia - _skew(w @ inertia.T))
+    d[..., 10:13, 14:17] = inertia_inv
+    return d
+
+
+def _skew(v: np.ndarray) -> np.ndarray:
+    """Cross-product matrices [v]x of vectors v (..., 3): (..., 3, 3)."""
+    x, y, z = v[..., 0], v[..., 1], v[..., 2]
+    zero = np.zeros_like(x)
+    return np.stack([zero, -z, y, z, zero, -x, -y, x, zero], axis=-1).reshape(v.shape + (3,))
+
+
+def rk4_jacobians(stages: list, thrust, mass: float, inertia, inertia_inv,
+                  dt: float) -> tuple[np.ndarray, np.ndarray]:
+    """Exact sensitivities of N `rigid_body_step` calls from the stage
+    points they recorded: A (N, 13, 13) = d x_next / d x and B (N, 13, 4) =
+    d x_next / d [thrust, torque], with thrust (N,) the collectives of the
+    steps and the other arguments as the steps took them (any array form).
+
+    The partials of `rigid_body_rates` at all 4N stage points are chained
+    through the four RK stages and the quaternion renormalisation in one
+    batch over the steps."""
+    inertia = np.asarray(inertia, dtype=float)
+    inertia_inv = np.asarray(inertia_inv, dtype=float)
+    points = np.array([s[:4] for s in stages], dtype=float)   # (N, 4, 13)
+    q_raw = np.array([s[4] for s in stages], dtype=float)     # (N, 4)
+    thrust = np.asarray(thrust, dtype=float).reshape(-1, 1)   # held over the 4 stages
+    d = _rate_jacobians(points, thrust, mass, inertia, inertia_inv)
+    f = d[..., :13]
+    g = np.zeros_like(d)
+    g[..., 13:] = d[..., 13:]
+    seed = np.eye(13, 17)   # d [x] / d [x, u] at the start of the step
+    k1 = d[:, 0]
+    k2 = f[:, 1] @ (seed + 0.5 * dt * k1) + g[:, 1]
+    k3 = f[:, 2] @ (seed + 0.5 * dt * k2) + g[:, 2]
+    k4 = f[:, 3] @ (seed + dt * k3) + g[:, 3]
+    out = seed + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    # q / |q|: d/dq = (I - q_n q_n^T) / |q|
+    norm = np.linalg.norm(q_raw, axis=1)
+    q_n = q_raw / norm[:, None]
+    proj = (np.eye(4) - q_n[:, :, None] * q_n[:, None, :]) / norm[:, None, None]
+    out[:, 6:10] = proj @ out[:, 6:10]
+    return out[:, :, :13], out[:, :, 13:]
+
+
 def step(state: RigidBodyState, thrusts, servo_rate: float, disturbance: Wrench | None,
-         params: VehicleParams, dt: float, info: dict | None = None) -> RigidBodyState:
+         params: VehicleParams, dt: float, info: dict | None = None,
+         model: RadiusModel | None = None) -> RigidBodyState:
     """One RK4 step under constant rotor thrusts and servo rate.
 
     Thrusts outside the rotor limits are clamped (flagged via info, when
     given).  The radius, allocation and inertia are held at their
-    start-of-step values; the servo angle integrates the commanded rate and
-    the radius follows the servo map.
+    start-of-step values: `model`, when the caller has built it for
+    state.radius, or `radius_model`'s.  The servo angle integrates the
+    commanded rate and the radius follows the servo map.
     """
     if dt <= 0.0:
         raise ValueError("dt must be positive")
@@ -267,17 +365,20 @@ def step(state: RigidBodyState, thrusts, servo_rate: float, disturbance: Wrench 
     if info is not None:
         info["thrust_clamped"] = bool(np.any(clamped != thrusts))
 
-    general = allocation_matrix(params, state.radius) @ clamped
+    if model is None:
+        model = radius_model(params, state.radius)
+    elif model.radius != state.radius:
+        raise ValueError(f"radius model at {model.radius}, state at {state.radius}")
+    general = model.allocation @ clamped
     torque = general[1:]
     force = (0.0, 0.0, 0.0)
     if disturbance is not None:
         force = disturbance.force.tolist()
         torque = torque + disturbance.torque
-    inertia = inertia_of(params, state.radius)
     q = state.quaternion / np.linalg.norm(state.quaternion)
     x = np.concatenate([state.position, state.velocity, q, state.omega]).tolist()
     x_new = rigid_body_step(x, float(general[0]), torque.tolist(), force, params.mass,
-                            inertia.tolist(), np.linalg.inv(inertia).tolist(), dt)
+                            model.inertia.tolist(), model.inertia_inv.tolist(), dt)
     theta = float(np.clip(state.servo_angle + servo_rate * dt, 0.0, np.pi))
     return RigidBodyState(
         position=x_new[0:3], velocity=x_new[3:6], quaternion=x_new[6:10],

@@ -106,6 +106,11 @@ def cmd_simulate(scenario_path, trajectory_path, out_dir):
     tracking = scenario.tracking_config()
     disturbance = scenario.disturbance(traj.total_time + tracking.duration_pad)
     result = run_tracking(traj, params, nmpc, tracking, disturbance=disturbance)
+    iters = result.gn_iterations
+    log.info("horizon solver: %.2f Gauss-Newton iterations per tick over %d ticks, "
+             "%.1f%% of ticks at the budget of %d, %.1f%% converged", iters.mean(), len(iters),
+             100.0 * np.mean(iters >= nmpc.max_iters), nmpc.max_iters,
+             100.0 * np.mean(result.gn_converged))
     write_tracking_csv(result, out / "tracking_log.csv")
     with open(out / "rmse.txt", "w", newline="\n") as fh:
         fh.write(format(result.rmse, ".17g") + "\n")

@@ -29,6 +29,7 @@ from dataclasses import dataclass, field as _field
 import numpy as np
 
 from .esdf import BodyGeometry, EsdfField, points_in_bounds, query_distance_many
+from .fields import check_field_types
 
 log = logging.getLogger(__name__)
 
@@ -97,7 +98,18 @@ class SearchConfig:
     use_heuristic: bool = True
 
     def __post_init__(self):
+        check_field_types(self)
         self.u_max = np.asarray(self.u_max, dtype=float).reshape(4)
+        if not 0.0 < self.dt_min <= self.dt_max:
+            raise ValueError("primitive durations need 0 < dt_min <= dt_max")
+        if min(self.accel_samples, self.duration_samples, self.node_budget) < 1:
+            raise ValueError("sample counts and the node budget must be at least 1")
+        if min(self.v_max, self.pos_dedup, self.radius_dedup) <= 0.0:
+            raise ValueError("v_max and the dedup cells must be positive")
+        if min(self.radius_rate_max, self.goal_pos_tol, self.goal_radius_tol, self.sorr_weight,
+               self.time_weight) < 0.0 or self.r_min > self.r_max:
+            raise ValueError("rate bound, tolerances and weights must be non-negative, "
+                             "r_min <= r_max")
 
 
 @dataclass(eq=False)

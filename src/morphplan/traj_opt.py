@@ -29,6 +29,7 @@ import numpy as np
 from scipy.optimize import minimize
 
 from .esdf import BodyGeometry, EsdfField, clearance_batch
+from .fields import check_field_types
 from .trajectory import (
     N_COEF,
     MinJerkSystem,
@@ -79,10 +80,16 @@ class OptProblem:
     radius_frozen: bool = False
 
     def __post_init__(self):
+        check_field_types(self)
         self.sigma0 = np.asarray(self.sigma0, dtype=float).reshape(3, 4)
         self.sigmaf = np.asarray(self.sigmaf, dtype=float).reshape(3, 4)
         if self.kappa < 4:
             raise ValueError("kappa must be at least 4")
+        if min(self.v_max, self.a_max, self.radius_rate_max, self.radius_acc_max) <= 0.0:
+            raise ValueError("the dynamic limits must be positive")
+        if min(self.sorr_weight, self.time_weight, self.w_clearance, self.w_dynamics,
+               self.clearance_buffer) < 0.0:
+            raise ValueError("the buffer and weights must be non-negative")
 
     @property
     def frozen_radius(self) -> float:

@@ -20,7 +20,7 @@ from morphplan.dynamics import (
     VehicleParams,
     allocation_matrix,
     constant_wrench,
-    inertia_of,
+    radius_model,
 )
 from morphplan.trajectory import fit_min_jerk
 
@@ -73,6 +73,42 @@ class TestNmpc:
         out, info = nmpc_solve(x0, x_ref, u_ref, cfg, params, params.r_max)
         assert out.thrust == pytest.approx(11.0, abs=1e-8)
         assert info.converged
+
+    def test_warm_start_from_converged_solution_is_used_as_given(self):
+        params = VehicleParams()
+        cfg = NmpcConfig(max_iters=30)
+        x_ref, u_ref = hover_refs(params, cfg.horizon)
+        x0 = x_ref[0].copy()
+        x0[0:3] += [0.2, -0.1, -0.3]
+        x0[3:6] = [0.5, 0.2, -0.4]
+        _, first = nmpc_solve(x0, x_ref, u_ref, cfg, params, params.r_max)
+        assert first.converged and first.iterations > 1
+        # a one-stage shift of the solution would move these inputs by far more than tol
+        out, again = nmpc_solve(x0, x_ref, u_ref, cfg, params, params.r_max,
+                                warm_start=first.inputs)
+        assert again.converged and again.iterations == 1
+        assert np.max(np.abs(again.inputs - first.inputs)) < cfg.tol
+        assert out.thrust == pytest.approx(first.inputs[0, 0], rel=0.0, abs=cfg.tol)
+
+    def test_budget_bounds_the_iterations(self):
+        params = VehicleParams()
+        x_ref, u_ref = hover_refs(params, NmpcConfig().horizon)
+        x0 = x_ref[0].copy()
+        x0[0:3] += [0.2, -0.1, -0.3]
+        x0[3:6] = [0.5, 0.2, -0.4]
+        _, capped = nmpc_solve(x0, x_ref, u_ref, NmpcConfig(), params, params.r_max)
+        _, full = nmpc_solve(x0, x_ref, u_ref, NmpcConfig(max_iters=30), params, params.r_max)
+        assert capped.iterations == NmpcConfig().max_iters == 3
+        assert not capped.converged
+        assert full.converged and full.iterations > 3
+
+    def test_radius_model_must_match_the_radius(self):
+        params = VehicleParams()
+        cfg = NmpcConfig()
+        x_ref, u_ref = hover_refs(params, cfg.horizon)
+        with pytest.raises(ValueError):
+            nmpc_solve(x_ref[0], x_ref, u_ref, cfg, params, params.r_max,
+                       model=radius_model(params, params.r_min))
 
     def test_rejects_bad_reference_shape(self):
         params = VehicleParams()
@@ -293,6 +329,34 @@ class TestFlatReference:
         assert r_des == pytest.approx(0.211)
 
 
+# position RMSEs of the default tracker (3 iterations per tick) on the
+# undisturbed conftest figure-eight, compensation on and off
+ON_RMSE_BUDGET_3 = 0.004345863617459309
+OFF_RMSE_BUDGET_3 = 0.0043459123752809005
+
+
+@pytest.fixture(scope="module")
+def fig8_run(fig8_traj):
+    """run_tracking on the conftest figure-eight, memoised per (Gauss-Newton
+    budget, compensation on/off, constant wrench or none)."""
+    runs = {}
+    params = VehicleParams()
+
+    def run(max_iters, compensation, wrench=False):
+        key = (max_iters, compensation, wrench)
+        if key not in runs:
+            disturbance = (constant_wrench([0.1 * params.hover_thrust, 0, 0], [0, 0.02, 0])
+                           if wrench else None)
+            runs[key] = run_tracking(
+                fig8_traj, params, NmpcConfig(max_iters=max_iters),
+                TrackingConfig(force_compensation=compensation, indi=compensation,
+                               duration_pad=0.0),
+                disturbance=disturbance)
+        return runs[key]
+
+    return run
+
+
 class TestRunTracking:
     def test_hover_rmse_tiny(self):
         params = VehicleParams()
@@ -300,12 +364,11 @@ class TestRunTracking:
         result = run_tracking(traj, params, NmpcConfig(), TrackingConfig(duration_pad=0.0))
         assert result.rmse < 1e-3
 
-    def test_compensation_inert_without_disturbance(self, fig8_traj):
-        params = VehicleParams()
-        cfg_on = TrackingConfig(force_compensation=True, indi=True, duration_pad=0.0)
-        cfg_off = TrackingConfig(force_compensation=False, indi=False, duration_pad=0.0)
-        on = run_tracking(fig8_traj, params, NmpcConfig(), cfg_on)
-        off = run_tracking(fig8_traj, params, NmpcConfig(), cfg_off)
+    def test_compensation_inert_without_disturbance(self, fig8_run):
+        # the horizon solved to convergence at every tick, the solver this
+        # golden was recorded for
+        on = fig8_run(30, compensation=True)
+        off = fig8_run(30, compensation=False)
         assert on.rmse <= 1.05 * off.rmse + 1e-6
         assert off.rmse <= 1.05 * on.rmse + 1e-6
         # measured with the earlier numpy-batch model and SVD least-squares
@@ -313,16 +376,39 @@ class TestRunTracking:
         assert on.rmse == pytest.approx(0.004346184903904435, rel=0.0, abs=1e-9)
         assert off.rmse == pytest.approx(0.004346233636593493, rel=0.0, abs=1e-9)
 
-    def test_constant_wrench_compensation_helps(self, fig8_traj):
-        params = VehicleParams()
-        wrench = constant_wrench([0.1 * params.hover_thrust, 0, 0], [0, 0.02, 0])
-        on = run_tracking(fig8_traj, params, NmpcConfig(),
-                          TrackingConfig(force_compensation=True, indi=True, duration_pad=0.0),
-                          disturbance=wrench)
-        off = run_tracking(fig8_traj, params, NmpcConfig(),
-                           TrackingConfig(force_compensation=False, indi=False, duration_pad=0.0),
-                           disturbance=wrench)
+    def test_default_budget_golden(self, fig8_run):
+        """The real-time iteration (3 Gauss-Newton iterations per tick) on the
+        undisturbed figure-eight; a change of arithmetic alone must stay
+        within 1e-9 m."""
+        on = fig8_run(3, compensation=True)
+        off = fig8_run(3, compensation=False)
+        assert on.rmse == pytest.approx(ON_RMSE_BUDGET_3, rel=0.0, abs=1e-9)
+        assert off.rmse == pytest.approx(OFF_RMSE_BUDGET_3, rel=0.0, abs=1e-9)
+
+    def test_constant_wrench_compensation_helps(self, fig8_run):
+        on = fig8_run(3, compensation=True, wrench=True)
+        off = fig8_run(3, compensation=False, wrench=True)
         assert on.rmse <= 0.8 * off.rmse
+
+    @pytest.mark.parametrize("wrench", [False, True], ids=["inert", "constant-wrench"])
+    def test_default_budget_tracks_like_the_converged_solver(self, fig8_run, wrench):
+        budget = fig8_run(3, compensation=True, wrench=wrench)
+        full = fig8_run(30, compensation=True, wrench=wrench)
+        assert abs(budget.rmse - full.rmse) <= 0.01 * full.rmse
+        # one count and flag per control tick, within the budget
+        ticks = len(range(0, len(budget.times), 2))
+        assert budget.gn_iterations.shape == budget.gn_converged.shape == (ticks,)
+        assert budget.gn_iterations.min() >= 1 and budget.gn_iterations.max() == 3
+        assert np.all(budget.gn_converged[budget.gn_iterations < 3])
+        assert full.gn_iterations.mean() > budget.gn_iterations.mean()
+
+    def test_logged_references_equal_scalar_flat_reference(self, fig8_traj, fig8_run):
+        result = fig8_run(3, compensation=True)
+        params = VehicleParams()
+        for k, t in enumerate(result.times):
+            x_ref, _, _ = flat_reference(fig8_traj, t, params)
+            assert np.array_equal(result.references[k], x_ref[0:3])
+            assert result.log_rows[k][1:4] == x_ref[0:3].tolist()
 
     def test_force_estimate_converges_in_closed_loop(self):
         params = VehicleParams()

@@ -16,9 +16,11 @@ from morphplan.dynamics import (
     quat_mul,
     quat_rotate,
     quat_to_rot,
+    radius_model,
     ramp_wrench,
     rigid_body_rates,
     rigid_body_step,
+    rk4_jacobians,
     rot_to_quat,
     step,
 )
@@ -76,6 +78,42 @@ class TestSharedModel:
         xs, us, taus, fs = (np.array(c, dtype=float) for c in zip(*cases))
         rows = rigid_body_step(list(xs.T), us, list(taus.T), list(fs.T), *model)
         assert np.array_equal(np.array(rows).T, singles)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(_model_input(), min_size=1, max_size=4),
+           st.floats(VehicleParams().r_min, VehicleParams().r_max), st.floats(1e-3, 0.05))
+    def test_exact_jacobians_match_central_differences(self, cases, r, dt):
+        """rk4_jacobians from the stage points the float path records, against
+        central differences of the row path in all 13 state and 4 input
+        components (the quaternion perturbed off the unit sphere too)."""
+        params = VehicleParams()
+        j = inertia_of(params, r)
+        model = (params.mass, j.tolist(), np.linalg.inv(j).tolist(), dt)
+        stages = []
+        for x, u, tau, f in cases:
+            rigid_body_step(x, u, tau, f, *model, stages)
+        a, b = rk4_jacobians(stages, [u for _, u, _, _ in cases], params.mass, j,
+                             np.linalg.inv(j), dt)
+        assert a.shape == (len(cases), 13, 13) and b.shape == (len(cases), 13, 4)
+        eps = 1e-6
+        delta = np.concatenate([np.eye(17), -np.eye(17)]) * eps
+        for i, (x, u, tau, f) in enumerate(cases):
+            z = np.concatenate([x, [u], tau]) + delta
+            rows = rigid_body_step(list(z[:, :13].T), z[:, 13], list(z[:, 14:].T), f, *model)
+            out = np.array(rows).T
+            fd = (out[:17] - out[17:]).T / (2.0 * eps)
+            np.testing.assert_allclose(a[i], fd[:, :13], rtol=0.0, atol=1e-7)
+            np.testing.assert_allclose(b[i], fd[:, 13:], rtol=0.0, atol=1e-7)
+
+    def test_recording_stages_leaves_the_step_unchanged(self):
+        params = VehicleParams()
+        j = inertia_of(params, 0.17)
+        model = (params.mass, j.tolist(), np.linalg.inv(j).tolist(), 0.05)
+        x = [0.1, -0.2, 1.0, 0.5, 0.1, -0.3, 0.9, 0.1, -0.3, 0.2, 1.0, -2.0, 0.5]
+        stages = []
+        out = rigid_body_step(x, 12.0, [0.1, -0.2, 0.05], [0.3, 0.0, -0.1], *model, stages)
+        assert out == rigid_body_step(x, 12.0, [0.1, -0.2, 0.05], [0.3, 0.0, -0.1], *model)
+        assert len(stages) == 1 and stages[0][0] is x
 
     def test_rates_match_rotation_matrix_form(self):
         params = VehicleParams()
@@ -228,6 +266,19 @@ class TestStep:
                                         state.quaternion, state.omega,
                                         [state.radius, state.servo_angle]]))
         assert np.array_equal(outs[0], outs[1])
+
+    def test_given_radius_model_is_the_default_one(self):
+        params = VehicleParams()
+        state = hover_state(params, r=0.17)
+        state.omega = np.array([0.3, 0.2, -0.1])
+        thrusts = np.array([2.5, 2.4, 2.45, 2.5])
+        wrench = Wrench(force=[0.1, 0, 0], torque=[0, 0.01, 0])
+        own = step(state, thrusts, 0.1, wrench, params, 1e-3)
+        given = step(state, thrusts, 0.1, wrench, params, 1e-3, model=radius_model(params, 0.17))
+        for name in ("position", "velocity", "quaternion", "omega"):
+            assert np.array_equal(getattr(own, name), getattr(given, name))
+        with pytest.raises(ValueError):
+            step(state, thrusts, 0.1, wrench, params, 1e-3, model=radius_model(params, 0.18))
 
     def test_thrust_clamp_flag(self):
         params = VehicleParams()

@@ -1,4 +1,5 @@
 import json
+import logging
 from pathlib import Path
 
 import numpy as np
@@ -59,10 +60,12 @@ def hover():
     return fit_min_jerk(np.zeros((0, 4)), [0.1], b0, b0)
 
 
-def test_cli_simulate_reads_both_plan_formats(tmp_path):
+def test_cli_simulate_reads_both_plan_formats(tmp_path, caplog):
     """A hover exported as a coefficient dump and as a sample CSV (read back
     through _CsvTrajectory) tracks the same: the CSV's linear interpolation is
-    exact on a constant reference."""
+    exact on a constant reference.  Each run logs its horizon solver's
+    iteration figures."""
+    caplog.set_level(logging.INFO, logger="morphplan")
     scenario = short_scenario(tmp_path)
     write_coeff_dump(hover(), tmp_path / "hover.txt")
     write_sample_csv(hover(), tmp_path / "hover.csv")
@@ -75,6 +78,10 @@ def test_cli_simulate_reads_both_plan_formats(tmp_path):
         rmse.append(float((out / "rmse.txt").read_text()))
     assert np.isfinite(rmse[0])
     assert rmse[1] == pytest.approx(rmse[0], rel=0.0, abs=1e-12)
+    solver = [r.getMessage() for r in caplog.records if r.getMessage().startswith("horizon solver:")]
+    # 0.1 s plus the 0.05 s pad is 31 steps of 0.005 s (rounded up), with a
+    # solve every second step
+    assert len(solver) == 2 and all("over 16 ticks" in m and "budget of 3" in m for m in solver)
 
 
 def test_cli_benchmark_one_seed(tmp_path):

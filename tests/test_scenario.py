@@ -67,6 +67,14 @@ MALFORMED = {
     "start outside bounds": _set("start.position", [-1.0, 1.5, 0.8]),
     "disturbance without force": _drop("sim.disturbance.force"),
     "unknown disturbance profile": _set("sim.disturbance.profile", "gust"),
+    "max_iters as a string": _set("control.max_iters", "30"),
+    "fractional horizon": _set("control.horizon", 20.5),
+    "zero control step": _set("control.control_dt", 0.0),
+    "duration_pad as a string": _set("sim.duration_pad", "0.5"),
+    "node_budget as a string": _set("search.node_budget", "100"),
+    "fractional kappa": _set("opt.kappa", 16.5),
+    "v_max as a string": _set("planning.v_max", "2"),
+    "negative dt_max": _set("search.dt_max", -1.0),
 }
 
 
