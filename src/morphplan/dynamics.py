@@ -29,26 +29,6 @@ GRAVITY = np.array([0.0, 0.0, -9.81])
 _GRAVITY = tuple(GRAVITY.tolist())  # as Python floats, for the float path
 
 
-def quat_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    aw, ax, ay, az = a
-    bw, bx, by, bz = b
-    return np.array([
-        aw * bw - ax * bx - ay * by - az * bz,
-        aw * bx + ax * bw + ay * bz - az * by,
-        aw * by - ax * bz + ay * bw + az * bx,
-        aw * bz + ax * by - ay * bx + az * bw,
-    ])
-
-
-def quat_conj(q: np.ndarray) -> np.ndarray:
-    return np.array([q[0], -q[1], -q[2], -q[3]])
-
-
-def quat_rotate(q: np.ndarray, v: np.ndarray) -> np.ndarray:
-    qv = np.array([0.0, *v])
-    return quat_mul(quat_mul(q, qv), quat_conj(q))[1:]
-
-
 def quat_to_rot(q: np.ndarray) -> np.ndarray:
     w, x, y, z = q
     return np.array([
@@ -107,11 +87,6 @@ class RigidBodyState:
         self.velocity = np.asarray(self.velocity, dtype=float).reshape(3)
         self.quaternion = np.asarray(self.quaternion, dtype=float).reshape(4)
         self.omega = np.asarray(self.omega, dtype=float).reshape(3)
-
-    def copy(self) -> "RigidBodyState":
-        return RigidBodyState(self.position.copy(), self.velocity.copy(),
-                              self.quaternion.copy(), self.omega.copy(),
-                              self.radius, self.servo_angle)
 
     @property
     def z_body(self) -> np.ndarray:
@@ -200,15 +175,6 @@ def radius_model(params: VehicleParams, r: float) -> RadiusModel:
     inertia = inertia_of(params, r)
     return RadiusModel(radius=r, allocation=allocation_matrix(params, r), inertia=inertia,
                        inertia_inv=np.linalg.inv(inertia))
-
-
-def arm_inertia(params: VehicleParams, r: float) -> np.ndarray:
-    """Point-mass arm contribution alone (diagnostics and tests)."""
-    m_arm = (params.mass - params.central_mass_fraction * params.mass) / 4.0
-    j = np.zeros((3, 3))
-    for l in params.motor_positions(r):
-        j += m_arm * (np.dot(l, l) * np.eye(3) - np.outer(l, l))
-    return j
 
 
 def rigid_body_rates(x, thrust, torque, force, mass, inertia, inertia_inv) -> list:
@@ -396,13 +362,13 @@ def power(thrust, radius, params: VehicleParams, c1: float = 1.0, c2: float = 1.
     return c1 * thrust**1.5 + c2 * shrink**2
 
 
-def trajectory_energy(traj, params: VehicleParams, hz: float = 100.0, **coeffs) -> float:
+def trajectory_energy(traj, params: VehicleParams, **coeffs) -> float:
     """Model energy of a flat trajectory: Simpson integral of the power (with
-    `power`'s coefficients c1, c2) over the export's fixed-rate sample grid,
-    with thrust from differential flatness."""
+    `power`'s coefficients c1, c2) over the export's sample grid,
+    `fixed_rate_times` at `EXPORT_HZ`, with thrust from differential flatness."""
     from scipy.integrate import simpson
 
-    times = fixed_rate_times(traj.total_time, hz)
+    times = fixed_rate_times(traj.total_time)
     data = traj.sample(times, orders=(0, 2))
     thrust = params.mass * np.linalg.norm(data[:, 1, :3] - GRAVITY, axis=1)
     return float(simpson(power(thrust, data[:, 0, 3], params, **coeffs), x=times))

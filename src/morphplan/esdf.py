@@ -81,9 +81,6 @@ class VoxelGrid:
     def upper(self) -> np.ndarray:
         return self.origin + self.dims * self.resolution
 
-    def voxel_center(self, index) -> np.ndarray:
-        return self.origin + (np.asarray(index, dtype=float) + 0.5) * self.resolution
-
 
 def build_grid(obstacles, bounds_lo, bounds_hi, resolution: float) -> VoxelGrid:
     """Voxelize a list of box/sphere obstacles; a voxel is occupied iff its center
@@ -272,23 +269,15 @@ def _interp(field: EsdfField, points: np.ndarray, extend: bool, want_grad: bool)
 
 
 def query_distance_many(field: EsdfField, points, extend: bool = False) -> np.ndarray:
+    """Interpolated signed distance at each point (N,); see `_interp`."""
     values, _ = _interp(field, points, extend, want_grad=False)
     return values
 
 
-def query_distance(field: EsdfField, point) -> float:
-    """Interpolated signed distance at a single point; raises OutOfMapError outside."""
-    return float(query_distance_many(field, np.asarray(point, dtype=float).reshape(1, 3))[0])
-
-
 def query_gradient_many(field: EsdfField, points, extend: bool = False) -> np.ndarray:
+    """Analytic gradient of the interpolant at each point (N, 3); see `_interp`."""
     _, grads = _interp(field, points, extend, want_grad=True)
     return grads
-
-
-def query_gradient(field: EsdfField, point) -> np.ndarray:
-    """Analytic gradient of the trilinear interpolant at a single point."""
-    return query_gradient_many(field, np.asarray(point, dtype=float).reshape(1, 3))[0]
 
 
 @dataclass(frozen=True, eq=False)

@@ -77,9 +77,6 @@ class _CsvTrajectory:
                 out[:, oi, ch] = np.interp(ts, self.times, self.data[:, order, ch])
         return out
 
-    def eval(self, t, order=0):
-        return self.sample([t], orders=(order,))[0, 0]
-
 
 def load_trajectory_file(path):
     """Accept either a coefficient dump or a fixed-rate CSV export."""

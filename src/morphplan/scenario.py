@@ -216,8 +216,8 @@ def _endpoint(section: dict, where: str) -> EndpointSpec:
 
 
 def _int(x, where) -> int:
-    if isinstance(x, bool) or not isinstance(x, int):
-        raise ScenarioError(f"{where} must be an integer")
+    if isinstance(x, bool) or not isinstance(x, int) or x < 0:
+        raise ScenarioError(f"{where} must be a non-negative integer")
     return x
 
 
@@ -308,6 +308,8 @@ def _parse(raw: dict) -> Scenario:
         seeds = [_int(s, "benchmark.seeds[]") for s in bench["seeds"]]
     else:
         seeds = list(range(_int(bench.get("n_seeds", 20), "benchmark.n_seeds")))
+    if not seeds:
+        raise ScenarioError("benchmark needs at least one seed")
 
     scenario = Scenario(
         version=1, name=str(raw.get("name", "scenario")), seed=_int(raw.get("seed", 0), "seed"),

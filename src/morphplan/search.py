@@ -7,10 +7,14 @@ state.  Each primitive is charged its squared control effort, a penalty
 for flying below the maximum radius, and a time cost.
 
 A path ends only when a primitive lands within the goal tolerances; there
-is no analytic shot to the goal.  Primitives are collision-checked at
-sub-sampled states: a bounding ball around the body clears most of them
-cheaply, and the rest are checked at every sample of
-`BodyGeometry.surface_points`.
+is no analytic shot to the goal.  One row-wise test, `_at_goal`, decides
+this for the start and for each expansion's children.  A child it accepts
+is a goal candidate: it takes no deduplication cell and is returned when
+popped, so a node that has a cell is never at the goal.
+
+Primitives are collision-checked at sub-sampled states: a bounding ball
+around the body clears most of them cheaply, and the rest are checked at
+every sample of `BodyGeometry.surface_points`.
 
 An expansion handles each primitive duration as one batch: the children's
 kinematic bounds, goal test and deduplication cells are arrays, only the
@@ -128,41 +132,21 @@ class SearchResult:
     cost: float
     expansions: int
 
-    @property
-    def states(self) -> list[PlanState]:
-        return [n.state for n in self.path]
-
-
-def propagate(state: PlanState, u, dt: float) -> PlanState:
-    """Double-integrator step on all four flat axes."""
-    if dt <= 0.0:
-        raise ValueError("duration must be positive")
-    u = np.asarray(u, dtype=float).reshape(4)
-    x = state.as_array()
-    out = x.copy()
-    out[:4] = x[:4] + x[4:] * dt + 0.5 * u * dt * dt
-    out[4:] = x[4:] + u * dt
-    return PlanState.from_array(out)
-
 
 def _propagate_batch(x0: np.ndarray, us: np.ndarray, dt) -> np.ndarray:
-    """States reached from x0 (8,) under controls us (..., 4) after durations
-    dt, a scalar or an array that broadcasts against us[..., 0] -> (..., 8)."""
+    """Double-integrator step on all four flat axes: the states reached from
+    x0 (8,) under controls us (..., 4) after durations dt, a scalar or an
+    array that broadcasts against us[..., 0] -> (..., 8)."""
     dt = np.asarray(dt, dtype=float)[..., None]
     pos = x0[:4] + x0[4:] * dt + 0.5 * us * dt * dt
     vel = x0[4:] + us * dt
     return np.concatenate(np.broadcast_arrays(pos, vel), axis=-1)
 
 
-def primitive_cost(u, r_end: float, dt: float, config: SearchConfig) -> float:
-    """Squared control effort plus radius regularization plus time cost."""
-    u = np.asarray(u, dtype=float).reshape(4)
-    shrink = (r_end - config.r_max) / config.r_max
-    return float(u @ u * dt + config.sorr_weight * shrink * shrink * dt + config.time_weight * dt)
-
-
 def _primitive_cost_batch(us: np.ndarray, r_end: np.ndarray, dt: float,
                           config: SearchConfig) -> np.ndarray:
+    """Squared control effort plus radius regularization plus time cost of
+    the primitives us (B, 4) ending at radii r_end (B,) after dt -> (B,)."""
     shrink = (r_end - config.r_max) / config.r_max
     return (us * us).sum(axis=1) * dt + config.sorr_weight * shrink * shrink * dt + config.time_weight * dt
 
@@ -280,21 +264,10 @@ def _arc_bound(x: np.ndarray, dt: float, config: SearchConfig) -> float:
     return (speed + shrink) * dt
 
 
-def _goal_reached(x: np.ndarray, goal: PlanState, config: SearchConfig) -> bool:
-    if np.linalg.norm(x[:3] - goal.position) > config.goal_pos_tol:
-        return False
-    return abs(x[3] - goal.radius) <= config.goal_radius_tol
-
-
-def _may_reach_goal(xs: np.ndarray, goal: PlanState, config: SearchConfig) -> np.ndarray:
-    """Rows of the states xs (B, 8) that `_goal_reached` may accept.
-
-    The row-wise norm here rounds differently from `_goal_reached`'s norm of
-    one vector (a BLAS dot, which may fuse multiply-adds) by a few units in
-    the last place, so the position test is widened by a relative 1e-9 and
-    `_goal_reached` decides the rows that pass.
-    """
-    near = np.linalg.norm(xs[:, :3] - goal.position, axis=1) <= config.goal_pos_tol * (1.0 + 1e-9)
+def _at_goal(xs: np.ndarray, goal: PlanState, config: SearchConfig) -> np.ndarray:
+    """Rows of the states xs (B, 8) within the goal's position and radius
+    tolerances."""
+    near = np.linalg.norm(xs[:, :3] - goal.position, axis=1) <= config.goal_pos_tol
     near &= np.abs(xs[:, 3] - goal.radius) <= config.goal_radius_tol
     return near
 
@@ -312,7 +285,7 @@ def search(start: PlanState, goal: PlanState, field: EsdfField, body: BodyGeomet
     if not is_valid(goal, field, body, config):
         raise InvalidGoalError("goal state is invalid")
 
-    if _goal_reached(start.as_array(), goal, config):
+    if _at_goal(start.as_array()[None, :], goal, config)[0]:
         return SearchResult(path=[PathNode(state=start, control=None, duration=0.0)],
                             cost=0.0, expansions=0)
 
@@ -378,9 +351,6 @@ def search(start: PlanState, goal: PlanState, field: EsdfField, body: BodyGeomet
             continue  # stale heap entry superseded by a cheaper node
         closed.add(k)
 
-        if _goal_reached(x, goal, config):
-            return reconstruct(idx)
-
         if expansions >= config.node_budget:
             raise NodeBudgetExceededError(f"node budget {config.node_budget} exhausted")
         expansions += 1
@@ -403,11 +373,11 @@ def search(start: PlanState, goal: PlanState, field: EsdfField, body: BodyGeomet
 
             cand = np.flatnonzero(ok)
             g_new = (gs[idx] + _primitive_cost_batch(us[cand], children[cand, 3], dt, config)).tolist()
-            near_goal = _may_reach_goal(children[cand], goal, config).tolist()
+            at_goal = _at_goal(children[cand], goal, config).tolist()
             cand_keys = keys_of(children[cand])
             keep = []
             for j, ci in enumerate(cand.tolist()):
-                if near_goal[j] and _goal_reached(children[ci], goal, config):
+                if at_goal[j]:
                     keep.append((j, ci, None))  # goal candidates bypass dedup
                     continue
                 ck = cand_keys[j]

@@ -43,6 +43,12 @@ log = logging.getLogger(__name__)
 
 _GAUSS_X, _GAUSS_W = np.polynomial.legendre.leggauss(8)  # exact to degree 15
 
+MAX_ITERS = 300             # L-BFGS iterations per solve
+GRAD_TOL = 1e-5             # L-BFGS projected-gradient tolerance
+MIN_PIECE_DURATION = 0.1    # s; shorter seed primitives merge into their successor
+VERIFY_TOL = 1e-3           # the gate's largest accepted residual, natural units
+MAX_ESCALATIONS = 3         # tenfold penalty escalations before the gate gives up
+
 
 class OptimizationError(RuntimeError):
     pass
@@ -149,9 +155,9 @@ def _box_surface(size, offset, spacing_xy, spacing_z):
     return pts + offset
 
 
-def seed_to_pieces(path, min_duration: float = 0.1):
+def seed_to_pieces(path):
     """Turn a primitive chain into (waypoints, durations); primitives shorter
-    than min_duration merge into their successor."""
+    than `MIN_PIECE_DURATION` merge into their successor."""
     if len(path) < 2:
         raise SeedTooShortError("seed path needs at least two states")
     waypoints = []
@@ -159,7 +165,7 @@ def seed_to_pieces(path, min_duration: float = 0.1):
     acc = 0.0
     for node in path[1:]:
         acc += node.duration
-        if acc >= min_duration:
+        if acc >= MIN_PIECE_DURATION:
             durations.append(acc)
             waypoints.append(np.concatenate([node.state.position, [node.state.radius]]))
             acc = 0.0
@@ -368,15 +374,14 @@ def trajectory_costs(traj: PiecewiseTrajectory, problem: OptProblem) -> dict:
     return {"pce": pce, "rce": rce, "sorr": sorr, "time_cost": time_cost, "total_cost": total}
 
 
-def verify_trajectory(traj: PiecewiseTrajectory, problem: OptProblem,
-                      samples_per_piece: int | None = None) -> dict:
+def verify_trajectory(traj: PiecewiseTrajectory, problem: OptProblem) -> dict:
     """Max violation per constraint family over a dense sample sweep, in
-    natural units (m/s, m/s^2, m).  The sweep covers all pieces at once, with
-    one clearance batch; each residual is a max, so its value does not depend
-    on how the samples are grouped."""
-    n = samples_per_piece if samples_per_piece is not None else 4 * problem.kappa
-    ts = np.linspace(0.0, traj.durations, n, axis=1)  # (M, n)
-    sig0, sig1, sig2 = (poly_basis(ts, k) @ traj.coeffs for k in range(3))  # (M, n, 4)
+    natural units (m/s, m/s^2, m): 4 * kappa samples per piece, both piece
+    ends included.  The sweep covers all pieces at once, with one clearance
+    batch; each residual is a max, so its value does not depend on how the
+    samples are grouped."""
+    ts = np.linspace(0.0, traj.durations, 4 * problem.kappa, axis=1)  # (M, 4 kappa)
+    sig0, sig1, sig2 = (poly_basis(ts, k) @ traj.coeffs for k in range(3))  # (M, 4 kappa, 4)
     r = sig0[..., 3]
     dist, _, _, _ = clearance_batch(problem.field, sig0[..., :3].reshape(-1, 3), r.reshape(-1),
                                     problem.body, extend=True)
@@ -396,26 +401,26 @@ def verify_trajectory(traj: PiecewiseTrajectory, problem: OptProblem,
 GATE_FAMILIES = ("velocity", "acceleration", "radius_rate", "radius_acc", "clearance")
 
 
-def optimize(seed_path, problem: OptProblem, max_iters: int = 300,
-             grad_tol: float = 1e-5, min_piece_duration: float = 0.1,
-             verify_tol: float = 1e-3, max_escalations: int = 3):
+def optimize(seed_path, problem: OptProblem):
     """Refine a seed primitive chain; returns (PiecewiseTrajectory, OptReport).
 
-    If the dense verification sweep finds violations above verify_tol the
-    penalty weights escalate tenfold and the solve restarts warm, up to
-    max_escalations times (a cubic hinge leaves ~sqrt(price/3w) slack, so a
+    Each solve is L-BFGS with at most `MAX_ITERS` iterations and gradient
+    tolerance `GRAD_TOL`, from the seed's pieces (`seed_to_pieces`).  If the
+    dense verification sweep finds violations above `VERIFY_TOL` the penalty
+    weights escalate tenfold and the solve restarts warm, up to
+    `MAX_ESCALATIONS` times (a cubic hinge leaves ~sqrt(price/3w) slack, so a
     single escalation cannot always reach the tolerance); persistent
     violations raise VerificationFailedError.
     """
-    q0, t0 = seed_to_pieces(seed_path, min_duration=min_piece_duration)
+    q0, t0 = seed_to_pieces(seed_path)
     prob = problem
     x_q, x_tau = q0, np.log(t0)
 
-    for attempt in range(1 + max_escalations):
-        x_q, x_tau, info = _solve(x_q, x_tau, prob, max_iters, grad_tol)
+    for attempt in range(1 + MAX_ESCALATIONS):
+        x_q, x_tau, info = _solve(x_q, x_tau, prob)
         traj = _build(x_q, np.exp(x_tau), prob)
         residuals = verify_trajectory(traj, prob)
-        if max(residuals[k] for k in GATE_FAMILIES) <= verify_tol:
+        if max(residuals[k] for k in GATE_FAMILIES) <= VERIFY_TOL:
             costs = trajectory_costs(traj, prob)
             report = OptReport(
                 pce=costs["pce"], rce=costs["rce"], sorr=costs["sorr"],
@@ -436,7 +441,7 @@ def _build(q, t_vec, problem) -> PiecewiseTrajectory:
                                coeffs=_coefficients(MinJerkSystem(t_vec), q, problem))
 
 
-def _solve(q0, tau0, problem, max_iters, grad_tol):
+def _solve(q0, tau0, problem):
     m = len(tau0)
     n_wp = q0.shape[0]
     n_ch = 3 if problem.radius_frozen else 4
@@ -459,7 +464,7 @@ def _solve(q0, tau0, problem, max_iters, grad_tol):
     # keep exp(tau) in a sane range so line-search probes stay finite
     bounds = [(None, None)] * (n_wp * n_ch) + [(-5.0, 5.0)] * m
     res = minimize(fun, pack(q0, tau0), jac=True, method="L-BFGS-B", bounds=bounds,
-                   options={"maxiter": max_iters, "gtol": grad_tol,
+                   options={"maxiter": MAX_ITERS, "gtol": GRAD_TOL,
                             "ftol": 1e-14, "maxcor": 20})
     q, tau = unpack(res.x)
     return q, tau, {"iterations": int(res.nit), "converged": bool(res.success)}

@@ -17,6 +17,7 @@ from scipy.linalg import lu_factor, lu_solve
 
 N_COEF = 6  # degree 5
 N_CHANNELS = 4
+EXPORT_HZ = 100.0  # rate of the sample export and of the energy integral's grid
 
 _FACT = np.ones((N_COEF, N_COEF))
 for _d in range(1, N_COEF):
@@ -73,20 +74,14 @@ class PiecewiseTrajectory:
         ends = np.cumsum(self.durations)
         i = np.minimum(np.searchsorted(ends, t, side="right"), self.n_pieces - 1)
         tau = t - (ends[i] - self.durations[i])
-        return (int(i), float(tau)) if t.ndim == 0 else (i, tau)
-
-    def eval(self, t: float, order: int = 0) -> np.ndarray:
-        """Order-th time derivative of all four channels at global time t."""
-        if order < 0 or order > N_COEF - 1:
-            raise ValueError(f"derivative order {order} outside 0..{N_COEF - 1}")
-        i, tau = self.piece_index(float(t))
-        return poly_basis(tau, order) @ self.coeffs[i]
+        return i, tau
 
     def sample(self, times, orders=(0,)) -> np.ndarray:
         """Vectorized evaluation; returns (len(times), len(orders), 4)."""
         i, tau = self.piece_index(np.asarray(times, dtype=float).reshape(-1))
         coeffs = self.coeffs[i]
-        # a (1, 6) @ (6, 4) product per sample and order: the same arithmetic as eval
+        # a (1, 6) @ (6, 4) product per sample and order: one basis row times the
+        # piece's coefficients, as the tests' per-time oracle computes it
         return np.concatenate([poly_basis(tau, order)[:, None, :] @ coeffs for order in orders],
                               axis=1)
 
@@ -181,18 +176,20 @@ def jerk_energy(traj: PiecewiseTrajectory, channels=range(N_CHANNELS)) -> float:
     return total
 
 
-def fixed_rate_times(total_time: float, hz: float = 100.0) -> np.ndarray:
-    """The sample grid 0, 1/hz, 2/hz, ..., closed with total_time itself."""
-    n = int(np.floor(total_time * hz)) + 1
-    times = np.arange(n) / hz
+def fixed_rate_times(total_time: float) -> np.ndarray:
+    """The sample grid 0, 1/EXPORT_HZ, 2/EXPORT_HZ, ..., closed with
+    total_time itself."""
+    n = int(np.floor(total_time * EXPORT_HZ)) + 1
+    times = np.arange(n) / EXPORT_HZ
     if times[-1] < total_time - 1e-9:
         times = np.append(times, total_time)
     return times
 
 
-def write_sample_csv(traj: PiecewiseTrajectory, path, hz: float = 100.0) -> None:
-    """Fixed-rate export with value and first three derivatives per channel."""
-    times = fixed_rate_times(traj.total_time, hz)
+def write_sample_csv(traj: PiecewiseTrajectory, path) -> None:
+    """Export at `EXPORT_HZ` (`fixed_rate_times`) with value and first three
+    derivatives per channel."""
+    times = fixed_rate_times(traj.total_time)
     data = traj.sample(times, orders=(0, 1, 2, 3))
     header = ["t"]
     for tag in ("", "d", "dd", "ddd"):

@@ -8,13 +8,10 @@ from morphplan.dynamics import (
     VehicleParams,
     Wrench,
     allocation_matrix,
-    arm_inertia,
     constant_wrench,
     inertia_of,
     noise_wrench,
     power,
-    quat_mul,
-    quat_rotate,
     quat_to_rot,
     radius_model,
     ramp_wrench,
@@ -24,6 +21,30 @@ from morphplan.dynamics import (
     rot_to_quat,
     step,
 )
+
+
+def quat_mul(a, b):
+    """Hamilton product of quaternions (w, x, y, z): the oracle for the
+    rotation and the quaternion rates the model writes out by components."""
+    aw, ax, ay, az = a
+    bw, bx, by, bz = b
+    return np.array([
+        aw * bw - ax * bx - ay * by - az * bz,
+        aw * bx + ax * bw + ay * bz - az * by,
+        aw * by - ax * bz + ay * bw + az * bx,
+        aw * bz + ax * by - ay * bx + az * bw,
+    ])
+
+
+def quat_rotate(q, v):
+    """v rotated by the unit quaternion q, as q (0, v) q*."""
+    return quat_mul(quat_mul(q, np.array([0.0, *v])), q * [1.0, -1.0, -1.0, -1.0])[1:]
+
+
+def arm_inertia(params, r):
+    """The four arm point masses' part of `inertia_of` at radius r: at radius
+    0 the motors sit on the axis and only the central body remains."""
+    return inertia_of(params, r) - inertia_of(params, 0.0)
 
 
 def hover_state(params, r=None):

@@ -15,9 +15,8 @@ from morphplan.esdf import (
     clearance_batch,
     compute_esdf,
     points_in_bounds,
-    query_distance,
     query_distance_many,
-    query_gradient,
+    query_gradient_many,
 )
 
 
@@ -46,6 +45,11 @@ def brute_force_signed(grid, truncation):
     return out
 
 
+def voxel_center(grid, index):
+    """Center of a voxel: origin + (index + 1/2) * resolution."""
+    return grid.origin + (np.asarray(index, dtype=float) + 0.5) * grid.resolution
+
+
 def uniform_field(value, dims=(6, 6, 6), resolution=0.1):
     grid = VoxelGrid(origin=np.zeros(3), resolution=resolution, occupancy=np.zeros(dims, dtype=bool))
     return EsdfField(grid=grid, distance=np.full(dims, float(value)), truncation=5.0)
@@ -66,7 +70,7 @@ class TestBuildGrid:
         for ix in range(10):
             for iy in range(10):
                 for iz in range(10):
-                    c = grid.voxel_center((ix, iy, iz))
+                    c = voxel_center(grid, (ix, iy, iz))
                     expected[ix, iy, iz] = np.sum((c - center) ** 2) <= 0.05**2
         assert expected.sum() == 1
         assert np.array_equal(grid.occupancy, expected)
@@ -218,15 +222,15 @@ class TestQueries:
         occ = np.zeros((6, 6, 6), dtype=bool)
         occ[1, 1, 1] = True
         field = compute_esdf(VoxelGrid(origin=np.zeros(3), resolution=0.1, occupancy=occ))
-        pt = field.grid.voxel_center((4, 3, 2))
-        assert query_distance(field, pt) == pytest.approx(field.distance[4, 3, 2], abs=1e-14)
+        pt = voxel_center(field.grid, (4, 3, 2))
+        assert query_distance_many(field, pt)[0] == pytest.approx(field.distance[4, 3, 2], abs=1e-14)
 
     def test_midpoint_interpolation(self):
         field = uniform_field(0.0, dims=(4, 4, 4))
         field.distance[1, 1, 1] = 0.2
         field.distance[2, 1, 1] = 0.4
-        mid = 0.5 * (field.grid.voxel_center((1, 1, 1)) + field.grid.voxel_center((2, 1, 1)))
-        assert query_distance(field, mid) == pytest.approx(0.3, abs=1e-14)
+        mid = 0.5 * (voxel_center(field.grid, (1, 1, 1)) + voxel_center(field.grid, (2, 1, 1)))
+        assert query_distance_many(field, mid)[0] == pytest.approx(0.3, abs=1e-14)
 
     def test_uniform_field_constant(self):
         field = uniform_field(1.23)
@@ -238,7 +242,7 @@ class TestQueries:
     def test_out_of_bounds_raises(self):
         field = uniform_field(1.0)
         with pytest.raises(OutOfMapError):
-            query_distance(field, [-0.1, 0.2, 0.2])
+            query_distance_many(field, [-0.1, 0.2, 0.2])
 
     def test_continuity_lipschitz(self):
         rng = np.random.default_rng(11)
@@ -350,7 +354,7 @@ def test_interp_equals_reference_formula(dims, resolution, shifted, seed):
 class TestGradient:
     def test_uniform_field_zero_gradient(self):
         field = uniform_field(0.7)
-        g = query_gradient(field, [0.31, 0.29, 0.30])
+        g = query_gradient_many(field, [0.31, 0.29, 0.30])[0]
         assert np.allclose(g, 0.0, atol=1e-14)
 
     def test_linear_ramp_gradient(self):
@@ -358,7 +362,7 @@ class TestGradient:
         ramp = np.tile((np.arange(6) * 0.1)[:, None, None], (1, 6, 6))
         grid = VoxelGrid(origin=np.zeros(3), resolution=0.1, occupancy=np.zeros(dims, dtype=bool))
         field = EsdfField(grid=grid, distance=ramp, truncation=5.0)
-        g = query_gradient(field, [0.27, 0.33, 0.30])
+        g = query_gradient_many(field, [0.27, 0.33, 0.30])[0]
         assert np.allclose(g, [1.0, 0.0, 0.0], atol=1e-12)
 
     def test_matches_finite_differences(self):
@@ -367,31 +371,26 @@ class TestGradient:
         field = compute_esdf(VoxelGrid(origin=np.zeros(3), resolution=0.1, occupancy=occ))
         pts = rng.uniform(0.15, 1.05, size=(100, 3))
         h = 1e-5
-        worst = 0.0
-        for p in pts:
-            g = query_gradient(field, p)
-            fd = np.empty(3)
-            for k in range(3):
-                e = np.zeros(3)
-                e[k] = h
-                fd[k] = (query_distance(field, p + e) - query_distance(field, p - e)) / (2 * h)
-            denom = max(np.linalg.norm(fd), 1e-9)
-            worst = max(worst, np.linalg.norm(g - fd) / denom)
-        assert worst < 1e-4
+        g = query_gradient_many(field, pts)
+        fd = np.stack([(query_distance_many(field, pts + e) - query_distance_many(field, pts - e))
+                       / (2 * h) for e in h * np.eye(3)], axis=1)
+        denom = np.maximum(np.linalg.norm(fd, axis=1), 1e-9)
+        assert np.max(np.linalg.norm(g - fd, axis=1) / denom) < 1e-4
 
     def test_consistent_with_distance_inside_cell(self):
         field = uniform_field(0.0, dims=(4, 4, 4))
         rng = np.random.default_rng(5)
         field.distance[:] = rng.normal(size=(4, 4, 4))
         p = np.array([0.171, 0.182, 0.193])
-        g = query_gradient(field, p)
+        g = query_gradient_many(field, p)[0]
         step = np.array([3e-3, -2e-3, 1e-3])  # stays inside the same cell
-        lin = query_distance(field, p) + g @ step
-        # trilinear has curvature, so compare against a tiny step instead
         tiny = 1e-9 * step
-        lin_tiny = query_distance(field, p) + g @ tiny
-        assert query_distance(field, p + tiny) == pytest.approx(lin_tiny, abs=1e-12)
-        assert abs(query_distance(field, p + step) - lin) < 1e-3
+        d_p, d_tiny, d_step = query_distance_many(field, [p, p + tiny, p + step])
+        lin = d_p + g @ step
+        # trilinear has curvature, so compare against a tiny step instead
+        lin_tiny = d_p + g @ tiny
+        assert d_tiny == pytest.approx(lin_tiny, abs=1e-12)
+        assert abs(d_step - lin) < 1e-3
 
 
 def one_row(field, center, body, radius, extend=False):
@@ -431,7 +430,7 @@ class TestBodyClearance:
         d, _, _, _ = one_row(field, center, body, 0.2)
         samples = [center + [0.2 * np.cos(2 * np.pi * k / 16), 0.2 * np.sin(2 * np.pi * k / 16), z]
                    for k in range(16) for z in (-0.05, 0.0, 0.05)]
-        dists = [query_distance(field, p) for p in samples]
+        dists = query_distance_many(field, samples)
         assert d == pytest.approx(min(dists), abs=1e-12)
 
     def test_finer_sampling_is_conservative(self):

@@ -96,6 +96,17 @@ def test_cli_benchmark_one_seed(tmp_path):
     assert np.all(summary["success_rate"] == 1.0)
 
 
+def test_cli_benchmark_jobs_write_the_serial_tables(tmp_path):
+    """The process-pool path writes every table byte for byte as the serial
+    path does."""
+    scenario = short_scenario(tmp_path, benchmark={"seeds": [0, 1]})
+    outs = [tmp_path / f"jobs{jobs}" for jobs in (1, 2)]
+    for jobs, out in zip((1, 2), outs):
+        assert cli.main(["benchmark", str(scenario), "-o", str(out), "--jobs", str(jobs)]) == 0
+    for name in ("benchmark_runs.csv", "benchmark_summary.csv", "benchmark_failures.csv"):
+        assert (outs[1] / name).read_bytes() == (outs[0] / name).read_bytes()
+
+
 def test_cli_plot_trajectory_and_tracking_log(tmp_path):
     scenario = short_scenario(tmp_path)
     write_sample_csv(hover(), tmp_path / "hover.csv")

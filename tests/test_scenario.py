@@ -75,6 +75,10 @@ MALFORMED = {
     "fractional kappa": _set("opt.kappa", 16.5),
     "v_max as a string": _set("planning.v_max", "2"),
     "negative dt_max": _set("search.dt_max", -1.0),
+    "empty seed list": _set("benchmark", {"seeds": []}),
+    "negative seed count": _set("benchmark", {"n_seeds": -3}),
+    "negative benchmark seed": _set("benchmark", {"seeds": [-1]}),
+    "negative scenario seed": _set("seed", -2),
 }
 
 

@@ -6,6 +6,7 @@ import pytest
 from morphplan.esdf import BodyGeometry, BoxObstacle, SphereObstacle, build_grid, compute_esdf
 from morphplan.search import PathNode, PlanState
 from morphplan.traj_opt import (
+    MIN_PIECE_DURATION,
     OptProblem,
     SeedTooShortError,
     _hinge,
@@ -251,8 +252,7 @@ class TestOptimize:
         residuals = verify_trajectory(traj, prob)
         assert residuals["clearance"] <= 1e-3
         ts = np.linspace(0, traj.total_time, 200)
-        rs = np.array([traj.eval(t, 0)[3] for t in ts])
-        xs = np.array([traj.eval(t, 0)[0] for t in ts])
+        xs, rs = traj.sample(ts)[:, 0, [0, 3]].T
         assert rs[(xs > 2.85) & (xs < 3.15)].max() < 0.2  # shrunk through the slot
         assert rs[(xs < 1.0) | (xs > 5.0)].min() > 0.19  # large away from it
 
@@ -263,7 +263,7 @@ class TestOptimize:
         seed = straight_seed([0.5, 1.5, 1.0], [5.5, 1.5, 1.0], 0.15, n=3, dt=1.5)
         traj, report = optimize(seed, prob)
         ts = np.linspace(0, traj.total_time, 100)
-        rs = np.array([traj.eval(t, 0)[3] for t in ts])
+        rs = traj.sample(ts)[:, 0, 3]
         assert np.all(np.abs(rs - 0.15) < 1e-12)
         assert report.rce == 0.0
 
@@ -348,7 +348,7 @@ class TestInvariantsAndCosts:
         prob = empty_problem(v_max=1.2, a_max=2.5)
         seed = straight_seed([0.5, 1.5, 1.0], [5.5, 1.5, 1.0], 0.211, n=4, dt=1.2)
         traj, report = optimize(seed, prob)
-        residuals = verify_trajectory(traj, prob, samples_per_piece=4 * prob.kappa)
+        residuals = verify_trajectory(traj, prob)
         assert max(residuals[k] for k in GATE_FAMILIES) <= 1e-3
 
 
@@ -359,7 +359,8 @@ def test_seed_to_pieces_merges_short_primitives():
         nodes.append(PathNode(state=PlanState(position=[k + 1.0, 0, 0], radius=0.2,
                                               velocity=np.zeros(3)),
                               control=np.zeros(4), duration=dt))
-    wps, durs = seed_to_pieces(nodes, min_duration=0.1)
+    wps, durs = seed_to_pieces(nodes)
+    assert MIN_PIECE_DURATION == 0.1
     assert np.all(durs >= 0.1)
     assert durs.sum() == pytest.approx(0.04 + 0.05 + 0.5 + 0.03 + 0.6)
     assert len(wps) == len(durs) - 1
