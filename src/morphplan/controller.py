@@ -19,7 +19,9 @@ plans the tilt and collective that cancel it rather than correcting it
 after a position error builds up.  `run_tracking` samples the reference of
 every simulator step and the horizon of every control tick in two batched
 `flat_reference` calls before its loop, and builds the radius model
-(allocation, inertia) once per step.
+(allocation, inertia) once per step; the horizon solve, the allocation and
+the simulator step all take that one model.  Its filters are
+`dynamics.LowPassFilter` and `dynamics.SecondOrderLowPass`.
 """
 
 from __future__ import annotations
@@ -33,8 +35,10 @@ from scipy.optimize import lsq_linear
 
 from .dynamics import (
     GRAVITY,
+    LowPassFilter,
     RadiusModel,
     RigidBodyState,
+    SecondOrderLowPass,
     VehicleParams,
     radius_model,
     rigid_body_step,
@@ -97,29 +101,6 @@ class NmpcConfig:
             raise ValueError("u_min must not exceed u_max")
 
 
-class LowPassFilter:
-    """First-order discrete low-pass; state starts at zero."""
-
-    def __init__(self, cutoff_hz: float, dt: float, dim: int = 3):
-        self.alpha = 1.0 - np.exp(-2.0 * np.pi * cutoff_hz * dt)
-        self.value = np.zeros(dim)
-
-    def update(self, x) -> np.ndarray:
-        self.value = self.value + self.alpha * (np.asarray(x, dtype=float) - self.value)
-        return self.value.copy()
-
-
-class SecondOrderLowPass:
-    """Two cascaded first-order sections."""
-
-    def __init__(self, cutoff_hz: float, dt: float, dim: int = 3):
-        self.a = LowPassFilter(cutoff_hz, dt, dim)
-        self.b = LowPassFilter(cutoff_hz, dt, dim)
-
-    def update(self, x) -> np.ndarray:
-        return self.b.update(self.a.update(x))
-
-
 def _quat_error_matrices(q_ref: np.ndarray, q: np.ndarray) -> np.ndarray:
     """Rows 1..3 of the left-multiplication matrix of conj(q_ref) per stage,
     (N, 3, 4): the map q -> vec(q_ref^-1 * q), exact because it is linear in
@@ -137,20 +118,20 @@ class NmpcInfo:
 
 
 def nmpc_solve(x_now: np.ndarray, x_ref: np.ndarray, u_ref: np.ndarray,
-               config: NmpcConfig, params: VehicleParams, r: float,
+               config: NmpcConfig, params: VehicleParams, model: RadiusModel,
                warm_start: np.ndarray | None = None,
-               f_ext=(0.0, 0.0, 0.0), model: RadiusModel | None = None
-               ) -> tuple[ControlInput, NmpcInfo]:
+               f_ext=(0.0, 0.0, 0.0)) -> tuple[ControlInput, NmpcInfo]:
     """Finite-horizon tracking solve; returns the first input.
 
     x_now (13,), x_ref (N+1, 13), u_ref (N, 4) or (N+1, 4).  The model is the
-    rigid body at radius r (its `radius_model` when the caller passes one)
-    under the constant world-frame external force f_ext [N] (zero by
-    default), discretized with RK4 at config.dt.  The Gauss-Newton iteration
-    starts from warm_start, the previous tick's (N, 4) input sequence, as
-    given, or from u_ref; it stops after config.max_iters iterations or once
-    the input step is below config.tol (then `converged`).  Each iteration
-    linearizes on the exact RK4 sensitivities of its rollout.
+    rigid body with the inertia of `model` (the current radius's
+    `radius_model`, held over the horizon) under the constant world-frame
+    external force f_ext [N] (zero by default), discretized with RK4 at
+    config.dt.  The Gauss-Newton iteration starts from warm_start,
+    the previous tick's (N, 4) input sequence, as given, or from u_ref when
+    it is None; it stops after config.max_iters iterations or once the input
+    step is below config.tol (then `converged`).  Each iteration linearizes
+    on the exact RK4 sensitivities of its rollout.
     """
     n = config.horizon
     x_now = np.asarray(x_now, dtype=float).reshape(13)
@@ -160,14 +141,10 @@ def nmpc_solve(x_now: np.ndarray, x_ref: np.ndarray, u_ref: np.ndarray,
     u_ref = np.asarray(u_ref, dtype=float)[:n]
     f_ext = np.asarray(f_ext, dtype=float).reshape(3)
 
-    if model is None:
-        model = radius_model(params, r)
-    elif model.radius != r:
-        raise ValueError(f"radius model at {model.radius}, solve at {r}")
     body = (f_ext.tolist(), params.mass, model.inertia.tolist(), model.inertia_inv.tolist(),
             config.dt)
 
-    u_seq = warm_start if warm_start is not None and warm_start.shape == (n, 4) else u_ref
+    u_seq = u_ref if warm_start is None else warm_start
     u_seq = np.clip(u_seq, config.u_min, config.u_max)
 
     sq = np.sqrt
@@ -264,15 +241,13 @@ def _bounded_lsq(a: np.ndarray, b: np.ndarray, lo: np.ndarray, hi: np.ndarray):
 # ---------------------------------------------------------------------------
 # estimation and compensation
 
-def estimate_external_force(mass: float, accel_meas, thrust: float, z_body,
-                            lp: LowPassFilter | None = None) -> np.ndarray:
+def estimate_external_force(mass: float, accel_meas, thrust: float, z_body) -> np.ndarray:
     """World-frame external force from the translational force balance,
-    low-pass filtered when a filter is supplied."""
+    unfiltered."""
     if mass <= 0.0:
         raise ValueError("mass must be positive")
-    raw = mass * np.asarray(accel_meas, dtype=float) - mass * GRAVITY \
+    return mass * np.asarray(accel_meas, dtype=float) - mass * GRAVITY \
         - thrust * np.asarray(z_body, dtype=float)
-    return lp.update(raw) if lp is not None else raw
 
 
 def indi_torque(torque_cmd, omega, inertia, torque_filtered, omega_dot_filtered) -> np.ndarray:
@@ -286,8 +261,7 @@ def indi_torque(torque_cmd, omega, inertia, torque_filtered, omega_dot_filtered)
         + inertia @ (omega_dot_des - np.asarray(omega_dot_filtered, dtype=float))
 
 
-def allocate(thrust_des: float, torque, h_mat, thrust_min: float = 0.0,
-             thrust_max: float = 8.0):
+def allocate(thrust_des: float, torque, h_mat, thrust_min: float, thrust_max: float):
     """Invert the allocation; on saturation the torque shrinks uniformly while
     the collective is preserved.  Returns (rotor thrusts, clamped flag)."""
     torque = np.asarray(torque, dtype=float).reshape(3)
@@ -315,10 +289,8 @@ def allocate(thrust_des: float, torque, h_mat, thrust_min: float = 0.0,
 
 
 def servo_command(radius_des: float, theta_est: float, params: VehicleParams,
-                  rate_limit: float = 6.0) -> float:
+                  rate_limit: float) -> float:
     """Proportional servo rate toward the angle matching the desired radius."""
-    if params.servo_tau <= 0.0:
-        raise ValueError("servo time constant must be positive")
     rate = (params.servo_angle_of_radius(radius_des) - theta_est) / params.servo_tau
     return float(np.clip(rate, -rate_limit, rate_limit))
 
@@ -326,13 +298,12 @@ def servo_command(radius_des: float, theta_est: float, params: VehicleParams,
 # ---------------------------------------------------------------------------
 # differential-flatness reference and the closed-loop harness
 
-def flat_reference(traj, t, params: VehicleParams):
-    """Full reference state and input from the flat trajectory at time t
-    (yaw fixed to zero); clamps beyond the trajectory end.  For an array of
-    times, returns the stacked x_ref (T, 13), u_ref (T, 4) and radii (T,)
-    from one trajectory sample."""
-    times = np.clip(np.asarray(t, dtype=float), 0.0, traj.total_time)
-    sig = traj.sample(times.reshape(-1), orders=(0, 1, 2, 3))
+def flat_reference(traj, times, params: VehicleParams):
+    """Full reference states x_ref (T, 13), inputs u_ref (T, 4) and radii
+    (T,) from the flat trajectory at the times (T,), from one trajectory
+    sample (yaw fixed to zero); clamps beyond the trajectory end."""
+    times = np.clip(np.asarray(times, dtype=float), 0.0, traj.total_time)
+    sig = traj.sample(times, orders=(0, 1, 2, 3))
     pos, vel, acc, jerk = sig[:, 0], sig[:, 1], sig[:, 2, :3], sig[:, 3, :3]
     thrust_vec = acc - GRAVITY
     norm = np.linalg.norm(thrust_vec, axis=1, keepdims=True)
@@ -351,8 +322,6 @@ def flat_reference(traj, t, params: VehicleParams):
                           np.zeros(len(sig))], axis=1)
     x_ref = np.concatenate([pos[:, :3], vel[:, :3], quat, omega_ref], axis=1)
     u_ref = np.concatenate([f_ref, np.zeros((len(sig), 3))], axis=1)
-    if times.ndim == 0:
-        return x_ref[0], u_ref[0], float(pos[0, 3])
     return x_ref, u_ref, pos[:, 3]
 
 
@@ -415,7 +384,7 @@ def run_tracking(traj, params: VehicleParams, nmpc: NmpcConfig,
     n_steps = int(np.ceil((traj.total_time + config.duration_pad) / config.sim_dt))
     ticks_per_control = max(1, int(round(config.control_dt / config.sim_dt)))
     # the references of every step and the horizons of every tick, from two
-    # batched calls; batched and scalar calls agree to the bit
+    # batched calls; a reference does not depend on the batch it is sampled in
     step_times = np.arange(n_steps) * config.sim_dt
     ref_states, _, ref_radii = flat_reference(traj, step_times, params)
     tick_times = step_times[::ticks_per_control]
@@ -461,13 +430,12 @@ def run_tracking(traj, params: VehicleParams, nmpc: NmpcConfig,
                      + (wrench.force if wrench is not None else 0.0)) / params.mass + GRAVITY
             if config.accel_noise_std > 0.0:
                 accel = accel + rng.normal(scale=config.accel_noise_std, size=3)
-            f_ext_est = estimate_external_force(params.mass, accel,
-                                                float(np.sum(last_thrusts)), z_b, force_lp)
+            f_ext_est = force_lp.update(estimate_external_force(
+                params.mass, accel, float(np.sum(last_thrusts)), z_b))
             x13 = np.concatenate([state.position, state.velocity, state.quaternion, state.omega])
-            u_cmd, info = nmpc_solve(x13, horizon_x[tick], horizon_u[tick], nmpc, params,
-                                     state.radius, warm_start=warm,
-                                     f_ext=f_ext_est if config.force_compensation else np.zeros(3),
-                                     model=model)
+            u_cmd, info = nmpc_solve(x13, horizon_x[tick], horizon_u[tick], nmpc, params, model,
+                                     warm_start=warm,
+                                     f_ext=f_ext_est if config.force_compensation else np.zeros(3))
             warm = info.inputs
             gn_iterations[tick], gn_converged[tick] = info.iterations, info.converged
 

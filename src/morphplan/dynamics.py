@@ -4,7 +4,8 @@ simulator and the horizon solver.
 The vehicle is four rotors on arms that scale with the deformation radius,
 plus a central body.  Collective thrust and body torque follow from the
 radius-dependent allocation matrix; `radius_model` builds it with the
-inertia and its inverse once per radius.  `rigid_body_rates` and
+inertia and its inverse once per radius, and the caller of `step` and of
+`controller.nmpc_solve` passes that model in.  `rigid_body_rates` and
 `rigid_body_step` (RK4 with quaternion renormalisation) are the one
 rigid-body model: they are written once over the 13 state components
 [p, v, q, w] with explicit cross and quaternion products, and run either on
@@ -14,6 +15,10 @@ which maps affinely back to the radius; `controller.nmpc_solve` calls them
 on floats for its rollouts, recording each step's RK stage points, from
 which `rk4_jacobians` chains the exact one-step sensitivities.  The row
 path is the tests' finite-difference oracle for those sensitivities.
+
+`LowPassFilter` is the one first-order low-pass: the band-limited noise
+disturbance is filtered by it, and the tracking loop's estimates by it and
+by `SecondOrderLowPass`, its two-section cascade.
 """
 
 from __future__ import annotations
@@ -113,6 +118,11 @@ class VehicleParams:
             raise ValueError("mass and rotor coefficients must be positive")
         if not (self.thrust_min >= 0.0 < self.thrust_max):
             raise ValueError("invalid thrust limits")
+        # the servo map divides by both
+        if not self.r_min < self.r_max:
+            raise ValueError("the vehicle needs r_min < r_max")
+        if not self.servo_tau > 0.0:
+            raise ValueError("servo_tau must be positive")
 
     def motor_positions(self, r: float) -> np.ndarray:
         """X layout: arms scale linearly with the deformation radius."""
@@ -312,15 +322,13 @@ def rk4_jacobians(stages: list, thrust, mass: float, inertia, inertia_inv,
 
 
 def step(state: RigidBodyState, thrusts, servo_rate: float, disturbance: Wrench | None,
-         params: VehicleParams, dt: float, info: dict | None = None,
-         model: RadiusModel | None = None) -> RigidBodyState:
+         params: VehicleParams, dt: float, model: RadiusModel) -> RigidBodyState:
     """One RK4 step under constant rotor thrusts and servo rate.
 
-    Thrusts outside the rotor limits are clamped (flagged via info, when
-    given).  The radius, allocation and inertia are held at their
-    start-of-step values: `model`, when the caller has built it for
-    state.radius, or `radius_model`'s.  The servo angle integrates the
-    commanded rate and the radius follows the servo map.
+    Thrusts outside the rotor limits are clamped.  The radius, allocation
+    and inertia are held at their start-of-step values, those of `model`,
+    which must be `radius_model`'s at state.radius.  The servo angle
+    integrates the commanded rate and the radius follows the servo map.
     """
     if dt <= 0.0:
         raise ValueError("dt must be positive")
@@ -328,12 +336,7 @@ def step(state: RigidBodyState, thrusts, servo_rate: float, disturbance: Wrench 
     if not np.all(np.isfinite(thrusts)) or not np.isfinite(servo_rate):
         raise ValueError("non-finite control input")
     clamped = np.clip(thrusts, params.thrust_min, params.thrust_max)
-    if info is not None:
-        info["thrust_clamped"] = bool(np.any(clamped != thrusts))
-
-    if model is None:
-        model = radius_model(params, state.radius)
-    elif model.radius != state.radius:
+    if model.radius != state.radius:
         raise ValueError(f"radius model at {model.radius}, state at {state.radius}")
     general = model.allocation @ clamped
     torque = general[1:]
@@ -390,23 +393,45 @@ def ramp_wrench(force, torque, t_ramp: float):
     return profile
 
 
+class LowPassFilter:
+    """First-order discrete low-pass; state starts at zero."""
+
+    def __init__(self, cutoff_hz: float, dt: float, dim: int):
+        self.alpha = 1.0 - np.exp(-2.0 * np.pi * cutoff_hz * dt)
+        self.value = np.zeros(dim)
+
+    def update(self, x) -> np.ndarray:
+        self.value = self.value + self.alpha * (np.asarray(x, dtype=float) - self.value)
+        return self.value.copy()
+
+
+class SecondOrderLowPass:
+    """Two cascaded first-order sections."""
+
+    def __init__(self, cutoff_hz: float, dt: float, dim: int):
+        self.a = LowPassFilter(cutoff_hz, dt, dim)
+        self.b = LowPassFilter(cutoff_hz, dt, dim)
+
+    def update(self, x) -> np.ndarray:
+        return self.b.update(self.a.update(x))
+
+
 def noise_wrench(force_std, torque_std, cutoff_hz: float, dt: float,
                  duration: float, seed: int = 0):
-    """Band-limited noise: white gaussian per step, first-order low-passed.
-    Pre-generated on a fixed grid so runs are reproducible."""
+    """Band-limited noise: white gaussian per step, through a `LowPassFilter`
+    that starts at zero.  Pre-generated on a fixed grid so runs are
+    reproducible."""
     rng = np.random.default_rng(seed)
     n = int(np.ceil(duration / dt)) + 2
-    alpha = 1.0 - np.exp(-2.0 * np.pi * cutoff_hz * dt)
-    raw_f = rng.normal(scale=force_std, size=(n, 3))
-    raw_t = rng.normal(scale=torque_std, size=(n, 3))
-    f = np.zeros((n, 3))
-    tq = np.zeros((n, 3))
+    raw = np.hstack([rng.normal(scale=force_std, size=(n, 3)),
+                     rng.normal(scale=torque_std, size=(n, 3))])
+    lp = LowPassFilter(cutoff_hz, dt, 6)
+    filtered = np.zeros((n, 6))
     for k in range(1, n):
-        f[k] = f[k - 1] + alpha * (raw_f[k] - f[k - 1])
-        tq[k] = tq[k - 1] + alpha * (raw_t[k] - tq[k - 1])
+        filtered[k] = lp.update(raw[k])
 
     def profile(t):
         k = min(int(t / dt), n - 1)
-        return Wrench(force=f[k], torque=tq[k])
+        return Wrench(force=filtered[k, :3], torque=filtered[k, 3:])
 
     return profile

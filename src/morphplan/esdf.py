@@ -8,7 +8,10 @@ Euclidean distance transform, run over the whole grid for the free side and
 over the occupied voxels' bounding box, grown by one voxel, for the occupied
 side.  Between centers the field is evaluated by trilinear interpolation, so
 the zero level sits inside the one-voxel band separating free from occupied
-centers.
+centers.  Every query, of distances, gradients or body clearance, reads the
+field's 1-Lipschitz extension beyond the map, which inside the map is the
+interpolant itself; a caller that must stay inside the map tests
+`points_in_bounds`.
 
 Voxelization tests each obstacle against the voxel centers' coordinates,
 given per axis and broadcast against each other, so no full-size array of
@@ -27,14 +30,6 @@ import numpy as np
 _CORNERS = np.array(list(np.ndindex(2, 2, 2)), dtype=np.int64)  # (8, 3)
 # per axis, -1 on the corners at the axis' lower bit and +1 at its upper bit
 _CORNER_SIGNS = np.where(_CORNERS == 1, 1.0, -1.0).T.reshape(3, 2, 2, 2, 1)
-
-
-class OutOfMapError(ValueError):
-    """A query point lies outside the mapped volume."""
-
-    def __init__(self, point) -> None:
-        self.point = np.asarray(point, dtype=float).reshape(3)
-        super().__init__(f"point {self.point.tolist()} is outside the map")
 
 
 @dataclass(frozen=True, eq=False)
@@ -140,7 +135,7 @@ class EsdfField:
         return self.grid.upper
 
 
-def compute_esdf(grid: VoxelGrid, truncation: float = 5.0) -> EsdfField:
+def compute_esdf(grid: VoxelGrid, truncation: float) -> EsdfField:
     """Signed distance at every voxel center, exact up to the truncation cap.
 
     The free side (distance to the nearest occupied voxel) is transformed
@@ -190,13 +185,15 @@ def _pairwise_sum8(terms: np.ndarray) -> np.ndarray:
     return quads[0] + quads[1]
 
 
-def _interp(field: EsdfField, points: np.ndarray, extend: bool, want_grad: bool):
-    """Trilinear interpolation of the stored distances (and its analytic gradient).
+def _interp(field: EsdfField, points: np.ndarray, want_grad: bool):
+    """Trilinear interpolation of the stored distances (and its analytic
+    gradient), extended beyond the map.
 
-    With extend=True, points outside the map are clamped to the boundary and
-    the value is lowered by the exterior excursion (a 1-Lipschitz extension
-    whose gradient points back into the map).  Gradients at interior cell
-    faces use the left cell.
+    A point outside the map is clamped to the boundary and its value lowered
+    by the exterior excursion (a 1-Lipschitz extension whose gradient points
+    back into the map); inside, the clamp leaves the point as it is and the
+    excursion is zero, so the value is the interpolant's.  Gradients at
+    interior cell faces use the left cell.
 
     The kernel is a flat gather: one base index into the raveled distances
     plus 8 fixed corner offsets (an axis of size 1 has offset 0), each corner
@@ -218,14 +215,8 @@ def _interp(field: EsdfField, points: np.ndarray, extend: bool, want_grad: bool)
     dims = grid.dims
     # one row per axis, so that every step runs along the points
     p = pts.T.copy()
-    if extend:
-        q = np.clip(p, lo, hi)
-        out_vec = p - q
-    else:
-        inside = ((p >= lo) & (p <= hi)).all(axis=0)
-        if not inside.all():
-            raise OutOfMapError(pts[np.argmin(inside)])
-        q = p
+    q = np.clip(p, lo, hi)
+    out_vec = p - q
 
     u = (q - lo) / res - 0.5
     i0 = np.floor(u)
@@ -256,27 +247,25 @@ def _interp(field: EsdfField, points: np.ndarray, extend: bool, want_grad: bool)
             terms = corner_vals * _CORNER_SIGNS[ax] * w_other[ax]
             grads[ax] = _pairwise_sum8(terms.reshape(8, -1)) / res
 
-    if extend:
-        excursion = np.linalg.norm(out_vec, axis=0)
-        values = values - excursion
-        if want_grad:
-            grads[out_vec != 0.0] = 0.0
-            outside = excursion > 0.0
-            grads[:, outside] -= out_vec[:, outside] / excursion[outside]
+    excursion = np.linalg.norm(out_vec, axis=0)
+    values = values - excursion
     if want_grad:
+        grads[out_vec != 0.0] = 0.0
+        outside = excursion > 0.0
+        grads[:, outside] -= out_vec[:, outside] / excursion[outside]
         grads = np.ascontiguousarray(grads.T)
     return values, grads
 
 
-def query_distance_many(field: EsdfField, points, extend: bool = False) -> np.ndarray:
-    """Interpolated signed distance at each point (N,); see `_interp`."""
-    values, _ = _interp(field, points, extend, want_grad=False)
+def query_distance_many(field: EsdfField, points) -> np.ndarray:
+    """Extended interpolated signed distance at each point (N,); see `_interp`."""
+    values, _ = _interp(field, points, want_grad=False)
     return values
 
 
-def query_gradient_many(field: EsdfField, points, extend: bool = False) -> np.ndarray:
-    """Analytic gradient of the interpolant at each point (N, 3); see `_interp`."""
-    _, grads = _interp(field, points, extend, want_grad=True)
+def query_gradient_many(field: EsdfField, points) -> np.ndarray:
+    """Gradient of the extended interpolant at each point (N, 3); see `_interp`."""
+    _, grads = _interp(field, points, want_grad=True)
     return grads
 
 
@@ -325,8 +314,9 @@ class BodyGeometry:
 
 
 def clearance_batch(field: EsdfField, centers: np.ndarray, radii: np.ndarray,
-                    body: BodyGeometry, extend: bool = False):
-    """Minimum surface-sample distance for a batch of (center, radius) poses.
+                    body: BodyGeometry):
+    """Minimum surface-sample distance, in the extended field, for a batch of
+    (center, radius) poses.
 
     Returns (distance (B,), worst point (B,3), grad wrt center (B,3),
     grad wrt radius (B,)).  Gradients chain through the active minimum sample.
@@ -335,11 +325,11 @@ def clearance_batch(field: EsdfField, centers: np.ndarray, radii: np.ndarray,
     radii = np.asarray(radii, dtype=float).reshape(-1)
     n = centers.shape[0]
     world, radial = body.surface_points(centers, radii)
-    dist = query_distance_many(field, world.reshape(-1, 3), extend=extend).reshape(n, -1)
+    dist = query_distance_many(field, world.reshape(-1, 3)).reshape(n, -1)
     sel = np.argmin(dist, axis=1)
     rows = np.arange(n)
     d_min = dist[rows, sel]
     worst = world[rows, sel]
-    grad_pos = query_gradient_many(field, worst, extend=extend)
+    grad_pos = query_gradient_many(field, worst)
     grad_rad = np.einsum("ij,ij->i", grad_pos, radial[sel])
     return d_min, worst, grad_pos, grad_rad

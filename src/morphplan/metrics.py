@@ -9,6 +9,9 @@ import numpy as np
 from .dynamics import trajectory_energy
 from .traj_opt import OptReport
 
+# the cost columns of a metrics row, in the order the CSV files write them
+COST_COLUMNS = ("pce", "rce", "sorr", "time_cost", "total_cost", "total_energy")
+
 
 @dataclass
 class MetricsRow:
@@ -22,13 +25,11 @@ class MetricsRow:
     total_energy: float
     tracking_rmse: float | None = None
 
-    HEADER = "mode,seed,pce,rce,sorr,time_cost,total_cost,total_energy,tracking_rmse"
+    HEADER = ",".join(("mode", "seed", *COST_COLUMNS, "tracking_rmse"))
 
     def to_csv_line(self) -> str:
         vals = [self.mode, str(self.seed)]
-        for v in (self.pce, self.rce, self.sorr, self.time_cost,
-                  self.total_cost, self.total_energy):
-            vals.append(format(v, ".17g"))
+        vals += [format(getattr(self, k), ".17g") for k in COST_COLUMNS]
         vals.append("" if self.tracking_rmse is None else format(self.tracking_rmse, ".17g"))
         return ",".join(vals)
 
@@ -56,13 +57,6 @@ def aggregate_rows(rows: list[MetricsRow]) -> dict:
     for row in rows:
         by_mode.setdefault(row.mode, []).append(row)
     for mode, items in by_mode.items():
-        out[mode] = {
-            "n": len(items),
-            "pce": float(np.mean([r.pce for r in items])),
-            "rce": float(np.mean([r.rce for r in items])),
-            "sorr": float(np.mean([r.sorr for r in items])),
-            "time_cost": float(np.mean([r.time_cost for r in items])),
-            "total_cost": float(np.mean([r.total_cost for r in items])),
-            "total_energy": float(np.mean([r.total_energy for r in items])),
-        }
+        out[mode] = {"n": len(items)}
+        out[mode].update({k: float(np.mean([getattr(r, k) for r in items])) for k in COST_COLUMNS})
     return out

@@ -12,7 +12,8 @@ from pathlib import Path
 import numpy as np
 
 from .controller import run_tracking, write_tracking_csv
-from .metrics import MetricsRow, aggregate_rows, metrics_from_report, write_metrics_csv
+from .metrics import (COST_COLUMNS, MetricsRow, aggregate_rows, metrics_from_report,
+                      write_metrics_csv)
 from .scenario import MODES, Scenario, load_scenario
 from .search import search, write_path_csv
 from .traj_opt import optimize
@@ -29,11 +30,10 @@ class PlanOutput:
     search_result: object
 
 
-def run_plan(scenario: Scenario, mode: str | None = None, map_seed: int | None = None,
-             field=None) -> PlanOutput:
+def run_plan(scenario: Scenario, mode: str | None = None,
+             map_seed: int | None = None) -> PlanOutput:
     mode = mode or scenario.mode
-    if field is None:
-        field = scenario.build_field(map_seed=map_seed)
+    field = scenario.build_field(map_seed=map_seed)
     cfg = scenario.search_config(mode)
     start = scenario.plan_state(scenario.start, mode)
     goal = scenario.plan_state(scenario.goal, mode)
@@ -149,15 +149,14 @@ def cmd_benchmark(scenario_path, out_dir, jobs: int = 1):
     summary = aggregate_rows(rows)
     n_seeds = len(scenario.benchmark_seeds)
     with open(out / "benchmark_summary.csv", "w", newline="\n") as fh:
-        fh.write("mode,pce,rce,sorr,time_cost,total_cost,total_energy,success_rate,n_success\n")
+        fh.write(",".join(("mode", *COST_COLUMNS, "success_rate", "n_success")) + "\n")
         for mode in MODES:
             if mode in summary:
                 s = summary[mode]
-                cols = [mode] + [format(s[k], ".17g") for k in
-                                 ("pce", "rce", "sorr", "time_cost", "total_cost", "total_energy")]
+                cols = [mode] + [format(s[k], ".17g") for k in COST_COLUMNS]
                 cols += [format(s["n"] / n_seeds, ".17g"), str(s["n"])]
             else:
-                cols = [mode, "", "", "", "", "", "", "0", "0"]
+                cols = [mode] + [""] * len(COST_COLUMNS) + ["0", "0"]
             fh.write(",".join(cols) + "\n")
     with open(out / "benchmark_failures.csv", "w", newline="\n") as fh:
         fh.write("seed,mode,error\n")

@@ -14,12 +14,11 @@ import numpy as np
 class SvgCanvas:
     """Minimal SVG builder with a world-coordinate viewport (y up)."""
 
-    def __init__(self, x_range, y_range, width_px: int = 800, pad: float = 0.2):
+    def __init__(self, x_range, y_range, pad: float = 0.2):
         self.x0 = float(x_range[0]) - pad
         self.x1 = float(x_range[1]) + pad
         self.y0 = float(y_range[0]) - pad
         self.y1 = float(y_range[1]) + pad
-        self.width_px = width_px
         self.elements: list[str] = []
 
     def _map(self, x, y):
@@ -30,11 +29,11 @@ class SvgCanvas:
         self.elements.append(
             f'<polyline points="{pts}" fill="none" stroke="{stroke}" stroke-width="{width:.4f}"/>')
 
-    def circle(self, x, y, r, stroke="#c44e52", width=0.01):
+    def circle(self, x, y, r):
         cx, cy = self._map(x, y)
         self.elements.append(
             f'<circle cx="{cx:.4f}" cy="{cy:.4f}" r="{r:.6f}" fill="none" '
-            f'stroke="{stroke}" stroke-width="{width:.4f}"/>')
+            f'stroke="#c44e52" stroke-width="0.0100"/>')
 
     def rect_border(self):
         w = self.x1 - self.x0
@@ -43,16 +42,16 @@ class SvgCanvas:
             f'<rect x="{self.x0:.4f}" y="{self.y0:.4f}" width="{w:.4f}" height="{h:.4f}" '
             f'fill="none" stroke="#888888" stroke-width="0.01"/>')
 
-    def text(self, x, y, s, size=0.12):
+    def text(self, x, y, s):
         cx, cy = self._map(x, y)
         self.elements.append(
-            f'<text x="{cx:.4f}" y="{cy:.4f}" font-size="{size:.3f}" fill="#333333">{s}</text>')
+            f'<text x="{cx:.4f}" y="{cy:.4f}" font-size="0.120" fill="#333333">{s}</text>')
 
     def render(self) -> str:
         w = self.x1 - self.x0
         h = self.y1 - self.y0
-        height_px = int(round(self.width_px * h / max(w, 1e-9)))
-        head = (f'<svg xmlns="http://www.w3.org/2000/svg" width="{self.width_px}" '
+        height_px = int(round(800 * h / max(w, 1e-9)))
+        head = (f'<svg xmlns="http://www.w3.org/2000/svg" width="800" '
                 f'height="{height_px}" viewBox="{self.x0:.4f} {self.y0:.4f} {w:.4f} {h:.4f}">')
         return head + "\n" + "\n".join(self.elements) + "\n</svg>\n"
 
@@ -60,8 +59,8 @@ class SvgCanvas:
         Path(path).write_text(self.render(), newline="\n")
 
 
-def plot_topdown(times, data, path, n_stamps: int = 20):
-    """Top-down XY path with radius-scaled footprint circles at uniform
+def plot_topdown(times, data, path):
+    """Top-down XY path with radius-scaled footprint circles at 20 uniform
     time stamps; data is the (N, orders, 4) sample array."""
     if len(times) == 0:
         canvas = SvgCanvas((0.0, 1.0), (0.0, 1.0))
@@ -75,7 +74,7 @@ def plot_topdown(times, data, path, n_stamps: int = 20):
     canvas = SvgCanvas((xs.min(), xs.max()), (ys.min(), ys.max()), pad=max(0.3, rs.max() + 0.1))
     canvas.rect_border()
     canvas.polyline(xs, ys)
-    stamp_idx = np.unique(np.linspace(0, len(times) - 1, n_stamps).astype(int))
+    stamp_idx = np.unique(np.linspace(0, len(times) - 1, 20).astype(int))
     for k in stamp_idx:
         canvas.circle(xs[k], ys[k], rs[k])
     canvas.write(path)

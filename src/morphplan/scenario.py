@@ -266,8 +266,9 @@ def _parse(raw: dict) -> Scenario:
     lo = _vec(m["bounds"]["min"], 3, "map.bounds.min")
     hi = _vec(m["bounds"]["max"], 3, "map.bounds.max")
     resolution = float(m["resolution"])
-    if resolution <= 0.0 or np.any(hi <= lo):
-        raise ScenarioError("map must have positive resolution and extent")
+    truncation = float(m.get("truncation", 5.0))
+    if not (resolution > 0.0 and truncation > 0.0) or np.any(hi <= lo):
+        raise ScenarioError("map must have positive resolution, truncation and extent")
     obstacles = []
     for i, o in enumerate(m.get("obstacles", [])):
         where = f"map.obstacles[{i}]"
@@ -314,7 +315,7 @@ def _parse(raw: dict) -> Scenario:
     scenario = Scenario(
         version=1, name=str(raw.get("name", "scenario")), seed=_int(raw.get("seed", 0), "seed"),
         bounds_lo=lo, bounds_hi=hi, resolution=resolution,
-        truncation=float(m.get("truncation", 5.0)), obstacles=obstacles, body=body,
+        truncation=truncation, obstacles=obstacles, body=body,
         start=_endpoint(raw["start"], "start"), goal=_endpoint(raw["goal"], "goal"),
         mode=mode, payload=payload, benchmark_seeds=seeds, **sections,
     )

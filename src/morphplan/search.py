@@ -178,22 +178,10 @@ def _states_valid(field: EsdfField, body: BodyGeometry, config: SearchConfig,
         pts, _ = body.surface_points(pos[hard_idx], radius[hard_idx])
         flat = pts.reshape(-1, 3)
         inb = points_in_bounds(field, flat).reshape(len(hard_idx), -1)
-        d = query_distance_many(field, flat, extend=True).reshape(len(hard_idx), -1)
+        d = query_distance_many(field, flat).reshape(len(hard_idx), -1)
         offsets_ok = inb.all(axis=1) & (d.min(axis=1) >= config.d_margin)
         ok[hard_idx[~offsets_ok]] = False
     return ok
-
-
-def is_valid(state: PlanState, field: EsdfField, body: BodyGeometry, config: SearchConfig) -> bool:
-    """True iff the state respects velocity, deformation-rate and radius bounds
-    and the whole body keeps at least the clearance margin (out of map counts
-    as invalid)."""
-    mask = _states_valid(
-        field, body, config,
-        state.position.reshape(1, 3), np.array([state.radius]),
-        state.velocity.reshape(1, 3), np.array([state.radius_rate]),
-    )
-    return bool(mask[0])
 
 
 def _connect_cost(dp: np.ndarray, v0: np.ndarray, v1: np.ndarray, w_t: float):
@@ -243,15 +231,6 @@ def _connect_cost(dp: np.ndarray, v0: np.ndarray, v1: np.ndarray, w_t: float):
     return cost, t_opt
 
 
-def heuristic(state: PlanState, goal: PlanState, config: SearchConfig) -> float:
-    """Optimal cubic-connection cost from state to goal over all four flat axes."""
-    dp = np.concatenate([goal.position - state.position, [goal.radius - state.radius]])
-    v0 = np.concatenate([state.velocity, [state.radius_rate]])
-    v1 = np.concatenate([goal.velocity, [goal.radius_rate]])
-    cost, _ = _connect_cost(dp[None, :], v0[None, :], v1[None, :], config.time_weight)
-    return float(cost[0])
-
-
 def _axis_samples(limit: float, count: int) -> np.ndarray:
     return np.unique(np.linspace(-limit, limit, count))
 
@@ -276,16 +255,20 @@ def search(start: PlanState, goal: PlanState, field: EsdfField, body: BodyGeomet
            config: SearchConfig) -> SearchResult:
     """Best-first search over sampled (acceleration, duration) primitives.
 
-    Raises InvalidStartError / InvalidGoalError for bad endpoints, NoPathError
+    Raises InvalidStartError / InvalidGoalError for bad endpoints (both are
+    checked by one `_states_valid` call, the start's error first), NoPathError
     when the deduplicated state space is exhausted and NodeBudgetExceededError
     when the expansion budget runs out.
     """
-    if not is_valid(start, field, body, config):
+    ends = np.stack([start.as_array(), goal.as_array()])
+    start_ok, goal_ok = _states_valid(field, body, config, ends[:, :3], ends[:, 3], ends[:, 4:7],
+                                      ends[:, 7])
+    if not start_ok:
         raise InvalidStartError("start state is invalid")
-    if not is_valid(goal, field, body, config):
+    if not goal_ok:
         raise InvalidGoalError("goal state is invalid")
 
-    if _at_goal(start.as_array()[None, :], goal, config)[0]:
+    if _at_goal(ends[:1], goal, config)[0]:
         return SearchResult(path=[PathNode(state=start, control=None, duration=0.0)],
                             cost=0.0, expansions=0)
 
@@ -309,7 +292,7 @@ def search(start: PlanState, goal: PlanState, field: EsdfField, body: BodyGeomet
     goal_v = np.concatenate([goal.position, [goal.radius]])
     goal_vel = np.concatenate([goal.velocity, [goal.radius_rate]])
 
-    states: list[np.ndarray] = [start.as_array()]
+    states: list[np.ndarray] = [ends[0]]
     parents: list[int] = [-1]
     controls: list[np.ndarray | None] = [None]
     durations: list[float] = [0.0]
@@ -319,7 +302,11 @@ def search(start: PlanState, goal: PlanState, field: EsdfField, body: BodyGeomet
     best_g: dict = {node_keys[0]: (0.0, 0)}
     closed: set = set()
 
-    h0 = heuristic(start, goal, config) if config.use_heuristic else 0.0
+    h0 = 0.0
+    if config.use_heuristic:
+        cost0, _ = _connect_cost(goal_v[None, :] - ends[:1, :4], ends[:1, 4:], goal_vel[None, :],
+                                 config.time_weight)
+        h0 = float(cost0[0])
     heap: list = [(h0, h0, 0, 0)]
     seq = 1
     expansions = 0

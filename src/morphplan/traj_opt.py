@@ -312,7 +312,7 @@ def objective_and_gradient(waypoints, durations, problem: OptProblem):
     # exterior penalty settles slightly on the infeasible side of an active
     # constraint, and the buffer absorbs that so the true margin still verifies.
     dist, _, gpos, grad = clearance_batch(problem.field, sig0[..., :3].reshape(-1, 3),
-                                          r.reshape(-1), problem.body, extend=True)
+                                          r.reshape(-1), problem.body)
     dist = dist.reshape(m, kappa)
     gpos = gpos.reshape(m, kappa, 3)
     grad = grad.reshape(m, kappa)
@@ -384,7 +384,7 @@ def verify_trajectory(traj: PiecewiseTrajectory, problem: OptProblem) -> dict:
     sig0, sig1, sig2 = (poly_basis(ts, k) @ traj.coeffs for k in range(3))  # (M, 4 kappa, 4)
     r = sig0[..., 3]
     dist, _, _, _ = clearance_batch(problem.field, sig0[..., :3].reshape(-1, 3), r.reshape(-1),
-                                    problem.body, extend=True)
+                                    problem.body)
     res = {
         "velocity": np.linalg.norm(sig1[..., :3], axis=-1).max() - problem.v_max,
         "acceleration": np.linalg.norm(sig2[..., :3], axis=-1).max() - problem.a_max,

@@ -4,7 +4,6 @@ import pytest
 from morphplan.controller import (
     ControlInput,
     _bounded_lsq,
-    LowPassFilter,
     NmpcConfig,
     TrackingConfig,
     allocate,
@@ -17,6 +16,7 @@ from morphplan.controller import (
     write_tracking_csv,
 )
 from morphplan.dynamics import (
+    LowPassFilter,
     VehicleParams,
     allocation_matrix,
     constant_wrench,
@@ -36,6 +36,18 @@ def hover_refs(params, n, p=(0.0, 0.0, 1.0)):
     return x_ref, u_ref
 
 
+def max_model(params):
+    """The horizon solver's radius model at r_max, the radius of the hover
+    references."""
+    return radius_model(params, params.r_max)
+
+
+def reference_at(traj, t, params):
+    """flat_reference at the one time t: x_ref (13,), u_ref (4,) and the radius."""
+    x_ref, u_ref, radii = flat_reference(traj, [t], params)
+    return x_ref[0], u_ref[0], float(radii[0])
+
+
 def hover_traj(p=(0.0, 0.0, 1.0), r=0.211, duration=3.0):
     b = np.zeros((3, 4))
     b[0, :3] = p
@@ -48,7 +60,7 @@ class TestNmpc:
         params = VehicleParams()
         cfg = NmpcConfig()
         x_ref, u_ref = hover_refs(params, cfg.horizon)
-        out, info = nmpc_solve(x_ref[0], x_ref, u_ref, cfg, params, params.r_max)
+        out, info = nmpc_solve(x_ref[0], x_ref, u_ref, cfg, params, max_model(params))
         assert out.thrust == pytest.approx(params.hover_thrust, abs=1e-6)
         assert np.allclose(out.torque, 0.0, atol=1e-6)
         assert info.converged
@@ -59,7 +71,7 @@ class TestNmpc:
         x_ref, u_ref = hover_refs(params, cfg.horizon)
         x0 = x_ref[0].copy()
         x0[2] -= 0.3  # below the reference
-        out, _ = nmpc_solve(x0, x_ref, u_ref, cfg, params, params.r_max)
+        out, _ = nmpc_solve(x0, x_ref, u_ref, cfg, params, max_model(params))
         assert out.thrust > params.hover_thrust + 0.5
         assert np.linalg.norm(out.torque) < 0.05
 
@@ -70,7 +82,7 @@ class TestNmpc:
         x0 = x_ref[0].copy()
         x0[2] -= 3.0
         x0[5] = -2.5  # falling fast: wants much more than the bound allows
-        out, info = nmpc_solve(x0, x_ref, u_ref, cfg, params, params.r_max)
+        out, info = nmpc_solve(x0, x_ref, u_ref, cfg, params, max_model(params))
         assert out.thrust == pytest.approx(11.0, abs=1e-8)
         assert info.converged
 
@@ -81,10 +93,10 @@ class TestNmpc:
         x0 = x_ref[0].copy()
         x0[0:3] += [0.2, -0.1, -0.3]
         x0[3:6] = [0.5, 0.2, -0.4]
-        _, first = nmpc_solve(x0, x_ref, u_ref, cfg, params, params.r_max)
+        _, first = nmpc_solve(x0, x_ref, u_ref, cfg, params, max_model(params))
         assert first.converged and first.iterations > 1
         # a one-stage shift of the solution would move these inputs by far more than tol
-        out, again = nmpc_solve(x0, x_ref, u_ref, cfg, params, params.r_max,
+        out, again = nmpc_solve(x0, x_ref, u_ref, cfg, params, max_model(params),
                                 warm_start=first.inputs)
         assert again.converged and again.iterations == 1
         assert np.max(np.abs(again.inputs - first.inputs)) < cfg.tol
@@ -96,26 +108,19 @@ class TestNmpc:
         x0 = x_ref[0].copy()
         x0[0:3] += [0.2, -0.1, -0.3]
         x0[3:6] = [0.5, 0.2, -0.4]
-        _, capped = nmpc_solve(x0, x_ref, u_ref, NmpcConfig(), params, params.r_max)
-        _, full = nmpc_solve(x0, x_ref, u_ref, NmpcConfig(max_iters=30), params, params.r_max)
+        _, capped = nmpc_solve(x0, x_ref, u_ref, NmpcConfig(), params, max_model(params))
+        _, full = nmpc_solve(x0, x_ref, u_ref, NmpcConfig(max_iters=30), params,
+                             max_model(params))
         assert capped.iterations == NmpcConfig().max_iters == 3
         assert not capped.converged
         assert full.converged and full.iterations > 3
-
-    def test_radius_model_must_match_the_radius(self):
-        params = VehicleParams()
-        cfg = NmpcConfig()
-        x_ref, u_ref = hover_refs(params, cfg.horizon)
-        with pytest.raises(ValueError):
-            nmpc_solve(x_ref[0], x_ref, u_ref, cfg, params, params.r_max,
-                       model=radius_model(params, params.r_min))
 
     def test_rejects_bad_reference_shape(self):
         params = VehicleParams()
         cfg = NmpcConfig()
         x_ref, u_ref = hover_refs(params, cfg.horizon - 1)
         with pytest.raises(ValueError):
-            nmpc_solve(x_ref[0], x_ref, u_ref, cfg, params, params.r_max)
+            nmpc_solve(x_ref[0], x_ref, u_ref, cfg, params, max_model(params))
 
     def test_zero_external_force_is_the_default(self):
         params = VehicleParams()
@@ -124,8 +129,8 @@ class TestNmpc:
         x0 = x_ref[0].copy()
         x0[0:3] += [0.2, -0.1, -0.3]
         x0[3:6] = [0.5, 0.2, -0.4]
-        out, info = nmpc_solve(x0, x_ref, u_ref, cfg, params, params.r_max)
-        out_z, info_z = nmpc_solve(x0, x_ref, u_ref, cfg, params, params.r_max,
+        out, info = nmpc_solve(x0, x_ref, u_ref, cfg, params, max_model(params))
+        out_z, info_z = nmpc_solve(x0, x_ref, u_ref, cfg, params, max_model(params),
                                    f_ext=np.zeros(3))
         assert out_z.thrust == out.thrust
         assert np.array_equal(out_z.torque, out.torque)
@@ -136,7 +141,7 @@ class TestNmpc:
         params = VehicleParams()
         cfg = NmpcConfig()
         x_ref, u_ref = hover_refs(params, cfg.horizon)
-        out, info = nmpc_solve(x_ref[0], x_ref, u_ref, cfg, params, params.r_max,
+        out, info = nmpc_solve(x_ref[0], x_ref, u_ref, cfg, params, max_model(params),
                                f_ext=[0.0, 0.0, 1.0])
         # the model carries 1 N of the weight; the input cost pulls the
         # collective only slightly back toward the hover reference
@@ -148,7 +153,7 @@ class TestNmpc:
         params = VehicleParams()
         cfg = NmpcConfig()
         x_ref, u_ref = hover_refs(params, cfg.horizon)
-        out, _ = nmpc_solve(x_ref[0], x_ref, u_ref, cfg, params, params.r_max,
+        out, _ = nmpc_solve(x_ref[0], x_ref, u_ref, cfg, params, max_model(params),
                             f_ext=[1.0, 0.0, 0.0])
         # a push toward +x is cancelled by tilting z_body toward -x, which
         # takes a negative torque about body y
@@ -204,8 +209,8 @@ class TestForceEstimate:
         tau = 1.0 / (2 * np.pi * 5.0)
         n = int(5 * tau / 0.01) + 1
         for _ in range(n):
-            out = estimate_external_force(1.0, target / 1.0 + np.array([0, 0, 0]),
-                                          9.81, [0, 0, 1], lp)
+            out = lp.update(estimate_external_force(1.0, target / 1.0 + np.array([0, 0, 0]),
+                                                    9.81, [0, 0, 1]))
         # raw estimate equals target, so after 5 time constants the filter is
         # within exp(-5) < 1%% of it
         assert np.linalg.norm(out - target) <= 0.05 * np.linalg.norm(target)
@@ -235,7 +240,7 @@ class TestAllocate:
     def test_zero_torque_splits_evenly(self):
         params = VehicleParams()
         h = allocation_matrix(params, 0.18)
-        t, clamped = allocate(8.0, np.zeros(3), h)
+        t, clamped = allocate(8.0, np.zeros(3), h, params.thrust_min, params.thrust_max)
         assert np.allclose(t, 2.0)
         assert not clamped
 
@@ -246,7 +251,7 @@ class TestAllocate:
             h = allocation_matrix(params, r)
             f = rng.uniform(4.0, 16.0)
             tau = rng.uniform(-0.1, 0.1, 3)
-            t, clamped = allocate(f, tau, h)
+            t, clamped = allocate(f, tau, h, params.thrust_min, params.thrust_max)
             assert not clamped
             back = h @ t
             assert abs(back[0] - f) < 1e-10
@@ -255,7 +260,7 @@ class TestAllocate:
     def test_extreme_torque_preserves_collective(self):
         params = VehicleParams()
         h = allocation_matrix(params, 0.18)
-        t, clamped = allocate(8.0, np.array([5.0, 0, 0]), h)
+        t, clamped = allocate(8.0, np.array([5.0, 0, 0]), h, params.thrust_min, params.thrust_max)
         assert clamped
         assert np.sum(t) == pytest.approx(8.0, abs=1e-9)
         assert np.all(t >= params.thrust_min - 1e-12)
@@ -267,7 +272,7 @@ class TestServo:
         params = VehicleParams(servo_tau=0.1)
         r_des = 0.18
         theta = params.servo_angle_of_radius(r_des)
-        assert servo_command(r_des, theta, params) == 0.0
+        assert servo_command(r_des, theta, params, 6.0) == 0.0
 
     def test_hand_case(self):
         params = VehicleParams(servo_tau=0.1)
@@ -301,7 +306,7 @@ class TestFlatReference:
     def test_unit_z_and_positive_thrust(self, fig8_traj):
         params = VehicleParams()
         for t in np.linspace(0, fig8_traj.total_time, 50):
-            x_ref, u_ref, r_des = flat_reference(fig8_traj, t, params)
+            x_ref, u_ref, r_des = reference_at(fig8_traj, t, params)
             q = x_ref[6:10]
             assert np.linalg.norm(q) == pytest.approx(1.0, abs=1e-12)
             assert u_ref[0] > 0.0
@@ -315,7 +320,7 @@ class TestFlatReference:
         times = np.linspace(-0.1, fig8_traj.total_time + 0.2, 41)
         x_refs, u_refs, radii = flat_reference(fig8_traj, times, params)
         for j, t in enumerate(times):
-            x_ref, u_ref, r_des = flat_reference(fig8_traj, t, params)
+            x_ref, u_ref, r_des = reference_at(fig8_traj, t, params)
             assert np.array_equal(x_refs[j], x_ref)
             assert np.array_equal(u_refs[j], u_ref)
             assert radii[j] == r_des
@@ -323,7 +328,7 @@ class TestFlatReference:
     def test_hover_reference(self):
         params = VehicleParams()
         traj = hover_traj()
-        x_ref, u_ref, r_des = flat_reference(traj, 1.0, params)
+        x_ref, u_ref, r_des = reference_at(traj, 1.0, params)
         assert np.allclose(x_ref[0:3], [0, 0, 1.0])
         assert u_ref[0] == pytest.approx(params.hover_thrust)
         assert r_des == pytest.approx(0.211)
@@ -406,7 +411,7 @@ class TestRunTracking:
         result = fig8_run(3, compensation=True)
         params = VehicleParams()
         for k, t in enumerate(result.times):
-            x_ref, _, _ = flat_reference(fig8_traj, t, params)
+            x_ref, _, _ = reference_at(fig8_traj, t, params)
             assert np.array_equal(result.references[k], x_ref[0:3])
             assert result.log_rows[k][1:4] == x_ref[0:3].tolist()
 

@@ -54,6 +54,13 @@ def hover_state(params, r=None):
                           radius=r, servo_angle=params.servo_angle_of_radius(r))
 
 
+def sim_step(state, thrusts, servo_rate, disturbance, params, dt):
+    """`step` on the radius model of the state's radius, as the tracking
+    loop builds it."""
+    return step(state, thrusts, servo_rate, disturbance, params, dt,
+                radius_model(params, state.radius))
+
+
 class TestQuaternions:
     def test_rotation_roundtrip(self):
         rng = np.random.default_rng(2)
@@ -216,7 +223,7 @@ class TestStep:
         state = hover_state(params)
         t_hover = np.full(4, params.hover_thrust / 4.0)
         for _ in range(1000):
-            state = step(state, t_hover, 0.0, None, params, 1e-3)
+            state = sim_step(state, t_hover, 0.0, None, params, 1e-3)
         assert np.linalg.norm(state.position) < 1e-9
         assert np.linalg.norm(state.velocity) < 1e-9
 
@@ -224,7 +231,7 @@ class TestStep:
         params = VehicleParams()
         state = hover_state(params)
         dt = 1e-3
-        state = step(state, np.zeros(4), 0.0, None, params, dt)
+        state = sim_step(state, np.zeros(4), 0.0, None, params, dt)
         assert state.velocity[2] == pytest.approx(-9.81 * dt, rel=1e-12)
 
     def test_principal_axis_spin_constant(self):
@@ -232,7 +239,7 @@ class TestStep:
         state = hover_state(params)
         state.omega = np.array([0.0, 0.0, 2.0])
         for _ in range(2000):
-            state = step(state, np.zeros(4), 0.0, None, params, 1e-3)
+            state = sim_step(state, np.zeros(4), 0.0, None, params, 1e-3)
         assert np.allclose(state.omega, [0, 0, 2.0], atol=1e-9)
 
     def test_torque_free_energy_conservation(self):
@@ -242,7 +249,7 @@ class TestStep:
         j = inertia_of(params, state.radius)
         e0 = 0.5 * state.omega @ j @ state.omega
         for _ in range(10000):
-            state = step(state, np.zeros(4), 0.0, None, params, 1e-3)
+            state = sim_step(state, np.zeros(4), 0.0, None, params, 1e-3)
         e1 = 0.5 * state.omega @ j @ state.omega
         assert abs(e1 - e0) / e0 < 1e-6
 
@@ -251,7 +258,7 @@ class TestStep:
         state = hover_state(params)
         state.omega = np.array([2.0, 1.0, -1.5])
         for _ in range(500):
-            state = step(state, np.full(4, 2.0), 0.0, None, params, 1e-3)
+            state = sim_step(state, np.full(4, 2.0), 0.0, None, params, 1e-3)
             assert abs(np.linalg.norm(state.quaternion) - 1.0) < 1e-9
 
     def test_rk4_order(self):
@@ -266,7 +273,7 @@ class TestStep:
                 phase = (k // per) % 4
                 thrusts = np.array([3.0, 2.0, 2.5, 2.2]) if phase % 2 == 0 \
                     else np.array([2.0, 3.0, 2.2, 2.7])
-                state = step(state, thrusts, 0.0, None, params, dt)
+                state = sim_step(state, thrusts, 0.0, None, params, dt)
             return np.concatenate([state.position, state.velocity, state.quaternion, state.omega])
 
         ref = run(1.25e-4)
@@ -281,50 +288,36 @@ class TestStep:
             state = hover_state(params)
             state.omega = np.array([0.3, 0.2, -0.1])
             for _ in range(100):
-                state = step(state, np.array([2.5, 2.4, 2.45, 2.5]), 0.1,
+                state = sim_step(state, np.array([2.5, 2.4, 2.45, 2.5]), 0.1,
                              Wrench(force=[0.1, 0, 0], torque=[0, 0.01, 0]), params, 1e-3)
             outs.append(np.concatenate([state.position, state.velocity,
                                         state.quaternion, state.omega,
                                         [state.radius, state.servo_angle]]))
         assert np.array_equal(outs[0], outs[1])
 
-    def test_given_radius_model_is_the_default_one(self):
+    def test_radius_model_must_match_the_state(self):
         params = VehicleParams()
         state = hover_state(params, r=0.17)
-        state.omega = np.array([0.3, 0.2, -0.1])
         thrusts = np.array([2.5, 2.4, 2.45, 2.5])
         wrench = Wrench(force=[0.1, 0, 0], torque=[0, 0.01, 0])
-        own = step(state, thrusts, 0.1, wrench, params, 1e-3)
-        given = step(state, thrusts, 0.1, wrench, params, 1e-3, model=radius_model(params, 0.17))
-        for name in ("position", "velocity", "quaternion", "omega"):
-            assert np.array_equal(getattr(own, name), getattr(given, name))
         with pytest.raises(ValueError):
-            step(state, thrusts, 0.1, wrench, params, 1e-3, model=radius_model(params, 0.18))
-
-    def test_thrust_clamp_flag(self):
-        params = VehicleParams()
-        info = {}
-        step(hover_state(params), np.array([20.0, 2, 2, 2]), 0.0, None, params, 1e-3, info=info)
-        assert info["thrust_clamped"]
-        info = {}
-        step(hover_state(params), np.full(4, 2.0), 0.0, None, params, 1e-3, info=info)
-        assert not info["thrust_clamped"]
+            step(state, thrusts, 0.1, wrench, params, 1e-3, radius_model(params, 0.18))
 
     def test_servo_moves_radius(self):
         params = VehicleParams()
         state = hover_state(params, r=params.r_max)
         t_hover = np.full(4, params.hover_thrust / 4.0)
         for _ in range(100):
-            state = step(state, t_hover, -3.0, None, params, 1e-3)
+            state = sim_step(state, t_hover, -3.0, None, params, 1e-3)
         assert state.radius < params.r_max
         assert state.servo_angle == pytest.approx(np.pi - 0.3, abs=1e-9)
 
     def test_rejects_bad_inputs(self):
         params = VehicleParams()
         with pytest.raises(ValueError):
-            step(hover_state(params), np.array([np.nan, 0, 0, 0]), 0.0, None, params, 1e-3)
+            sim_step(hover_state(params), np.array([np.nan, 0, 0, 0]), 0.0, None, params, 1e-3)
         with pytest.raises(ValueError):
-            step(hover_state(params), np.zeros(4), 0.0, None, params, 0.0)
+            sim_step(hover_state(params), np.zeros(4), 0.0, None, params, 0.0)
 
 
 class TestPower:
@@ -359,3 +352,23 @@ class TestWrenchProfiles:
         b = noise_wrench(0.1, 0.01, 2.0, 0.01, 1.0, seed=3)
         ts = np.linspace(0, 1, 17)
         assert all(np.array_equal(a(t).force, b(t).force) for t in ts)
+
+    def test_noise_is_the_first_order_recursion(self):
+        """Bit for bit, the profile is the recursion f[k] = f[k-1] +
+        alpha (raw[k] - f[k-1]) from f[0] = 0 over the same draws."""
+        dt, duration, cutoff, seed = 0.005, 3.0, 2.0, 7
+        profile = noise_wrench(0.3, 0.02, cutoff, dt, duration, seed=seed)
+        rng = np.random.default_rng(seed)
+        n = int(np.ceil(duration / dt)) + 2
+        alpha = 1.0 - np.exp(-2.0 * np.pi * cutoff * dt)
+        raw_f = rng.normal(scale=0.3, size=(n, 3))
+        raw_t = rng.normal(scale=0.02, size=(n, 3))
+        f = np.zeros((n, 3))
+        tq = np.zeros((n, 3))
+        for k in range(1, n):
+            f[k] = f[k - 1] + alpha * (raw_f[k] - f[k - 1])
+            tq[k] = tq[k - 1] + alpha * (raw_t[k] - tq[k - 1])
+        for k in range(n):
+            w = profile((k + 0.5) * dt)
+            assert w.force.tobytes() == f[k].tobytes()
+            assert w.torque.tobytes() == tq[k].tobytes()

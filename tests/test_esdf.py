@@ -7,7 +7,6 @@ from morphplan.esdf import (
     BodyGeometry,
     BoxObstacle,
     EsdfField,
-    OutOfMapError,
     SphereObstacle,
     VoxelGrid,
     _interp,
@@ -153,7 +152,7 @@ class TestComputeEsdf:
     def test_occupied_center_nonpositive(self):
         occ = np.zeros((5, 5, 5), dtype=bool)
         occ[2, 2, 2] = True
-        field = compute_esdf(VoxelGrid(origin=np.zeros(3), resolution=0.1, occupancy=occ))
+        field = compute_esdf(VoxelGrid(origin=np.zeros(3), resolution=0.1, occupancy=occ), truncation=5.0)
         assert field.distance[2, 2, 2] <= 0.0
 
     def test_all_occupied_interior(self):
@@ -209,7 +208,7 @@ class TestComputeEsdf:
         rng = np.random.default_rng(3)
         occ = rng.random((12, 10, 8)) < 0.2
         grid = VoxelGrid(origin=np.zeros(3), resolution=0.1, occupancy=occ)
-        d = compute_esdf(grid).distance
+        d = compute_esdf(grid, truncation=5.0).distance
         for axis in range(3):
             a = np.moveaxis(d, axis, 0)[:-1]
             b = np.moveaxis(d, axis, 0)[1:]
@@ -221,7 +220,7 @@ class TestQueries:
     def test_voxel_center_returns_stored_value(self):
         occ = np.zeros((6, 6, 6), dtype=bool)
         occ[1, 1, 1] = True
-        field = compute_esdf(VoxelGrid(origin=np.zeros(3), resolution=0.1, occupancy=occ))
+        field = compute_esdf(VoxelGrid(origin=np.zeros(3), resolution=0.1, occupancy=occ), truncation=5.0)
         pt = voxel_center(field.grid, (4, 3, 2))
         assert query_distance_many(field, pt)[0] == pytest.approx(field.distance[4, 3, 2], abs=1e-14)
 
@@ -239,15 +238,18 @@ class TestQueries:
         vals = query_distance_many(field, pts)
         assert np.allclose(vals, 1.23, atol=1e-13)
 
-    def test_out_of_bounds_raises(self):
+    def test_out_of_bounds_is_lowered_by_the_excursion(self):
         field = uniform_field(1.0)
-        with pytest.raises(OutOfMapError):
-            query_distance_many(field, [-0.1, 0.2, 0.2])
+        pts = [[-0.1, 0.2, 0.2], [0.2, 0.2, 0.2]]
+        np.testing.assert_allclose(query_distance_many(field, pts), [0.9, 1.0], rtol=0, atol=1e-14)
+        # the gradient points back into the map
+        np.testing.assert_allclose(query_gradient_many(field, pts), [[1, 0, 0], [0, 0, 0]],
+                                   rtol=0, atol=1e-14)
 
     def test_continuity_lipschitz(self):
         rng = np.random.default_rng(11)
         occ = rng.random((8, 8, 8)) < 0.2
-        field = compute_esdf(VoxelGrid(origin=np.zeros(3), resolution=0.1, occupancy=occ))
+        field = compute_esdf(VoxelGrid(origin=np.zeros(3), resolution=0.1, occupancy=occ), truncation=5.0)
         res = field.grid.resolution
         lcap = np.max(np.abs(np.diff(field.distance, axis=0)))
         for axis in range(1, 3):
@@ -263,7 +265,9 @@ class TestQueries:
 def reference_interp(field, points, extend, want_grad):
     """The (N, 8, 3) trilinear formula that the flat-gather kernel replaced:
     corner weights as products over a (N, 8, 3) weight array, corner sums as
-    numpy reductions over the trailing axis of 8."""
+    numpy reductions over the trailing axis of 8.  With extend=False it is
+    the plain interpolant, defined on points inside the map only; with
+    extend=True, the 1-Lipschitz extension beyond the map."""
     pts = np.asarray(points, dtype=float).reshape(-1, 3)
     lo, hi = field.lower, field.upper
     res = field.grid.resolution
@@ -272,9 +276,7 @@ def reference_interp(field, points, extend, want_grad):
         q = np.clip(pts, lo, hi)
         out_vec = pts - q
     else:
-        inside = (pts >= lo) & (pts <= hi)
-        if not inside.all():
-            raise OutOfMapError(pts[np.argmin(inside.all(axis=1))])
+        assert points_in_bounds(field, pts).all()
         q = pts
     u = (q - lo) / res - 0.5
     i0 = np.floor(u)
@@ -310,8 +312,10 @@ def reference_interp(field, points, extend, want_grad):
        shifted=st.booleans(),
        seed=st.integers(0, 2**32 - 1))
 def test_interp_equals_reference_formula(dims, resolution, shifted, seed):
-    """Bit for bit, values and gradients, on voxel centres, cell faces, the
-    map bounds, points beyond them and random points; axes of size 1 included."""
+    """Bit for bit, sign bits included, values and gradients, on voxel
+    centres, cell faces, the map bounds, points beyond them and random
+    points; axes of size 1 included.  The kernel is the extended formula
+    everywhere, and inside the map it is the plain interpolant."""
     rng = np.random.default_rng(seed)
     origin = rng.uniform(-2.0, 2.0, 3) if shifted else np.zeros(3)
     grid = VoxelGrid(origin=origin, resolution=resolution, occupancy=np.zeros(dims, dtype=bool))
@@ -330,25 +334,15 @@ def test_interp_equals_reference_formula(dims, resolution, shifted, seed):
          rng.uniform(0.0, 1.0, (n, 3)) * size],  # anywhere inside
         beyond)
     pts = origin + coord * resolution
+    inside = points_in_bounds(field, pts)
     for want_grad in (False, True):
-        got = _interp(field, pts, True, want_grad)
-        want = reference_interp(field, pts, True, want_grad)
-        assert np.array_equal(got[0], want[0])
-        assert (got[1] is None) == (want[1] is None)
-        if want_grad:
-            assert np.array_equal(got[1], want[1])
-        inside = points_in_bounds(field, pts)
-        got = _interp(field, pts[inside], False, want_grad)
-        want = reference_interp(field, pts[inside], False, want_grad)
-        assert np.array_equal(got[0], want[0])
-        if want_grad:
-            assert np.array_equal(got[1], want[1])
-        if not inside.all():
-            with pytest.raises(OutOfMapError) as got_err:
-                _interp(field, pts, False, want_grad)
-            with pytest.raises(OutOfMapError) as want_err:
-                reference_interp(field, pts, False, want_grad)
-            assert np.array_equal(got_err.value.point, want_err.value.point)
+        got = _interp(field, pts, want_grad)
+        for sel, extend in ((slice(None), True), (inside, False)):
+            want = reference_interp(field, pts[sel], extend, want_grad)
+            assert got[0][sel].tobytes() == want[0].tobytes()
+            assert (got[1] is None) == (want[1] is None)
+            if want_grad:
+                assert got[1][sel].tobytes() == want[1].tobytes()
 
 
 class TestGradient:
@@ -368,7 +362,7 @@ class TestGradient:
     def test_matches_finite_differences(self):
         rng = np.random.default_rng(21)
         occ = rng.random((12, 12, 12)) < 0.15
-        field = compute_esdf(VoxelGrid(origin=np.zeros(3), resolution=0.1, occupancy=occ))
+        field = compute_esdf(VoxelGrid(origin=np.zeros(3), resolution=0.1, occupancy=occ), truncation=5.0)
         pts = rng.uniform(0.15, 1.05, size=(100, 3))
         h = 1e-5
         g = query_gradient_many(field, pts)
@@ -393,10 +387,9 @@ class TestGradient:
         assert abs(d_step - lin) < 1e-3
 
 
-def one_row(field, center, body, radius, extend=False):
+def one_row(field, center, body, radius):
     """clearance_batch for a single pose."""
-    d, pt, gp, gr = clearance_batch(field, np.reshape(center, (1, 3)), np.array([radius]), body,
-                                    extend=extend)
+    d, pt, gp, gr = clearance_batch(field, np.reshape(center, (1, 3)), np.array([radius]), body)
     return d[0], pt[0], gp[0], gr[0]
 
 
@@ -437,7 +430,7 @@ class TestBodyClearance:
         occ = np.zeros((16, 16, 16), dtype=bool)
         occ[10:12, 7:9, 7:9] = True
         grid = VoxelGrid(origin=np.zeros(3), resolution=0.1, occupancy=occ)
-        field = compute_esdf(grid)
+        field = compute_esdf(grid, truncation=5.0)
         coarse = BodyGeometry(height=0.12, n_theta=6, n_l=1)
         fine = BodyGeometry(height=0.12, n_theta=12, n_l=2)
         for center in ([0.5, 0.8, 0.8], [0.6, 0.7, 0.8], [0.55, 0.85, 0.75]):
@@ -449,7 +442,7 @@ class TestBodyClearance:
         occ = np.zeros((16, 16, 16), dtype=bool)
         occ[11:13, 6:10, 6:10] = True
         grid = VoxelGrid(origin=np.zeros(3), resolution=0.1, occupancy=occ)
-        field = compute_esdf(grid)
+        field = compute_esdf(grid, truncation=5.0)
         body = BodyGeometry(height=0.1, n_theta=16, n_l=2)
         center = np.array([0.62, 0.71, 0.76])
         radius = 0.2
@@ -469,18 +462,21 @@ class TestBodyClearance:
         assert np.linalg.norm(grad_position - fd_pos) / max(np.linalg.norm(fd_pos), 1e-9) < 1e-3
         assert abs(grad_radius - fd_rad) / max(abs(fd_rad), 1e-9) < 1e-3
 
-    def test_out_of_map_sample_raises_with_point(self):
+    def test_out_of_map_sample_is_the_worst(self):
         grid = build_grid([], [0, 0, 0], [1, 1, 1], 0.1)
-        field = compute_esdf(grid)
+        field = compute_esdf(grid, truncation=5.0)
         body = BodyGeometry(height=0.1)
-        with pytest.raises(OutOfMapError) as err:
-            one_row(field, [0.1, 0.5, 0.5], body, 0.3)
-        assert err.value.point.shape == (3,)
+        # the sample at angle pi lies 0.2 m beyond the map's x = 0 face
+        d, worst, grad_pos, grad_rad = one_row(field, [0.1, 0.5, 0.5], body, 0.3)
+        assert d == pytest.approx(5.0 - 0.2, abs=1e-12)
+        assert worst[0] == pytest.approx(-0.2, abs=1e-12)
+        assert grad_pos == pytest.approx([1.0, 0.0, 0.0], abs=1e-12)
+        assert grad_rad == pytest.approx(-1.0, abs=1e-12)
 
     def test_attachments_only_lower_clearance(self):
         occ = np.zeros((16, 16, 16), dtype=bool)
         occ[12, 8, 8] = True
-        field = compute_esdf(VoxelGrid(origin=np.zeros(3), resolution=0.1, occupancy=occ))
+        field = compute_esdf(VoxelGrid(origin=np.zeros(3), resolution=0.1, occupancy=occ), truncation=5.0)
         plain = BodyGeometry(height=0.1)
         import dataclasses
 
@@ -490,7 +486,7 @@ class TestBodyClearance:
 
 
 def test_points_in_bounds():
-    field = compute_esdf(build_grid([], [0, 0, 0], [1, 1, 1], 0.1))
+    field = compute_esdf(build_grid([], [0, 0, 0], [1, 1, 1], 0.1), truncation=5.0)
     mask = points_in_bounds(field, [[0.5, 0.5, 0.5], [1.5, 0.5, 0.5]])
     assert mask.tolist() == [True, False]
 
@@ -498,7 +494,7 @@ def test_points_in_bounds():
 def test_clearance_batch_matches_single():
     occ = np.zeros((14, 14, 14), dtype=bool)
     occ[9, 6:8, 6:8] = True
-    field = compute_esdf(VoxelGrid(origin=np.zeros(3), resolution=0.1, occupancy=occ))
+    field = compute_esdf(VoxelGrid(origin=np.zeros(3), resolution=0.1, occupancy=occ), truncation=5.0)
     body = BodyGeometry(height=0.1)
     centers = np.array([[0.5, 0.7, 0.7], [0.6, 0.6, 0.7]])
     radii = np.array([0.18, 0.15])

@@ -116,3 +116,13 @@ def test_cli_plot_trajectory_and_tracking_log(tmp_path):
                      "-o", str(plots)]) == 0
     for name in ("hover_topdown.svg", "hover_series.svg", "tracking_log_error.svg"):
         assert (plots / name).read_text().startswith("<svg")
+
+
+
+def test_cli_plot_draws_20_footprints_800_px_wide(tmp_path, fig8_traj):
+    write_sample_csv(fig8_traj, tmp_path / "fig8.csv")
+    assert cli.main(["plot", str(tmp_path / "fig8.csv"), "-o", str(tmp_path)]) == 0
+    topdown = (tmp_path / "fig8_topdown.svg").read_text()
+    assert topdown.startswith('<svg xmlns="http://www.w3.org/2000/svg" width="800" ')
+    assert topdown.count('fill="none" stroke="#c44e52" stroke-width="0.0100"/>') == 20
+    assert (tmp_path / "fig8_series.svg").read_text().count('font-size="0.120"') == 2

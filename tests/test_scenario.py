@@ -58,6 +58,7 @@ MALFORMED = {
     "horizon as a string": _set("control.horizon", "20"),
     "no body height": _drop("body.height"),
     "no map resolution": _drop("map.resolution"),
+    "zero truncation": _set("map.truncation", 0.0),
     "box without max": _box_without_max,
     "two body angles": _set("body.n_theta", 2),
     "non-integer seed": _set("benchmark.seeds", [0, 1.5]),
@@ -79,6 +80,9 @@ MALFORMED = {
     "negative seed count": _set("benchmark", {"n_seeds": -3}),
     "negative benchmark seed": _set("benchmark", {"seeds": [-1]}),
     "negative scenario seed": _set("seed", -2),
+    # the servo map divides by r_max - r_min and by servo_tau
+    "degenerate body": _set("body.r_min", 0.211),
+    "zero servo time constant": _set("sim.servo_tau", 0),
 }
 
 

@@ -20,14 +20,15 @@ from morphplan.esdf import (
     query_distance_many,
 )
 from morphplan.search import (
+    InvalidGoalError,
+    InvalidStartError,
     NoPathError,
     PlanState,
     SearchConfig,
+    _connect_cost,
     _primitive_cost_batch,
     _propagate_batch,
     _states_valid,
-    heuristic,
-    is_valid,
     search,
     write_path_csv,
 )
@@ -60,6 +61,21 @@ def propagate(state, u, dt):
 def primitive_cost(u, r_end, dt, cfg):
     """One primitive's cost, as the search's batch cost computes it."""
     return float(_primitive_cost_batch(np.reshape(u, (1, 4)), np.array([r_end]), dt, cfg)[0])
+
+
+def is_valid(state, field, body, cfg):
+    """One state's validity, as the search's batch check decides it."""
+    return bool(_states_valid(field, body, cfg, state.position.reshape(1, 3),
+                              np.array([state.radius]), state.velocity.reshape(1, 3),
+                              np.array([state.radius_rate]))[0])
+
+
+def heuristic(state, goal, cfg):
+    """The search's cost-to-go bound from state to goal over all four flat
+    axes, as its batch connection cost computes it."""
+    x, g = state.as_array(), goal.as_array()
+    cost, _ = _connect_cost((g[:4] - x[:4])[None, :], x[None, 4:], g[None, 4:], cfg.time_weight)
+    return float(cost[0])
 
 
 class TestPropagate:
@@ -115,7 +131,7 @@ class TestIsValid:
             BoxObstacle(lo=np.array([1.8, 0.0, 0.0]), hi=np.array([2.2, 0.8, 2.0])),
             BoxObstacle(lo=np.array([1.8, 1.2, 0.0]), hi=np.array([2.2, 4.0, 2.0])),
         ]
-        field = compute_esdf(build_grid(obstacles, [0, 0, 0], [4, 4, 2], 0.1))
+        field = compute_esdf(build_grid(obstacles, [0, 0, 0], [4, 4, 2], 0.1), truncation=5.0)
         cfg = fast_config(d_margin=0.1)
         s = PlanState(position=[2.0, 1.0, 1.0], radius=cfg.r_max, velocity=np.zeros(3))
         assert not is_valid(s, field, small_body(), cfg)
@@ -141,7 +157,7 @@ def cluttered_field():
         BoxObstacle(lo=np.array([2.2, 1.2, 0.0]), hi=np.array([2.6, 3.0, 1.1])),
         SphereObstacle(center=np.array([3.1, 0.9, 1.2]), radius=0.35),
     ]
-    return compute_esdf(build_grid(obstacles, [0, 0, 0], [4, 3, 2], 0.1))
+    return compute_esdf(build_grid(obstacles, [0, 0, 0], [4, 3, 2], 0.1), truncation=5.0)
 
 
 _position = st.tuples(st.floats(0.0, 4.0), st.floats(0.0, 3.0), st.floats(0.0, 2.0))
@@ -167,7 +183,7 @@ def test_cheap_pass_never_accepts_an_exact_reject(states, attached):
     pts, _ = body.surface_points(pos, radius)
     flat = pts.reshape(-1, 3)
     inside = points_in_bounds(field, flat).reshape(len(states), -1).all(axis=1)
-    clear = query_distance_many(field, flat, extend=True).reshape(len(states), -1).min(axis=1)
+    clear = query_distance_many(field, flat).reshape(len(states), -1).min(axis=1)
     exact_ok = inside & (clear >= cfg.d_margin)
     assert not np.any(ok & ~exact_ok)
 
@@ -304,6 +320,25 @@ def connect_cost_quartic(dp, v0, v1, w_t):
     return float(c[0])
 
 
+OPEN = [0.5, 2.5, 1.0]          # clear of every obstacle of cluttered_field
+OBSTRUCTED = [1.15, 0.7, 1.0]   # inside its first box
+OUTSIDE = [4.5, 1.5, 1.0]       # beyond the map's x bound
+
+
+@pytest.mark.parametrize("start, goal, error", [
+    (OUTSIDE, OPEN, InvalidStartError),
+    (OBSTRUCTED, OPEN, InvalidStartError),
+    (OBSTRUCTED, OUTSIDE, InvalidStartError),   # the start is checked first
+    (OPEN, OUTSIDE, InvalidGoalError),
+    (OPEN, OBSTRUCTED, InvalidGoalError),
+])
+def test_invalid_endpoints_raise(start, goal, error):
+    cfg = fast_config(d_margin=0.1)
+    ends = [PlanState(position=p, radius=cfg.r_max, velocity=np.zeros(3)) for p in (start, goal)]
+    with pytest.raises(error):
+        search(*ends, cluttered_field(), small_body(), cfg)
+
+
 class TestSearch:
     def test_start_equals_goal(self):
         field = empty_field()
@@ -356,7 +391,7 @@ class TestSearch:
             BoxObstacle(lo=np.array([2.3, 0.0, 0.0]), hi=np.array([2.7, 0.7, 1.6])),
             BoxObstacle(lo=np.array([2.3, 1.3, 0.0]), hi=np.array([2.7, 3.0, 1.6])),
         ]
-        field = compute_esdf(build_grid(obstacles, [0, 0, 0], [5, 3, 1.6], 0.1))
+        field = compute_esdf(build_grid(obstacles, [0, 0, 0], [5, 3, 1.6], 0.1), truncation=5.0)
         body = small_body()
         cfg = fast_config(d_margin=0.15, u_max=np.array([1.5, 1.5, 1.5, 0.3]),
                           sorr_weight=4.0, node_budget=200000)
@@ -390,7 +425,7 @@ class TestSearch:
             for _ in range(2):
                 c = rng.uniform([1.2, 0.4, 0.4], [2.8, 1.6, 1.2])
                 obstacles.append(BoxObstacle(lo=c - 0.2, hi=c + 0.2))
-            field = compute_esdf(build_grid(obstacles, [0, 0, 0], [4, 2, 1.6], 0.1))
+            field = compute_esdf(build_grid(obstacles, [0, 0, 0], [4, 2, 1.6], 0.1), truncation=5.0)
             cfg = fast_config(pos_dedup=0.25, node_budget=300000)
             start = PlanState(position=[0.5, 1.0, 0.8], radius=cfg.r_max, velocity=np.zeros(3))
             goal = PlanState(position=[3.5, 1.0, 0.8], radius=cfg.r_max, velocity=np.zeros(3))
@@ -410,7 +445,7 @@ class TestSearch:
             for _ in range(rng.integers(0, 3)):
                 c = rng.uniform([1.0, 0.5, 0.5], [3.0, 1.5, 1.1])
                 obstacles.append(BoxObstacle(lo=c - rng.uniform(0.1, 0.3, 3), hi=c + rng.uniform(0.1, 0.3, 3)))
-            field = compute_esdf(build_grid(obstacles, [0, 0, 0], [4, 2, 1.6], 0.1))
+            field = compute_esdf(build_grid(obstacles, [0, 0, 0], [4, 2, 1.6], 0.1), truncation=5.0)
             cfg = fast_config(sorr_weight=0.0, pos_dedup=0.25,
                               u_max=np.array([1.5, 1.5, 1.5, 0.0]), node_budget=300000)
             start = PlanState(position=[0.5, 1.0, 0.8], radius=cfg.r_max, velocity=np.zeros(3))
