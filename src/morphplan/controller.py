@@ -119,14 +119,13 @@ class NmpcInfo:
 
 def nmpc_solve(x_now: np.ndarray, x_ref: np.ndarray, u_ref: np.ndarray,
                config: NmpcConfig, params: VehicleParams, model: RadiusModel,
-               warm_start: np.ndarray | None = None,
-               f_ext=(0.0, 0.0, 0.0)) -> tuple[ControlInput, NmpcInfo]:
+               warm_start: np.ndarray | None, f_ext) -> tuple[ControlInput, NmpcInfo]:
     """Finite-horizon tracking solve; returns the first input.
 
     x_now (13,), x_ref (N+1, 13), u_ref (N, 4) or (N+1, 4).  The model is the
     rigid body with the inertia of `model` (the current radius's
     `radius_model`, held over the horizon) under the constant world-frame
-    external force f_ext [N] (zero by default), discretized with RK4 at
+    external force f_ext [N], discretized with RK4 at
     config.dt.  The Gauss-Newton iteration starts from warm_start,
     the previous tick's (N, 4) input sequence, as given, or from u_ref when
     it is None; it stops after config.max_iters iterations or once the input
@@ -369,7 +368,7 @@ class TrackingResult:
 
 
 def run_tracking(traj, params: VehicleParams, nmpc: NmpcConfig,
-                 config: TrackingConfig, disturbance=None) -> TrackingResult:
+                 config: TrackingConfig, disturbance) -> TrackingResult:
     """Closed-loop tracking of a flat trajectory on the simulator.
 
     Tick order per control step: force estimate, then the horizon solve with

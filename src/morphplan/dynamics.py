@@ -417,7 +417,7 @@ class SecondOrderLowPass:
 
 
 def noise_wrench(force_std, torque_std, cutoff_hz: float, dt: float,
-                 duration: float, seed: int = 0):
+                 duration: float, seed: int):
     """Band-limited noise: white gaussian per step, through a `LowPassFilter`
     that starts at zero.  Pre-generated on a fixed grid so runs are
     reproducible."""

@@ -23,14 +23,12 @@ class MetricsRow:
     time_cost: float
     total_cost: float
     total_energy: float
-    tracking_rmse: float | None = None
 
-    HEADER = ",".join(("mode", "seed", *COST_COLUMNS, "tracking_rmse"))
+    HEADER = ",".join(("mode", "seed", *COST_COLUMNS))
 
     def to_csv_line(self) -> str:
         vals = [self.mode, str(self.seed)]
         vals += [format(getattr(self, k), ".17g") for k in COST_COLUMNS]
-        vals.append("" if self.tracking_rmse is None else format(self.tracking_rmse, ".17g"))
         return ",".join(vals)
 
 

@@ -30,16 +30,13 @@ class PlanOutput:
     search_result: object
 
 
-def run_plan(scenario: Scenario, mode: str | None = None,
-             map_seed: int | None = None) -> PlanOutput:
+def run_plan(scenario: Scenario, mode: str | None, map_seed: int | None = None) -> PlanOutput:
+    """Search and optimize one planning problem; mode None is the scenario's."""
     mode = mode or scenario.mode
-    field = scenario.build_field(map_seed=map_seed)
-    cfg = scenario.search_config(mode)
-    start = scenario.plan_state(scenario.start, mode)
-    goal = scenario.plan_state(scenario.goal, mode)
-    problem = scenario.opt_problem(field, mode)
-    # the problem's body carries any payload, so the seed path is payload-aware
-    result = search(start, goal, field, problem.body, cfg)
+    problem = scenario.opt_problem(scenario.build_field(map_seed=map_seed), mode)
+    # one problem for both stages: its body carries any payload, so the seed
+    # path is payload-aware, and both read its radius_frozen
+    result = search(problem, scenario.search_config())
     traj, report = optimize(result.path, problem)
     params = scenario.vehicle_params()
     metrics = metrics_from_report(report, traj, params, mode,
@@ -48,7 +45,7 @@ def run_plan(scenario: Scenario, mode: str | None = None,
     return PlanOutput(trajectory=traj, report=report, metrics=metrics, search_result=result)
 
 
-def cmd_plan(scenario_path, out_dir, mode: str | None = None) -> PlanOutput:
+def cmd_plan(scenario_path, out_dir, mode: str | None) -> PlanOutput:
     scenario = load_scenario(scenario_path)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -69,7 +66,7 @@ class _CsvTrajectory:
         self.data = data  # (N, 4 orders, 4 channels)
         self.total_time = float(times[-1])
 
-    def sample(self, ts, orders=(0,)):
+    def sample(self, ts, orders):
         ts = np.clip(np.asarray(ts, dtype=float), 0.0, self.total_time)
         out = np.empty((len(ts), len(orders), 4))
         for oi, order in enumerate(orders):
@@ -124,7 +121,7 @@ def _benchmark_task(args):
         return (seed, mode, None, f"{type(err).__name__}: {err}")
 
 
-def cmd_benchmark(scenario_path, out_dir, jobs: int = 1):
+def cmd_benchmark(scenario_path, out_dir, jobs: int):
     """Run all three modes over the scenario's seed list; returns the
     aggregate table.  Failures count against the success rate, never as
     zero-cost rows."""

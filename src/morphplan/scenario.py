@@ -3,11 +3,14 @@ body, mode and all planning/control parameters.
 
 The schema here is only the set of keys each section may set; unknown keys
 are rejected so benchmark definitions stay reproducible.  Every parameter's
-default lives in the config class it feeds (`SearchConfig`, `OptProblem`,
-`VehicleParams`, `NmpcConfig`, `TrackingConfig`), and a section's entries are
-passed to those classes by field name.  `parse_scenario` builds each config
-once, so a missing key, a wrong type or a value a config rejects fails at
-load as a `ScenarioError`, before any map is built."""
+default lives in the config class it feeds, and a section's entries are
+passed to those classes by field name.  The `planning` section (limits,
+clearance margin and cost weights) and the `opt` section feed only the
+`OptProblem`, which the search and the optimizer both solve; the `search`
+section feeds only the search's own tuning, `SearchConfig`.
+`parse_scenario` builds each config once, so a missing key, a wrong type or
+a value a config rejects fails at load as a `ScenarioError`, before any map
+is built."""
 
 from __future__ import annotations
 
@@ -31,7 +34,7 @@ SCHEMA = {
                  "sorr_weight", "time_weight"},
     "search": {"u_max", "dt_min", "dt_max", "accel_samples", "duration_samples",
                "pos_dedup", "radius_dedup", "node_budget", "goal_pos_tol",
-               "goal_radius_tol", "use_heuristic"},
+               "goal_radius_tol"},
     "opt": {"w_clearance", "w_dynamics", "clearance_buffer", "kappa"},
     "control": {f.name for f in dataclasses.fields(NmpcConfig)} | {
         "control_dt", "force_compensation", "indi", "force_cutoff_hz",
@@ -119,14 +122,13 @@ class Scenario:
 
     # ---- builders ----------------------------------------------------
 
-    def build_field(self, map_seed: int | None = None):
+    def build_field(self, map_seed: int | None):
         rng = np.random.default_rng(map_seed) if map_seed is not None else None
         obstacles = [o.build(rng) for o in self.obstacles]
         grid = build_grid(obstacles, self.bounds_lo, self.bounds_hi, self.resolution)
         return compute_esdf(grid, truncation=self.truncation)
 
-    def mode_radius(self, mode: str | None = None) -> float | None:
-        mode = mode or self.mode
+    def mode_radius(self, mode: str) -> float | None:
         if mode == "fixed-max":
             return self.body.r_max
         if mode == "fixed-min":
@@ -136,7 +138,7 @@ class Scenario:
             return self.start.radius if self.start.radius is not None else self.body.r_max
         return None
 
-    def plan_state(self, spec: EndpointSpec, mode: str | None = None) -> PlanState:
+    def plan_state(self, spec: EndpointSpec, mode: str) -> PlanState:
         fixed = self.mode_radius(mode)
         radius = fixed if fixed is not None else (
             spec.radius if spec.radius is not None else self.body.r_max)
@@ -144,32 +146,18 @@ class Scenario:
         return PlanState(position=spec.position, radius=radius,
                          velocity=spec.velocity, radius_rate=rate)
 
-    def search_config(self, mode: str | None = None) -> SearchConfig:
-        cfg = SearchConfig(**_pick(self.planning, SearchConfig), **self.search,
-                           r_min=self.body.r_min, r_max=self.body.r_max)
-        fixed = self.mode_radius(mode)
-        if fixed is not None:
-            # radius frozen: the shrink regularizer is constant per unit time, so
-            # it cannot change the argmin; drop it and pin the bounds
-            u = cfg.u_max.copy()
-            u[3] = 0.0
-            cfg = dataclasses.replace(cfg, u_max=u, r_min=fixed, r_max=fixed,
-                                      sorr_weight=0.0)
-        return cfg
+    def search_config(self) -> SearchConfig:
+        return SearchConfig(**self.search)
 
     def opt_problem(self, field, mode: str | None = None) -> OptProblem:
+        """The planning problem of the mode (None: the scenario's), which the
+        search and the optimizer both solve."""
         mode = mode or self.mode
-        start = self.plan_state(self.start, mode)
-        goal = self.plan_state(self.goal, mode)
-        sigma0 = np.zeros((3, 4))
-        sigma0[0] = np.concatenate([start.position, [start.radius]])
-        sigma0[1] = np.concatenate([start.velocity, [start.radius_rate]])
-        sigmaf = np.zeros((3, 4))
-        sigmaf[0] = np.concatenate([goal.position, [goal.radius]])
-        sigmaf[1] = np.concatenate([goal.velocity, [goal.radius_rate]])
+        # boundary rows [p, r] and [v, v_r], at rest in acceleration
+        sigma0, sigmaf = (np.vstack([self.plan_state(spec, mode).as_array().reshape(2, 4),
+                                     np.zeros(4)]) for spec in (self.start, self.goal))
         prob = OptProblem(field=field, body=self.body, sigma0=sigma0, sigmaf=sigmaf,
-                          **_pick(self.planning, OptProblem), **self.opt,
-                          radius_frozen=(mode != "adaptive"))
+                          **self.planning, **self.opt, radius_frozen=(mode != "adaptive"))
         if self.payload is not None:
             prob = attach_payload(prob, self.payload["size"], self.payload["offset"])
         return prob

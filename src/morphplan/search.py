@@ -1,5 +1,12 @@
 """Kinodynamic best-first search over the extended state [p, r, v, v_r].
 
+The search solves the same `OptProblem` as the optimizer, as its front end.
+From the problem it reads the map, the body (with any payload) and its
+radius bounds, the start and goal (the value and velocity rows of `sigma0`
+and `sigmaf`), the limits `v_max` and `radius_rate_max`, the clearance
+margin `d_margin`, the weights `sorr_weight` and `time_weight`, and
+`radius_frozen`.  `SearchConfig` holds only the search's own tuning.
+
 Motion primitives are generated by sampling accelerations on the four flat
 axes (three position axes plus the deformation radius) together with a
 primitive duration; double-integrator propagation gives the successor
@@ -32,8 +39,9 @@ from dataclasses import dataclass, field as _field
 
 import numpy as np
 
-from .esdf import BodyGeometry, EsdfField, points_in_bounds, query_distance_many
+from .esdf import points_in_bounds, query_distance_many
 from .fields import check_field_types
+from .traj_opt import OptProblem
 
 log = logging.getLogger(__name__)
 
@@ -82,24 +90,20 @@ class PlanState:
 
 @dataclass
 class SearchConfig:
+    """The search's own tuning: the primitive set (acceleration bounds u_max
+    on [x, y, z, r] and the sampled durations), the deduplication cells, the
+    expansion budget and the goal tolerances."""
+
     u_max: np.ndarray = _field(default_factory=lambda: np.array([2.0, 2.0, 2.0, 0.4]))
     dt_min: float = 0.4
     dt_max: float = 1.0
     accel_samples: int = 3
     duration_samples: int = 3
-    v_max: float = 2.0
-    radius_rate_max: float = 0.4
-    d_margin: float = 0.15
-    sorr_weight: float = 8.0
-    time_weight: float = 2.0
-    r_min: float = 0.131
-    r_max: float = 0.211
     pos_dedup: float = 0.15
     radius_dedup: float = 0.02
     node_budget: int = 100000
     goal_pos_tol: float = 0.2
     goal_radius_tol: float = 0.05
-    use_heuristic: bool = True
 
     def __post_init__(self):
         check_field_types(self)
@@ -108,12 +112,10 @@ class SearchConfig:
             raise ValueError("primitive durations need 0 < dt_min <= dt_max")
         if min(self.accel_samples, self.duration_samples, self.node_budget) < 1:
             raise ValueError("sample counts and the node budget must be at least 1")
-        if min(self.v_max, self.pos_dedup, self.radius_dedup) <= 0.0:
-            raise ValueError("v_max and the dedup cells must be positive")
-        if min(self.radius_rate_max, self.goal_pos_tol, self.goal_radius_tol, self.sorr_weight,
-               self.time_weight) < 0.0 or self.r_min > self.r_max:
-            raise ValueError("rate bound, tolerances and weights must be non-negative, "
-                             "r_min <= r_max")
+        if min(self.pos_dedup, self.radius_dedup) <= 0.0:
+            raise ValueError("the dedup cells must be positive")
+        if min(self.goal_pos_tol, self.goal_radius_tol) < 0.0:
+            raise ValueError("the goal tolerances must be non-negative")
 
 
 @dataclass(eq=False)
@@ -143,21 +145,22 @@ def _propagate_batch(x0: np.ndarray, us: np.ndarray, dt) -> np.ndarray:
     return np.concatenate(np.broadcast_arrays(pos, vel), axis=-1)
 
 
-def _primitive_cost_batch(us: np.ndarray, r_end: np.ndarray, dt: float,
-                          config: SearchConfig) -> np.ndarray:
+def _primitive_cost_batch(us: np.ndarray, r_end: np.ndarray, dt: float, r_max: float,
+                          sorr_weight: float, time_weight: float) -> np.ndarray:
     """Squared control effort plus radius regularization plus time cost of
     the primitives us (B, 4) ending at radii r_end (B,) after dt -> (B,)."""
-    shrink = (r_end - config.r_max) / config.r_max
-    return (us * us).sum(axis=1) * dt + config.sorr_weight * shrink * shrink * dt + config.time_weight * dt
+    shrink = (r_end - r_max) / r_max
+    return (us * us).sum(axis=1) * dt + sorr_weight * shrink * shrink * dt + time_weight * dt
 
 
-def _states_valid(field: EsdfField, body: BodyGeometry, config: SearchConfig,
-                  pos: np.ndarray, radius: np.ndarray, vel: np.ndarray,
+def _states_valid(problem: OptProblem, pos: np.ndarray, radius: np.ndarray, vel: np.ndarray,
                   radius_rate: np.ndarray) -> np.ndarray:
-    """Vectorized validity: dynamic bounds, map bounds and whole-body clearance."""
-    ok = np.linalg.norm(vel, axis=1) <= config.v_max
-    ok &= np.abs(radius_rate) <= config.radius_rate_max
-    ok &= (radius >= config.r_min) & (radius <= config.r_max)
+    """Vectorized validity under the problem's limits: speed, radius rate,
+    radius bounds, map bounds and whole-body clearance."""
+    field, body = problem.field, problem.body
+    ok = np.linalg.norm(vel, axis=1) <= problem.v_max
+    ok &= np.abs(radius_rate) <= problem.radius_rate_max
+    ok &= (radius >= body.r_min) & (radius <= body.r_max)
     ok &= points_in_bounds(field, pos)
     idx = np.flatnonzero(ok)
     if len(idx) == 0:
@@ -170,7 +173,7 @@ def _states_valid(field: EsdfField, body: BodyGeometry, config: SearchConfig,
     margin_hi = np.min(field.upper - p, axis=1)
     ball_inside = np.minimum(margin_lo, margin_hi) >= reach
     center_d = query_distance_many(field, p)
-    easy = ball_inside & (center_d >= config.d_margin + reach)
+    easy = ball_inside & (center_d >= problem.d_margin + reach)
     hard = np.flatnonzero(~easy)
     if len(hard):
         hard_idx = idx[hard]
@@ -179,7 +182,7 @@ def _states_valid(field: EsdfField, body: BodyGeometry, config: SearchConfig,
         flat = pts.reshape(-1, 3)
         inb = points_in_bounds(field, flat).reshape(len(hard_idx), -1)
         d = query_distance_many(field, flat).reshape(len(hard_idx), -1)
-        offsets_ok = inb.all(axis=1) & (d.min(axis=1) >= config.d_margin)
+        offsets_ok = inb.all(axis=1) & (d.min(axis=1) >= problem.d_margin)
         ok[hard_idx[~offsets_ok]] = False
     return ok
 
@@ -235,11 +238,11 @@ def _axis_samples(limit: float, count: int) -> np.ndarray:
     return np.unique(np.linspace(-limit, limit, count))
 
 
-def _arc_bound(x: np.ndarray, dt: float, config: SearchConfig) -> float:
+def _arc_bound(x: np.ndarray, dt: float, u_max: np.ndarray) -> float:
     """Upper bound on the (position + radius) arc length of any primitive
-    leaving state x within dt."""
-    speed = float(np.linalg.norm(x[4:7])) + float(np.linalg.norm(config.u_max[:3])) * dt
-    shrink = abs(float(x[7])) + float(config.u_max[3]) * dt
+    leaving state x within dt under the acceleration bounds u_max."""
+    speed = float(np.linalg.norm(x[4:7])) + float(np.linalg.norm(u_max[:3])) * dt
+    shrink = abs(float(x[7])) + float(u_max[3]) * dt
     return (speed + shrink) * dt
 
 
@@ -251,18 +254,35 @@ def _at_goal(xs: np.ndarray, goal: PlanState, config: SearchConfig) -> np.ndarra
     return near
 
 
-def search(start: PlanState, goal: PlanState, field: EsdfField, body: BodyGeometry,
-           config: SearchConfig) -> SearchResult:
-    """Best-first search over sampled (acceleration, duration) primitives.
+def search(problem: OptProblem, config: SearchConfig) -> SearchResult:
+    """Best-first search over sampled (acceleration, duration) primitives
+    from the problem's start to its goal.
+
+    The start and goal are the states [p, r, v, v_r] of the value and
+    velocity rows of `problem.sigma0` and `problem.sigmaf`.  States must keep
+    the problem's speed, radius-rate and radius bounds and its clearance
+    margin; primitives are charged with its `sorr_weight` and `time_weight`.
+    When `problem.radius_frozen` is set, the radius stays at its start value.
 
     Raises InvalidStartError / InvalidGoalError for bad endpoints (both are
     checked by one `_states_valid` call, the start's error first), NoPathError
     when the deduplicated state space is exhausted and NodeBudgetExceededError
     when the expansion budget runs out.
     """
+    start, goal = (PlanState.from_array(sigma[:2]) for sigma in (problem.sigma0, problem.sigmaf))
+    u_max = config.u_max
+    sorr_weight = problem.sorr_weight
+    if problem.radius_frozen:
+        # no radius acceleration, also in `_arc_bound`'s sub-sample count, and
+        # no shrink regularizer.  On a frozen radius the regularizer is a
+        # constant rate that adds to the time weight, so keeping it would
+        # change the seed path (on slot, fixed-min: 28 expansions and cost
+        # 11.52 instead of 9 and 9.0).
+        u_max = u_max.copy()
+        u_max[3] = 0.0
+        sorr_weight = 0.0
     ends = np.stack([start.as_array(), goal.as_array()])
-    start_ok, goal_ok = _states_valid(field, body, config, ends[:, :3], ends[:, 3], ends[:, 4:7],
-                                      ends[:, 7])
+    start_ok, goal_ok = _states_valid(problem, ends[:, :3], ends[:, 3], ends[:, 4:7], ends[:, 7])
     if not start_ok:
         raise InvalidStartError("start state is invalid")
     if not goal_ok:
@@ -272,25 +292,20 @@ def search(start: PlanState, goal: PlanState, field: EsdfField, body: BodyGeomet
         return SearchResult(path=[PathNode(state=start, control=None, duration=0.0)],
                             cost=0.0, expansions=0)
 
-    res = field.grid.resolution
-    origin = field.lower
-    axes = [
-        _axis_samples(config.u_max[0], config.accel_samples),
-        _axis_samples(config.u_max[1], config.accel_samples),
-        _axis_samples(config.u_max[2], config.accel_samples),
-        _axis_samples(config.u_max[3], config.accel_samples),
-    ]
+    res = problem.field.grid.resolution
+    origin = problem.field.lower
+    r_min, r_max = problem.body.r_min, problem.body.r_max
+    axes = [_axis_samples(limit, config.accel_samples) for limit in u_max]
     us = np.array(list(itertools.product(*axes)))
     dts = np.unique(np.linspace(config.dt_min, config.dt_max, config.duration_samples))
 
     def keys_of(xs: np.ndarray) -> list[tuple]:
         """Dedup cells (ix, iy, iz, ir) of the states xs (B, 8), as tuples of ints."""
         kp = np.floor((xs[:, :3] - origin) / config.pos_dedup)
-        kr = np.floor((xs[:, 3:4] - config.r_min) / config.radius_dedup)
+        kr = np.floor((xs[:, 3:4] - r_min) / config.radius_dedup)
         return list(map(tuple, np.hstack([kp, kr]).astype(np.int64).tolist()))
 
-    goal_v = np.concatenate([goal.position, [goal.radius]])
-    goal_vel = np.concatenate([goal.velocity, [goal.radius_rate]])
+    goal_v, goal_vel = ends[1, :4], ends[1, 4:]
 
     states: list[np.ndarray] = [ends[0]]
     parents: list[int] = [-1]
@@ -302,11 +317,9 @@ def search(start: PlanState, goal: PlanState, field: EsdfField, body: BodyGeomet
     best_g: dict = {node_keys[0]: (0.0, 0)}
     closed: set = set()
 
-    h0 = 0.0
-    if config.use_heuristic:
-        cost0, _ = _connect_cost(goal_v[None, :] - ends[:1, :4], ends[:1, 4:], goal_vel[None, :],
-                                 config.time_weight)
-        h0 = float(cost0[0])
+    cost0, _ = _connect_cost(goal_v[None, :] - ends[:1, :4], ends[:1, 4:], goal_vel[None, :],
+                             problem.time_weight)
+    h0 = float(cost0[0])
     heap: list = [(h0, h0, 0, 0)]
     seq = 1
     expansions = 0
@@ -345,21 +358,22 @@ def search(start: PlanState, goal: PlanState, field: EsdfField, body: BodyGeomet
         for dt in dts:
             dt = float(dt)
             children = _propagate_batch(x, us, dt)
-            ok = np.linalg.norm(children[:, 4:7], axis=1) <= config.v_max
-            ok &= np.abs(children[:, 7]) <= config.radius_rate_max
-            ok &= (children[:, 3] >= config.r_min) & (children[:, 3] <= config.r_max)
+            ok = np.linalg.norm(children[:, 4:7], axis=1) <= problem.v_max
+            ok &= np.abs(children[:, 7]) <= problem.radius_rate_max
+            ok &= (children[:, 3] >= r_min) & (children[:, 3] <= r_max)
             # radius extremum inside the primitive (quadratic in t)
             ur = us[:, 3]
             with np.errstate(divide="ignore", invalid="ignore"):
                 t_ext = np.where(ur != 0.0, -x[7] / ur, -1.0)
             interior = (t_ext > 0.0) & (t_ext < dt)
             r_ext = x[3] + x[7] * t_ext + 0.5 * ur * t_ext * t_ext
-            ok &= ~interior | ((r_ext >= config.r_min) & (r_ext <= config.r_max))
+            ok &= ~interior | ((r_ext >= r_min) & (r_ext <= r_max))
             if not ok.any():
                 continue
 
             cand = np.flatnonzero(ok)
-            g_new = (gs[idx] + _primitive_cost_batch(us[cand], children[cand, 3], dt, config)).tolist()
+            g_new = (gs[idx] + _primitive_cost_batch(us[cand], children[cand, 3], dt, r_max,
+                                                     sorr_weight, problem.time_weight)).tolist()
             at_goal = _at_goal(children[cand], goal, config).tolist()
             cand_keys = keys_of(children[cand])
             keep = []
@@ -381,25 +395,20 @@ def search(start: PlanState, goal: PlanState, field: EsdfField, body: BodyGeomet
             # the step count is a conservative bound from the parent state alone so
             # it is identical for every child of one (node, dt) expansion
             kept_ci = np.array([ci for _, ci, _ in keep])
-            arc = _arc_bound(x, dt, config)
+            arc = _arc_bound(x, dt, u_max)
             n_sub = int(np.clip(np.ceil(arc / (0.5 * res)), 1, 32))
             ts = dt * (np.arange(1, n_sub + 1) / n_sub)
             # (kept, n_sub, 8): each kept primitive at each sub-sample time
             flat = _propagate_batch(x, us[kept_ci][:, None, :], ts).reshape(-1, 8)
-            mask = _states_valid(field, body, config, flat[:, :3], flat[:, 3], flat[:, 4:7], flat[:, 7])
+            mask = _states_valid(problem, flat[:, :3], flat[:, 3], flat[:, 4:7], flat[:, 7])
             valid_child = mask.reshape(len(keep), n_sub).all(axis=1)
             if not valid_child.any():
                 continue
 
             new_rows = [row for row in range(len(keep)) if valid_child[row]]
             new_states = children[kept_ci[new_rows]]
-            if config.use_heuristic:
-                hvals, _ = _connect_cost(goal_v[None, :] - new_states[:, :4],
-                                         new_states[:, 4:],
-                                         np.tile(goal_vel, (len(new_rows), 1)),
-                                         config.time_weight)
-            else:
-                hvals = np.zeros(len(new_rows))
+            hvals, _ = _connect_cost(goal_v[None, :] - new_states[:, :4], new_states[:, 4:],
+                                     np.tile(goal_vel, (len(new_rows), 1)), problem.time_weight)
             for out_i, row in enumerate(new_rows):
                 j, ci, ck = keep[row]
                 if ck is not None:

@@ -25,7 +25,7 @@ for _d in range(1, N_COEF):
         _FACT[_d, _k] = _FACT[_d - 1, _k] * (_k - _d + 1)
 
 
-def poly_basis(t, order: int = 0) -> np.ndarray:
+def poly_basis(t, order: int) -> np.ndarray:
     """Basis row(s) of the order-th derivative of [1, t, ..., t^5] at time t."""
     t = np.asarray(t, dtype=float)
     out = np.zeros(t.shape + (N_COEF,))
@@ -76,7 +76,7 @@ class PiecewiseTrajectory:
         tau = t - (ends[i] - self.durations[i])
         return i, tau
 
-    def sample(self, times, orders=(0,)) -> np.ndarray:
+    def sample(self, times, orders) -> np.ndarray:
         """Vectorized evaluation; returns (len(times), len(orders), 4)."""
         i, tau = self.piece_index(np.asarray(times, dtype=float).reshape(-1))
         coeffs = self.coeffs[i]
@@ -166,7 +166,7 @@ def jerk_energy_matrix(t: float) -> np.ndarray:
     return q
 
 
-def jerk_energy(traj: PiecewiseTrajectory, channels=range(N_CHANNELS)) -> float:
+def jerk_energy(traj: PiecewiseTrajectory, channels) -> float:
     total = 0.0
     for i in range(traj.n_pieces):
         q = jerk_energy_matrix(traj.durations[i])

@@ -27,7 +27,8 @@ def test_tracer_records_planning_spans_and_restores_names():
     # one map build: one build_grid span (no value), then one compute_esdf
     # span (the voxel count), neither inside another build span
     builds = [i for i, s in enumerate(tracer.spans) if s[spans.NAME] == "esdf.build"]
-    assert [tracer.spans[i][spans.VALUE] for i in builds] == [None, scenario.build_field().distance.size]
+    sizes = [tracer.spans[i][spans.VALUE] for i in builds]
+    assert sizes == [None, scenario.build_field(None).distance.size]
     assert all(tracer.spans[i][spans.PARENT] not in builds for i in builds)
     names = {s[spans.NAME] for s in tracer.spans}
     assert {"esdf.build", "esdf.query", "esdf.clearance", "search", "opt", "gate", "opt.eval",

@@ -60,7 +60,8 @@ class TestNmpc:
         params = VehicleParams()
         cfg = NmpcConfig()
         x_ref, u_ref = hover_refs(params, cfg.horizon)
-        out, info = nmpc_solve(x_ref[0], x_ref, u_ref, cfg, params, max_model(params))
+        out, info = nmpc_solve(x_ref[0], x_ref, u_ref, cfg, params, max_model(params), None,
+                               np.zeros(3))
         assert out.thrust == pytest.approx(params.hover_thrust, abs=1e-6)
         assert np.allclose(out.torque, 0.0, atol=1e-6)
         assert info.converged
@@ -71,7 +72,7 @@ class TestNmpc:
         x_ref, u_ref = hover_refs(params, cfg.horizon)
         x0 = x_ref[0].copy()
         x0[2] -= 0.3  # below the reference
-        out, _ = nmpc_solve(x0, x_ref, u_ref, cfg, params, max_model(params))
+        out, _ = nmpc_solve(x0, x_ref, u_ref, cfg, params, max_model(params), None, np.zeros(3))
         assert out.thrust > params.hover_thrust + 0.5
         assert np.linalg.norm(out.torque) < 0.05
 
@@ -82,7 +83,7 @@ class TestNmpc:
         x0 = x_ref[0].copy()
         x0[2] -= 3.0
         x0[5] = -2.5  # falling fast: wants much more than the bound allows
-        out, info = nmpc_solve(x0, x_ref, u_ref, cfg, params, max_model(params))
+        out, info = nmpc_solve(x0, x_ref, u_ref, cfg, params, max_model(params), None, np.zeros(3))
         assert out.thrust == pytest.approx(11.0, abs=1e-8)
         assert info.converged
 
@@ -93,11 +94,11 @@ class TestNmpc:
         x0 = x_ref[0].copy()
         x0[0:3] += [0.2, -0.1, -0.3]
         x0[3:6] = [0.5, 0.2, -0.4]
-        _, first = nmpc_solve(x0, x_ref, u_ref, cfg, params, max_model(params))
+        _, first = nmpc_solve(x0, x_ref, u_ref, cfg, params, max_model(params), None, np.zeros(3))
         assert first.converged and first.iterations > 1
         # a one-stage shift of the solution would move these inputs by far more than tol
         out, again = nmpc_solve(x0, x_ref, u_ref, cfg, params, max_model(params),
-                                warm_start=first.inputs)
+                                warm_start=first.inputs, f_ext=np.zeros(3))
         assert again.converged and again.iterations == 1
         assert np.max(np.abs(again.inputs - first.inputs)) < cfg.tol
         assert out.thrust == pytest.approx(first.inputs[0, 0], rel=0.0, abs=cfg.tol)
@@ -108,9 +109,10 @@ class TestNmpc:
         x0 = x_ref[0].copy()
         x0[0:3] += [0.2, -0.1, -0.3]
         x0[3:6] = [0.5, 0.2, -0.4]
-        _, capped = nmpc_solve(x0, x_ref, u_ref, NmpcConfig(), params, max_model(params))
+        _, capped = nmpc_solve(x0, x_ref, u_ref, NmpcConfig(), params, max_model(params), None,
+                               np.zeros(3))
         _, full = nmpc_solve(x0, x_ref, u_ref, NmpcConfig(max_iters=30), params,
-                             max_model(params))
+                             max_model(params), None, np.zeros(3))
         assert capped.iterations == NmpcConfig().max_iters == 3
         assert not capped.converged
         assert full.converged and full.iterations > 3
@@ -120,29 +122,14 @@ class TestNmpc:
         cfg = NmpcConfig()
         x_ref, u_ref = hover_refs(params, cfg.horizon - 1)
         with pytest.raises(ValueError):
-            nmpc_solve(x_ref[0], x_ref, u_ref, cfg, params, max_model(params))
-
-    def test_zero_external_force_is_the_default(self):
-        params = VehicleParams()
-        cfg = NmpcConfig()
-        x_ref, u_ref = hover_refs(params, cfg.horizon)
-        x0 = x_ref[0].copy()
-        x0[0:3] += [0.2, -0.1, -0.3]
-        x0[3:6] = [0.5, 0.2, -0.4]
-        out, info = nmpc_solve(x0, x_ref, u_ref, cfg, params, max_model(params))
-        out_z, info_z = nmpc_solve(x0, x_ref, u_ref, cfg, params, max_model(params),
-                                   f_ext=np.zeros(3))
-        assert out_z.thrust == out.thrust
-        assert np.array_equal(out_z.torque, out.torque)
-        assert np.array_equal(info_z.inputs, info.inputs)
-        assert info_z.iterations == info.iterations
+            nmpc_solve(x_ref[0], x_ref, u_ref, cfg, params, max_model(params), None, np.zeros(3))
 
     def test_upward_external_force_lowers_thrust(self):
         params = VehicleParams()
         cfg = NmpcConfig()
         x_ref, u_ref = hover_refs(params, cfg.horizon)
         out, info = nmpc_solve(x_ref[0], x_ref, u_ref, cfg, params, max_model(params),
-                               f_ext=[0.0, 0.0, 1.0])
+                               warm_start=None, f_ext=[0.0, 0.0, 1.0])
         # the model carries 1 N of the weight; the input cost pulls the
         # collective only slightly back toward the hover reference
         assert params.hover_thrust - out.thrust == pytest.approx(1.0, abs=0.01)
@@ -154,7 +141,7 @@ class TestNmpc:
         cfg = NmpcConfig()
         x_ref, u_ref = hover_refs(params, cfg.horizon)
         out, _ = nmpc_solve(x_ref[0], x_ref, u_ref, cfg, params, max_model(params),
-                            f_ext=[1.0, 0.0, 0.0])
+                            warm_start=None, f_ext=[1.0, 0.0, 0.0])
         # a push toward +x is cancelled by tilting z_body toward -x, which
         # takes a negative torque about body y
         assert out.torque[1] < -0.05
@@ -366,7 +353,8 @@ class TestRunTracking:
     def test_hover_rmse_tiny(self):
         params = VehicleParams()
         traj = hover_traj(duration=2.0)
-        result = run_tracking(traj, params, NmpcConfig(), TrackingConfig(duration_pad=0.0))
+        result = run_tracking(traj, params, NmpcConfig(), TrackingConfig(duration_pad=0.0),
+                              disturbance=None)
         assert result.rmse < 1e-3
 
     def test_compensation_inert_without_disturbance(self, fig8_run):
@@ -440,7 +428,8 @@ class TestRunTracking:
     def test_log_csv(self, tmp_path):
         params = VehicleParams()
         traj = hover_traj(duration=0.5)
-        result = run_tracking(traj, params, NmpcConfig(), TrackingConfig(duration_pad=0.0))
+        result = run_tracking(traj, params, NmpcConfig(), TrackingConfig(duration_pad=0.0),
+                              disturbance=None)
         path = tmp_path / "log.csv"
         write_tracking_csv(result, path)
         lines = path.read_text().splitlines()

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from morphplan import cli
+from morphplan.metrics import MetricsRow
 from morphplan.pipeline import _CsvTrajectory, load_trajectory_file, run_plan
 from morphplan.scenario import load_scenario, parse_scenario
 from morphplan.trajectory import fit_min_jerk, write_coeff_dump, write_sample_csv
@@ -41,6 +42,9 @@ def test_cli_plan_writes_outputs(tmp_path):
     assert code == 0
     for name in ("trajectory.csv", "coefficients.txt", "seed_path.csv", "metrics.csv"):
         assert (tmp_path / name).stat().st_size > 0
+    header, row = (tmp_path / "metrics.csv").read_text().splitlines()
+    assert header == MetricsRow.HEADER == "mode,seed,pce,rce,sorr,time_cost,total_cost,total_energy"
+    assert row.startswith("fixed-min,0,") and len(row.split(",")) == 8 and "" not in row.split(",")
 
 
 def short_scenario(tmp_path, **sections):

@@ -64,6 +64,7 @@ MALFORMED = {
     "non-integer seed": _set("benchmark.seeds", [0, 1.5]),
     "unknown key": _set("planning.v_mx", 1.0),
     "removed goal_vel_tol": _set("search.goal_vel_tol", 0.5),
+    "removed use_heuristic": _set("search.use_heuristic", False),
     "bad mode": _set("mode", "shrink"),
     "start outside bounds": _set("start.position", [-1.0, 1.5, 0.8]),
     "disturbance without force": _drop("sim.disturbance.force"),
@@ -147,16 +148,17 @@ def test_slot_configs_pinned():
     sc = load_scenario(SCENARIOS / "slot.json")
     assert_fields(sc.search_config(), dict(
         u_max=[1.5, 1.5, 1.5, 0.3], dt_min=0.4, dt_max=0.8, accel_samples=3,
-        duration_samples=2, v_max=2.0, radius_rate_max=0.4, d_margin=0.15, sorr_weight=8.0,
-        time_weight=2.0, r_min=0.131, r_max=0.211, pos_dedup=0.2, radius_dedup=0.02,
-        node_budget=400000, goal_pos_tol=0.2, goal_radius_tol=0.05, use_heuristic=True))
-    assert_fields(sc.search_config("fixed-max"), dict(
-        u_max=[1.5, 1.5, 1.5, 0.0], r_min=0.211, r_max=0.211, sorr_weight=0.0))
+        duration_samples=2, pos_dedup=0.2, radius_dedup=0.02, node_budget=400000,
+        goal_pos_tol=0.2, goal_radius_tol=0.05))
     assert_fields(sc.opt_problem(None), dict(
         v_max=2.0, a_max=4.0, radius_rate_max=0.4, radius_acc_max=2.0, d_margin=0.15,
         sorr_weight=8.0, time_weight=2.0, w_clearance=1e4, w_dynamics=1e3,
         clearance_buffer=0.005, kappa=16, radius_frozen=False,
         sigma0=[[0.6, 1.0, 0.8, 0.211], [0.0] * 4, [0.0] * 4]))
+    assert_fields(sc.opt_problem(None, "fixed-max"), dict(
+        radius_frozen=True, sorr_weight=8.0,
+        sigma0=[[0.6, 1.0, 0.8, 0.211], [0.0] * 4, [0.0] * 4],
+        sigmaf=[[4.4, 1.0, 0.8, 0.211], [0.0] * 4, [0.0] * 4]))
     assert sc.opt_problem(None, "fixed-min").radius_frozen
     same_config(sc.vehicle_params(), VehicleParams(height=0.12, r_min=0.131, r_max=0.211))
     same_config(sc.nmpc_config(), NmpcConfig())
@@ -172,11 +174,11 @@ def test_configs_without_optional_sections_take_class_defaults():
         raw.pop(section, None)
     sc = parse_scenario(raw)
     body = dict(r_min=0.131, r_max=0.211)
-    same_config(sc.search_config(), SearchConfig(**body))
+    same_config(sc.search_config(), SearchConfig())
     same_config(sc.opt_problem(None), OptProblem(field=None, body=sc.body, sigma0=np.zeros((3, 4)),
                                                   sigmaf=np.zeros((3, 4))),
                 skip=("field", "body", "sigma0", "sigmaf"))
-    assert sc.search_config().d_margin == sc.opt_problem(None).d_margin == 0.15
+    assert sc.opt_problem(None).d_margin == 0.15
     same_config(sc.vehicle_params(), VehicleParams(height=0.12, **body))
     same_config(sc.tracking_config(), TrackingConfig())
     assert sc.disturbance(1.0) is None
@@ -198,7 +200,7 @@ def test_every_schema_key_reaches_a_config():
     """Each key a section may set is a field of a config it feeds, or one of
     the keys read by name (the energy model's coefficients, the disturbance
     and the simulation step)."""
-    feeds = {"planning": (SearchConfig, OptProblem), "search": (SearchConfig,),
+    feeds = {"planning": (OptProblem,), "search": (SearchConfig,),
              "opt": (OptProblem,), "control": (NmpcConfig, TrackingConfig),
              "sim": (VehicleParams, TrackingConfig)}
     by_name = {"sim": {"energy_c1", "energy_c2", "disturbance", "dt"}}

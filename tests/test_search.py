@@ -33,6 +33,7 @@ from morphplan.search import (
     write_path_csv,
 )
 from morphplan.scenario import parse_scenario
+from morphplan.traj_opt import OptProblem
 
 
 def empty_field(extent=(4.0, 4.0, 2.0), resolution=0.1):
@@ -45,11 +46,28 @@ def small_body():
 
 def fast_config(**kw):
     base = dict(u_max=np.array([1.5, 1.5, 1.5, 0.3]), dt_min=0.4, dt_max=0.8,
-                duration_samples=2, v_max=2.0, radius_rate_max=0.4, d_margin=0.08,
-                sorr_weight=4.0, time_weight=2.0, pos_dedup=0.2, radius_dedup=0.02,
-                node_budget=60000)
+                duration_samples=2, pos_dedup=0.2, radius_dedup=0.02, node_budget=60000)
     base.update(kw)
     return SearchConfig(**base)
+
+
+R_MAX = small_body().r_max
+
+
+def boundary(state):
+    """The (3, 4) boundary rows of a state at rest in acceleration."""
+    sigma = np.zeros((3, 4))
+    sigma[:2] = state.as_array().reshape(2, 4)
+    return sigma
+
+
+def fast_problem(start, goal, field, body=None, **kw):
+    """The planning problem from start to goal, with the limits and weights
+    of these tests."""
+    base = dict(v_max=2.0, radius_rate_max=0.4, d_margin=0.08, sorr_weight=4.0, time_weight=2.0)
+    base.update(kw)
+    return OptProblem(field=field, body=small_body() if body is None else body,
+                      sigma0=boundary(start), sigmaf=boundary(goal), **base)
 
 
 def propagate(state, u, dt):
@@ -58,24 +76,36 @@ def propagate(state, u, dt):
     return PlanState.from_array(_propagate_batch(state.as_array(), np.reshape(u, (1, 4)), dt)[0])
 
 
-def primitive_cost(u, r_end, dt, cfg):
-    """One primitive's cost, as the search's batch cost computes it."""
-    return float(_primitive_cost_batch(np.reshape(u, (1, 4)), np.array([r_end]), dt, cfg)[0])
+def primitive_cost(u, r_end, dt, problem):
+    """One primitive's cost under the problem's weights, as the search's
+    batch cost computes it for a radius that is not frozen."""
+    return float(_primitive_cost_batch(np.reshape(u, (1, 4)), np.array([r_end]), dt,
+                                       problem.body.r_max, problem.sorr_weight,
+                                       problem.time_weight)[0])
 
 
-def is_valid(state, field, body, cfg):
-    """One state's validity, as the search's batch check decides it."""
-    return bool(_states_valid(field, body, cfg, state.position.reshape(1, 3),
-                              np.array([state.radius]), state.velocity.reshape(1, 3),
-                              np.array([state.radius_rate]))[0])
+def is_valid(state, problem):
+    """One state's validity under the problem, as the search's batch check
+    decides it."""
+    return bool(_states_valid(problem, state.position.reshape(1, 3), np.array([state.radius]),
+                              state.velocity.reshape(1, 3), np.array([state.radius_rate]))[0])
 
 
-def heuristic(state, goal, cfg):
+def heuristic(state, goal, time_weight):
     """The search's cost-to-go bound from state to goal over all four flat
     axes, as its batch connection cost computes it."""
     x, g = state.as_array(), goal.as_array()
-    cost, _ = _connect_cost((g[:4] - x[:4])[None, :], x[None, 4:], g[None, 4:], cfg.time_weight)
+    cost, _ = _connect_cost((g[:4] - x[:4])[None, :], x[None, 4:], g[None, 4:], time_weight)
     return float(cost[0])
+
+
+def blind(monkeypatch):
+    """Turn the search's cost-to-go bound off: a uniform-cost search."""
+    def zero_cost(dp, v0, v1, w_t):
+        n = len(np.atleast_2d(dp))
+        return np.zeros(n), np.zeros(n)
+
+    monkeypatch.setattr(search_module, "_connect_cost", zero_cost)
 
 
 class TestPropagate:
@@ -101,29 +131,31 @@ class TestPropagate:
         assert out.radius_rate == pytest.approx(-0.2)
 
 
+AT_REST = PlanState(position=[2, 2, 1], radius=R_MAX, velocity=np.zeros(3))
+
+
 class TestPrimitiveCost:
     def test_zero_control_at_max_radius(self):
-        cfg = fast_config(time_weight=1.5)
-        assert primitive_cost(np.zeros(4), cfg.r_max, 2.0, cfg) == pytest.approx(3.0)
+        prob = fast_problem(AT_REST, AT_REST, None, time_weight=1.5)
+        assert primitive_cost(np.zeros(4), R_MAX, 2.0, prob) == pytest.approx(3.0)
 
     def test_hand_case(self):
-        cfg = fast_config(sorr_weight=10.0, time_weight=1.0, r_max=0.2)
+        body = dataclasses.replace(small_body(), r_max=0.2)
+        prob = fast_problem(AT_REST, AT_REST, None, body, sorr_weight=10.0, time_weight=1.0)
         u = np.array([2.0, 0.0, 0.0, 0.0])  # ||u||^2 = 4
-        got = primitive_cost(u, 0.5 * cfg.r_max, 1.0, cfg)
+        got = primitive_cost(u, 0.1, 1.0, prob)
         assert got == pytest.approx(4.0 + 10.0 * 0.25 + 1.0)
 
     def test_degenerate_weights(self):
-        cfg = fast_config(sorr_weight=0.0, time_weight=0.0)
+        prob = fast_problem(AT_REST, AT_REST, None, sorr_weight=0.0, time_weight=0.0)
         u = np.array([1.0, 1.0, 0.0, 0.0])
-        assert primitive_cost(u, 0.15, 0.7, cfg) == pytest.approx(2.0 * 0.7)
+        assert primitive_cost(u, 0.15, 0.7, prob) == pytest.approx(2.0 * 0.7)
 
 
 class TestIsValid:
     def test_open_space_valid(self):
-        field = empty_field()
-        cfg = fast_config()
         s = PlanState(position=[2, 2, 1], radius=0.2, velocity=[1, 0, 0])
-        assert is_valid(s, field, small_body(), cfg)
+        assert is_valid(s, fast_problem(s, s, empty_field()))
 
     def test_narrow_slot_invalid_at_r_max(self):
         # two walls leaving a slot of half-width < r_max + margin
@@ -132,22 +164,16 @@ class TestIsValid:
             BoxObstacle(lo=np.array([1.8, 1.2, 0.0]), hi=np.array([2.2, 4.0, 2.0])),
         ]
         field = compute_esdf(build_grid(obstacles, [0, 0, 0], [4, 4, 2], 0.1), truncation=5.0)
-        cfg = fast_config(d_margin=0.1)
-        s = PlanState(position=[2.0, 1.0, 1.0], radius=cfg.r_max, velocity=np.zeros(3))
-        assert not is_valid(s, field, small_body(), cfg)
+        s = PlanState(position=[2.0, 1.0, 1.0], radius=R_MAX, velocity=np.zeros(3))
+        assert not is_valid(s, fast_problem(s, s, field, d_margin=0.1))
 
     def test_rate_bound_violation(self):
-        field = empty_field()
-        cfg = fast_config()
-        s = PlanState(position=[2, 2, 1], radius=0.2, velocity=np.zeros(3),
-                      radius_rate=1.01 * cfg.radius_rate_max)
-        assert not is_valid(s, field, small_body(), cfg)
+        s = PlanState(position=[2, 2, 1], radius=0.2, velocity=np.zeros(3), radius_rate=1.01 * 0.4)
+        assert not is_valid(s, fast_problem(s, s, empty_field(), radius_rate_max=0.4))
 
     def test_out_of_map_invalid_not_error(self):
-        field = empty_field()
-        cfg = fast_config()
         s = PlanState(position=[10, 2, 1], radius=0.2, velocity=np.zeros(3))
-        assert not is_valid(s, field, small_body(), cfg)
+        assert not is_valid(s, fast_problem(s, s, empty_field()))
 
 
 @functools.cache
@@ -174,17 +200,17 @@ def test_cheap_pass_never_accepts_an_exact_reject(states, attached):
     body = small_body()
     if attached:
         body = dataclasses.replace(body, attachments=np.array([[0.0, 0.0, -0.25], [0.1, 0.1, -0.2]]))
-    cfg = fast_config(d_margin=0.1)
+    prob = fast_problem(AT_REST, AT_REST, field, body, d_margin=0.1)
     pos = np.array([s[0] for s in states])
     radius = np.array([s[1] for s in states])
     vel = np.array([s[2] for s in states])
     rate = np.array([s[3] for s in states])
-    ok = _states_valid(field, body, cfg, pos, radius, vel, rate)
+    ok = _states_valid(prob, pos, radius, vel, rate)
     pts, _ = body.surface_points(pos, radius)
     flat = pts.reshape(-1, 3)
     inside = points_in_bounds(field, flat).reshape(len(states), -1).all(axis=1)
     clear = query_distance_many(field, flat).reshape(len(states), -1).min(axis=1)
-    exact_ok = inside & (clear >= cfg.d_margin)
+    exact_ok = inside & (clear >= prob.d_margin)
     assert not np.any(ok & ~exact_ok)
 
 
@@ -200,21 +226,17 @@ def connect_cost_grid_oracle(dp, v0, v1, w_t, t_max=100.0, step=1e-4):
 
 class TestHeuristic:
     def test_zero_at_goal(self):
-        cfg = fast_config()
         g = PlanState(position=[1, 2, 1], radius=0.18, velocity=[0.3, 0, 0], radius_rate=0.01)
-        assert heuristic(g, g, cfg) == 0.0
+        assert heuristic(g, g, 2.0) == 0.0
 
     def test_rest_to_rest_matches_grid_search(self):
-        cfg = fast_config(time_weight=2.0)
         a = PlanState(position=np.zeros(3), radius=0.2, velocity=np.zeros(3))
         for d in (0.5, 1.7, 4.0):
             b = PlanState(position=[d, 0, 0], radius=0.2, velocity=np.zeros(3))
-            oracle = connect_cost_grid_oracle(
-                np.array([d, 0, 0, 0]), np.zeros(4), np.zeros(4), cfg.time_weight)
-            assert heuristic(a, b, cfg) == pytest.approx(oracle, rel=1e-6)
+            oracle = connect_cost_grid_oracle(np.array([d, 0, 0, 0]), np.zeros(4), np.zeros(4), 2.0)
+            assert heuristic(a, b, 2.0) == pytest.approx(oracle, rel=1e-6)
 
     def test_moving_endpoints_match_grid_search(self):
-        cfg = fast_config(time_weight=1.3)
         rng = np.random.default_rng(2)
         for _ in range(10):
             dp = rng.normal(size=4)
@@ -223,19 +245,22 @@ class TestHeuristic:
             a = PlanState(position=np.zeros(3), radius=0.2, velocity=v0[:3], radius_rate=v0[3])
             b = PlanState(position=dp[:3], radius=0.2 + dp[3] * 0.05, velocity=v1[:3], radius_rate=v1[3])
             dpfull = np.concatenate([b.position - a.position, [b.radius - a.radius]])
-            oracle = connect_cost_grid_oracle(dpfull, v0, v1, cfg.time_weight)
-            assert heuristic(a, b, cfg) == pytest.approx(oracle, rel=1e-5)
+            oracle = connect_cost_grid_oracle(dpfull, v0, v1, 1.3)
+            assert heuristic(a, b, 1.3) == pytest.approx(oracle, rel=1e-5)
 
 
-def reference_3d_search(start_p, start_v, goal_p, goal_v, field, body, cfg):
-    """Independent fixed-size 3-D kinodynamic A*, mirroring the production
-    sampling, dedup and tie-break rules but written from scratch."""
+def reference_3d_search(prob, cfg):
+    """Independent fixed-size 3-D kinodynamic A* at the problem's start
+    radius, mirroring the production sampling, dedup and tie-break rules but
+    written from scratch: no radius control, no radius cost."""
+    start_p, goal_p = prob.sigma0[0, :3], prob.sigmaf[0, :3]
+    start_v, goal_v = prob.sigma0[1, :3], prob.sigmaf[1, :3]
     axes = [np.unique(np.linspace(-cfg.u_max[k], cfg.u_max[k], cfg.accel_samples)) for k in range(3)]
     us = np.array(list(itertools.product(*axes)))
     dts = np.unique(np.linspace(cfg.dt_min, cfg.dt_max, cfg.duration_samples))
-    origin = field.lower
-    res = field.grid.resolution
-    r_fix = cfg.r_max
+    origin = prob.field.lower
+    res = prob.field.grid.resolution
+    r_fix = prob.frozen_radius
 
     def key(p):
         return tuple(np.floor((p - origin) / cfg.pos_dedup).astype(int))
@@ -244,13 +269,11 @@ def reference_3d_search(start_p, start_v, goal_p, goal_v, field, body, cfg):
         dp = np.concatenate([goal_p - p, [0.0]])
         v0 = np.concatenate([v, [0.0]])
         v1 = np.concatenate([goal_v, [0.0]])
-        return connect_cost_quartic(dp, v0, v1, cfg.time_weight)
+        return connect_cost_quartic(dp, v0, v1, prob.time_weight)
 
     def valid(p, v):
-        from morphplan.search import _states_valid
-
-        return bool(_states_valid(field, body, cfg, p.reshape(1, 3), np.array([r_fix]),
-                                  v.reshape(1, 3), np.zeros(1))[0])
+        return bool(_states_valid(prob, p.reshape(1, 3), np.array([r_fix]), v.reshape(1, 3),
+                                  np.zeros(1))[0])
 
     nodes = [(start_p.copy(), start_v.copy())]
     gs = [0.0]
@@ -275,14 +298,14 @@ def reference_3d_search(start_p, start_v, goal_p, goal_v, field, body, cfg):
         if np.linalg.norm(p - goal_p) <= cfg.goal_pos_tol:
             return gs[idx]
         for dt in dts:
-            arc = (np.linalg.norm(v) + np.linalg.norm(cfg.u_max[:3]) * dt + cfg.u_max[3] * dt) * dt
+            arc = (np.linalg.norm(v) + np.linalg.norm(cfg.u_max[:3]) * dt) * dt
             n_sub = int(np.clip(np.ceil(arc / (0.5 * res)), 1, 32))
             for u in us:
                 p1 = p + v * dt + 0.5 * u * dt * dt
                 v1 = v + u * dt
-                if np.linalg.norm(v1) > cfg.v_max:
+                if np.linalg.norm(v1) > prob.v_max:
                     continue
-                g1 = gs[idx] + float(u @ u) * dt + cfg.time_weight * dt
+                g1 = gs[idx] + float(u @ u) * dt + prob.time_weight * dt
                 at_goal = np.linalg.norm(p1 - goal_p) <= cfg.goal_pos_tol
                 ck = None if at_goal else key(p1)
                 if ck is not None:
@@ -333,56 +356,51 @@ OUTSIDE = [4.5, 1.5, 1.0]       # beyond the map's x bound
     (OPEN, OBSTRUCTED, InvalidGoalError),
 ])
 def test_invalid_endpoints_raise(start, goal, error):
-    cfg = fast_config(d_margin=0.1)
-    ends = [PlanState(position=p, radius=cfg.r_max, velocity=np.zeros(3)) for p in (start, goal)]
+    ends = [PlanState(position=p, radius=R_MAX, velocity=np.zeros(3)) for p in (start, goal)]
     with pytest.raises(error):
-        search(*ends, cluttered_field(), small_body(), cfg)
+        search(fast_problem(*ends, cluttered_field(), d_margin=0.1), fast_config())
+
+
+def rest(position, radius=R_MAX):
+    return PlanState(position=position, radius=radius, velocity=np.zeros(3))
 
 
 class TestSearch:
     def test_start_equals_goal(self):
-        field = empty_field()
-        cfg = fast_config()
-        s = PlanState(position=[2, 2, 1], radius=cfg.r_max, velocity=np.zeros(3))
-        result = search(s, s, field, small_body(), cfg)
+        s = rest([2, 2, 1])
+        result = search(fast_problem(s, s, empty_field()), fast_config())
         assert len(result.path) == 1
         assert result.cost == 0.0
 
     def test_free_corridor_keeps_max_radius(self):
-        field = empty_field(extent=(6.0, 3.0, 2.0))
-        cfg = fast_config()
-        start = PlanState(position=[0.5, 1.5, 1.0], radius=cfg.r_max, velocity=np.zeros(3))
-        goal = PlanState(position=[5.5, 1.5, 1.0], radius=cfg.r_max, velocity=np.zeros(3))
-        result = search(start, goal, field, small_body(), cfg)
+        prob = fast_problem(rest([0.5, 1.5, 1.0]), rest([5.5, 1.5, 1.0]),
+                            empty_field(extent=(6.0, 3.0, 2.0)))
+        result = search(prob, fast_config())
         radii = np.array([n.state.radius for n in result.path])
-        assert np.all(radii == cfg.r_max)
+        assert np.all(radii == R_MAX)
         # forcing the same primitive sequence to r_min would cost strictly more
-        shrink = ((cfg.r_min - cfg.r_max) / cfg.r_max) ** 2
+        shrink = ((prob.body.r_min - R_MAX) / R_MAX) ** 2
         total_t = sum(n.duration for n in result.path)
-        forced = result.cost + cfg.sorr_weight * shrink * total_t
+        forced = result.cost + prob.sorr_weight * shrink * total_t
         assert result.cost < forced
 
     def test_g_values_consistent(self):
-        field = empty_field(extent=(6.0, 3.0, 2.0))
-        cfg = fast_config()
-        start = PlanState(position=[0.5, 1.5, 1.0], radius=cfg.r_max, velocity=np.zeros(3))
-        goal = PlanState(position=[5.0, 2.0, 1.0], radius=cfg.r_max, velocity=np.zeros(3))
-        result = search(start, goal, field, small_body(), cfg)
+        prob = fast_problem(rest([0.5, 1.5, 1.0]), rest([5.0, 2.0, 1.0]),
+                            empty_field(extent=(6.0, 3.0, 2.0)))
+        result = search(prob, fast_config())
         total = 0.0
         for node in result.path[1:]:
-            total += primitive_cost(node.control, node.state.radius, node.duration, cfg)
+            total += primitive_cost(node.control, node.state.radius, node.duration, prob)
         assert total == pytest.approx(result.cost, abs=1e-9)
 
     def test_all_primitive_subsamples_valid(self):
-        field = empty_field(extent=(6.0, 3.0, 2.0))
-        cfg = fast_config()
-        start = PlanState(position=[0.5, 1.5, 1.0], radius=cfg.r_max, velocity=np.zeros(3))
-        goal = PlanState(position=[5.0, 1.5, 1.0], radius=cfg.r_max, velocity=np.zeros(3))
-        result = search(start, goal, field, small_body(), cfg)
+        prob = fast_problem(rest([0.5, 1.5, 1.0]), rest([5.0, 1.5, 1.0]),
+                            empty_field(extent=(6.0, 3.0, 2.0)))
+        result = search(prob, fast_config())
         for prev, node in zip(result.path, result.path[1:]):
             for frac in np.linspace(0.1, 1.0, 10):
                 s = propagate(prev.state, node.control, frac * node.duration)
-                assert is_valid(s, field, small_body(), cfg)
+                assert is_valid(s, prob)
 
     def test_slot_forces_shrink_and_blocks_fixed_max(self):
         # vertical slit: interpolated half-gap 0.35 m, so with margin 0.15 the
@@ -392,53 +410,52 @@ class TestSearch:
             BoxObstacle(lo=np.array([2.3, 1.3, 0.0]), hi=np.array([2.7, 3.0, 1.6])),
         ]
         field = compute_esdf(build_grid(obstacles, [0, 0, 0], [5, 3, 1.6], 0.1), truncation=5.0)
-        body = small_body()
-        cfg = fast_config(d_margin=0.15, u_max=np.array([1.5, 1.5, 1.5, 0.3]),
-                          sorr_weight=4.0, node_budget=200000)
-        start = PlanState(position=[0.6, 1.0, 0.8], radius=cfg.r_max, velocity=np.zeros(3))
-        goal = PlanState(position=[4.4, 1.0, 0.8], radius=cfg.r_max, velocity=np.zeros(3))
-        result = search(start, goal, field, body, cfg)
+        cfg = fast_config(u_max=np.array([1.5, 1.5, 1.5, 0.3]), node_budget=200000)
+        prob = fast_problem(rest([0.6, 1.0, 0.8]), rest([4.4, 1.0, 0.8]), field, d_margin=0.15,
+                            sorr_weight=4.0)
+        result = search(prob, cfg)
         radii = np.array([n.state.radius for n in result.path])
         assert radii.min() < 0.2
-        assert radii[0] == cfg.r_max and abs(radii[-1] - cfg.r_max) <= cfg.goal_radius_tol
+        assert radii[0] == R_MAX and abs(radii[-1] - R_MAX) <= cfg.goal_radius_tol
 
-        frozen = dataclasses.replace(cfg, u_max=np.array([1.5, 1.5, 1.5, 0.0]),
-                                     r_min=cfg.r_max, node_budget=400000)
+        frozen = dataclasses.replace(prob, radius_frozen=True)
         with pytest.raises(NoPathError):
-            search(start, goal, field, body, frozen)
+            search(frozen, dataclasses.replace(cfg, node_budget=400000))
 
-    def test_dijkstra_not_worse_than_guided(self):
-        field = empty_field(extent=(4.0, 2.0, 1.6))
-        body = small_body()
+    def test_dijkstra_not_worse_than_guided(self, monkeypatch):
+        prob = fast_problem(rest([0.5, 1.0, 0.8]), rest([3.5, 1.0, 0.8]),
+                            empty_field(extent=(4.0, 2.0, 1.6)))
         cfg = fast_config(pos_dedup=0.25)
-        start = PlanState(position=[0.5, 1.0, 0.8], radius=cfg.r_max, velocity=np.zeros(3))
-        goal = PlanState(position=[3.5, 1.0, 0.8], radius=cfg.r_max, velocity=np.zeros(3))
-        guided = search(start, goal, field, body, cfg)
-        blind = search(start, goal, field, body, dataclasses.replace(cfg, use_heuristic=False))
-        assert blind.cost <= guided.cost + 1e-9
+        guided = search(prob, cfg)
+        blind(monkeypatch)
+        unguided = search(prob, cfg)
+        assert unguided.cost <= guided.cost + 1e-9
 
-    def test_guided_within_5pct_of_exhaustive(self):
-        body = small_body()
+    def test_guided_within_5pct_of_exhaustive(self, monkeypatch):
         rng = np.random.default_rng(9)
+        cfg = fast_config(pos_dedup=0.25, node_budget=300000)
+        problems = []
         for trial in range(3):
             obstacles = []
             for _ in range(2):
                 c = rng.uniform([1.2, 0.4, 0.4], [2.8, 1.6, 1.2])
                 obstacles.append(BoxObstacle(lo=c - 0.2, hi=c + 0.2))
             field = compute_esdf(build_grid(obstacles, [0, 0, 0], [4, 2, 1.6], 0.1), truncation=5.0)
-            cfg = fast_config(pos_dedup=0.25, node_budget=300000)
-            start = PlanState(position=[0.5, 1.0, 0.8], radius=cfg.r_max, velocity=np.zeros(3))
-            goal = PlanState(position=[3.5, 1.0, 0.8], radius=cfg.r_max, velocity=np.zeros(3))
-            if not (is_valid(start, field, body, cfg) and is_valid(goal, field, body, cfg)):
-                continue
-            guided = search(start, goal, field, body, cfg)
-            optimal = search(start, goal, field, body,
-                             dataclasses.replace(cfg, use_heuristic=False))
-            assert guided.cost <= 1.05 * optimal.cost + 1e-9
+            start, goal = rest([0.5, 1.0, 0.8]), rest([3.5, 1.0, 0.8])
+            prob = fast_problem(start, goal, field)
+            if is_valid(start, prob) and is_valid(goal, prob):
+                problems.append(prob)
+        guided = [search(prob, cfg).cost for prob in problems]
+        blind(monkeypatch)
+        for prob, cost in zip(problems, guided):
+            assert cost <= 1.05 * search(prob, cfg).cost + 1e-9
 
     def test_matches_reference_3d_with_frozen_radius(self):
-        body = small_body()
+        """A frozen search has no radius control and no radius cost, whatever
+        the config's radius acceleration and the problem's sorr weight."""
         rng = np.random.default_rng(31)
+        cfg = fast_config(pos_dedup=0.25, node_budget=300000)
+        assert cfg.u_max[3] > 0.0
         checked = 0
         for trial in range(30):
             obstacles = []
@@ -446,21 +463,16 @@ class TestSearch:
                 c = rng.uniform([1.0, 0.5, 0.5], [3.0, 1.5, 1.1])
                 obstacles.append(BoxObstacle(lo=c - rng.uniform(0.1, 0.3, 3), hi=c + rng.uniform(0.1, 0.3, 3)))
             field = compute_esdf(build_grid(obstacles, [0, 0, 0], [4, 2, 1.6], 0.1), truncation=5.0)
-            cfg = fast_config(sorr_weight=0.0, pos_dedup=0.25,
-                              u_max=np.array([1.5, 1.5, 1.5, 0.0]), node_budget=300000)
-            start = PlanState(position=[0.5, 1.0, 0.8], radius=cfg.r_max, velocity=np.zeros(3))
-            goal = PlanState(position=[3.5, 1.0, 0.8], radius=cfg.r_max, velocity=np.zeros(3))
-            if not (is_valid(start, field, body, cfg) and is_valid(goal, field, body, cfg)):
+            start, goal = rest([0.5, 1.0, 0.8]), rest([3.5, 1.0, 0.8])
+            prob = fast_problem(start, goal, field, radius_frozen=True)
+            if not (is_valid(start, prob) and is_valid(goal, prob)):
                 continue
             try:
-                mine = search(start, goal, field, body, cfg)
+                mine = search(prob, cfg)
             except NoPathError:
-                ref = reference_3d_search(start.position, start.velocity, goal.position,
-                                          goal.velocity, field, body, cfg)
-                assert ref is None
+                assert reference_3d_search(prob, cfg) is None
                 continue
-            ref = reference_3d_search(start.position, start.velocity, goal.position,
-                                      goal.velocity, field, body, cfg)
+            ref = reference_3d_search(prob, cfg)
             assert ref is not None
             assert mine.cost == pytest.approx(ref, abs=1e-9)
             checked += 1
@@ -469,11 +481,9 @@ class TestSearch:
         assert checked >= 10
 
     def test_csv_export(self, tmp_path):
-        field = empty_field(extent=(4.0, 2.0, 1.6))
-        cfg = fast_config()
-        start = PlanState(position=[0.5, 1.0, 0.8], radius=cfg.r_max, velocity=np.zeros(3))
-        goal = PlanState(position=[3.5, 1.0, 0.8], radius=cfg.r_max, velocity=np.zeros(3))
-        result = search(start, goal, field, small_body(), cfg)
+        start = rest([0.5, 1.0, 0.8])
+        prob = fast_problem(start, rest([3.5, 1.0, 0.8]), empty_field(extent=(4.0, 2.0, 1.6)))
+        result = search(prob, fast_config())
         out = tmp_path / "path.csv"
         write_path_csv(result, out)
         lines = out.read_text().splitlines()
@@ -482,6 +492,16 @@ class TestSearch:
         first = [float(v) for v in lines[1].split(",")]
         assert first[0] == 0.0
         assert first[1:4] == pytest.approx(list(start.position))
+
+
+def test_search_config_holds_only_the_search_tuning():
+    """The limits, weights, radius bounds and endpoints are the problem's;
+    the config repeats none of them."""
+    own = {f.name for f in dataclasses.fields(SearchConfig)}
+    assert own == {"u_max", "dt_min", "dt_max", "accel_samples", "duration_samples", "pos_dedup",
+                   "radius_dedup", "node_budget", "goal_pos_tol", "goal_radius_tol"}
+    shared = {f.name for cls in (OptProblem, BodyGeometry) for f in dataclasses.fields(cls)}
+    assert not own & shared
 
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
@@ -507,24 +527,47 @@ SLOT_FINE_PATH = [
 ]
 
 
-@pytest.mark.parametrize("name, resolution, map_seed, ends, expansions, cost, path, points", [
+# the two frozen cases fly straight through at their frozen radius
+FROZEN_PATH = [
+    ([0.6, 1.0, 0.8, 0.0, 0.0, 0.0, 0.0, 0.0], None, 0.0),
+    ([1.08, 1.0, 0.8, 0.0, 1.2000000000000002, 0.0, 0.0, 0.0], [1.5, 0.0, 0.0, 0.0], 0.8),
+    ([2.04, 1.0, 0.8, 0.0, 1.2000000000000002, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 0.0], 0.8),
+    ([3.0, 1.0, 0.8, 0.0, 1.2000000000000002, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 0.0], 0.8),
+    ([3.48, 1.0, 0.8, 0.0, 1.2000000000000002, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 0.0], 0.4),
+    ([4.44, 1.0, 0.8, 0.0, 1.2000000000000002, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 0.0], 0.8),
+]
+
+
+def frozen_path(radius):
+    return [([*state[:3], radius, *state[4:]], control, duration)
+            for state, control, duration in FROZEN_PATH]
+
+
+@pytest.mark.parametrize("name, mode, resolution, map_seed, ends, expansions, cost, path, points", [
     # benchmark.json, map seed 0, x = 1.2 -> 3.8 m past the first sphere
-    ("benchmark", None, 0, ([1.2, 1.0, 0.8], [3.8, 1.0, 0.8]), 73, 12.625, BENCHMARK_LEG_PATH, 422999),
+    ("benchmark", "adaptive", None, 0, ([1.2, 1.0, 0.8], [3.8, 1.0, 0.8]), 73, 12.625,
+     BENCHMARK_LEG_PATH, 422999),
     # slot at 0.05 m, shrinking through the gap
-    ("slot", 0.05, None, None, 18, 9.268202061948294, SLOT_FINE_PATH, 196983),
-])
-def test_adaptive_search_golden(monkeypatch, name, resolution, map_seed, ends, expansions, cost,
-                                path, points):
+    ("slot", "adaptive", 0.05, None, None, 18, 9.268202061948294, SLOT_FINE_PATH, 196983),
+    # slot at r_min: no radius control, no shrink cost
+    ("slot", "fixed-min", None, None, None, 9, 9.0, frozen_path(0.131), 13639),
+    # cross_gap's payload freezes the radius at the start's 0.15 m
+    ("cross_gap", "adaptive", None, None, None, 9, 9.0, frozen_path(0.15), 253987),
+], ids=["benchmark-adaptive", "slot-adaptive-0.05", "slot-fixed-min", "cross_gap-payload"])
+def test_search_golden(monkeypatch, name, mode, resolution, map_seed, ends, expansions, cost,
+                       path, points):
     """Expansions, cost and every path node pinned exactly, and the number of
-    points the collision checks query, so that no wasted validity work creeps in."""
+    points the collision checks query, so that no wasted validity work creeps
+    in.  On the frozen cases the point count also pins the sub-sample count,
+    which a radius acceleration left in `_arc_bound` would raise."""
     raw = json.loads((SCENARIOS / f"{name}.json").read_text())
     if resolution is not None:
         raw["map"]["resolution"] = resolution
     if ends is not None:
         raw["start"]["position"], raw["goal"]["position"] = ends
     scenario = parse_scenario(raw)
-    field = scenario.build_field(map_seed=map_seed)
-    body = scenario.opt_problem(field, "adaptive").body
+    problem = scenario.opt_problem(scenario.build_field(map_seed=map_seed), mode)
+    assert problem.radius_frozen == (mode != "adaptive" or scenario.payload is not None)
     queried = []
     query = search_module.query_distance_many
 
@@ -533,9 +576,7 @@ def test_adaptive_search_golden(monkeypatch, name, resolution, map_seed, ends, e
         return query(field, points, *args, **kwargs)
 
     monkeypatch.setattr(search_module, "query_distance_many", counting_query)
-    result = search(scenario.plan_state(scenario.start, "adaptive"),
-                    scenario.plan_state(scenario.goal, "adaptive"),
-                    field, body, scenario.search_config("adaptive"))
+    result = search(problem, scenario.search_config())
     assert result.expansions == expansions
     assert result.cost == cost
     assert len(result.path) == len(path)

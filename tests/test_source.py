@@ -122,3 +122,26 @@ def test_every_default_is_passed_by_the_program():
                          for param, position in defaulted(node, cls)
                          if not any(passes(c, param, position) for c in reaching)]
     assert not unpassed, "defaults no program call overrides: " + ", ".join(unpassed)
+
+
+# `power`'s coefficients reach it through `**Scenario.energy_coeffs()`, which
+# holds only the coefficients a scenario sets, so the defaults are the
+# program's for every scenario that leaves them out
+PASSED_EXEMPT = {"dynamics.py: power"}
+
+
+def test_no_default_is_passed_by_every_program_call():
+    """A default that every program call overrides is read only by the
+    tests; the parameter is then required."""
+    calls = [node for path in PROGRAM for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Call)]
+    always = []
+    for path in PACKAGE:
+        for qualname, node, cls in functions(ast.parse(path.read_text())):
+            if f"{path.name}: {qualname}" in PASSED_EXEMPT:
+                continue
+            reaching = list(calls_to(calls, node.name, cls))
+            always += [f"{path.name}: {qualname}({param})"
+                       for param, position in defaulted(node, cls)
+                       if reaching and all(passes(c, param, position) for c in reaching)]
+    assert not always, "defaults every program call overrides: " + ", ".join(always)

@@ -62,7 +62,7 @@ class TestObjective:
         from morphplan.trajectory import PiecewiseTrajectory
 
         traj = PiecewiseTrajectory(durations=durs, coeffs=coeffs)
-        expect = jerk_energy(traj) + prob.time_weight * durs.sum()
+        expect = jerk_energy(traj, range(4)) + prob.time_weight * durs.sum()
         assert val == pytest.approx(expect, rel=1e-12)
 
     def test_single_piece_matches_closed_form(self):
@@ -252,7 +252,7 @@ class TestOptimize:
         residuals = verify_trajectory(traj, prob)
         assert residuals["clearance"] <= 1e-3
         ts = np.linspace(0, traj.total_time, 200)
-        xs, rs = traj.sample(ts)[:, 0, [0, 3]].T
+        xs, rs = traj.sample(ts, (0,))[:, 0, [0, 3]].T
         assert rs[(xs > 2.85) & (xs < 3.15)].max() < 0.2  # shrunk through the slot
         assert rs[(xs < 1.0) | (xs > 5.0)].min() > 0.19  # large away from it
 
@@ -263,7 +263,7 @@ class TestOptimize:
         seed = straight_seed([0.5, 1.5, 1.0], [5.5, 1.5, 1.0], 0.15, n=3, dt=1.5)
         traj, report = optimize(seed, prob)
         ts = np.linspace(0, traj.total_time, 100)
-        rs = traj.sample(ts)[:, 0, 3]
+        rs = traj.sample(ts, (0,))[:, 0, 3]
         assert np.all(np.abs(rs - 0.15) < 1e-12)
         assert report.rce == 0.0
 

@@ -70,9 +70,9 @@ class TestEval:
             for order in range(4):
                 assert np.array_equal(got[j, order], poly_basis(tau, order) @ traj.coeffs[i])
         with pytest.raises(ValueError):
-            traj.sample([0.5, -0.1])
+            traj.sample([0.5, -0.1], (0,))
         with pytest.raises(ValueError):
-            traj.sample([traj.total_time + 0.1])
+            traj.sample([traj.total_time + 0.1], (0,))
 
     def test_minco_junction_continuity(self):
         rng = np.random.default_rng(4)
@@ -102,7 +102,7 @@ class TestFit:
         ts = np.linspace(0, traj.total_time, 40)
         for t in ts:
             assert np.allclose(at(traj, t, 0), value, atol=1e-9)
-        assert jerk_energy(traj) == pytest.approx(0.0, abs=1e-18)
+        assert jerk_energy(traj, range(4)) == pytest.approx(0.0, abs=1e-18)
 
     def test_boundary_conditions_satisfied(self):
         rng = np.random.default_rng(8)
@@ -162,7 +162,7 @@ class TestFit:
             b1 = rng.normal(size=(3, 4))
             optimal = fit_min_jerk(wps, durs, b0, b1)
             naive = hermite(wps, durs, b0, b1)
-            assert jerk_energy(optimal) <= jerk_energy(naive) + 1e-9
+            assert jerk_energy(optimal, range(4)) <= jerk_energy(naive, range(4)) + 1e-9
 
     def test_jerk_energy_matches_quadrature(self):
         rng = np.random.default_rng(6)
@@ -178,7 +178,7 @@ class TestFit:
             jerk = np.stack([poly_basis(t, 3) @ traj.coeffs[i] for t in ts])
             total += simpson((jerk**2).sum(axis=1), x=ts)
             t_cursor += traj.durations[i]
-        assert jerk_energy(traj) == pytest.approx(total, rel=1e-8)
+        assert jerk_energy(traj, range(4)) == pytest.approx(total, rel=1e-8)
 
 
 class TestIo:
