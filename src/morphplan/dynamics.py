@@ -1,20 +1,22 @@
 """6-DoF rigid-body model of the morphing quadrotor, shared by the
 simulator and the horizon solver.
 
-The vehicle is four rotors on arms that scale with the deformation radius,
-plus a central body.  Collective thrust and body torque follow from the
-radius-dependent allocation matrix; `radius_model` builds it with the
-inertia and its inverse once per radius, and the caller of `step` and of
-`controller.nmpc_solve` passes that model in.  `rigid_body_rates` and
-`rigid_body_step` (RK4 with quaternion renormalisation) are the one
-rigid-body model: they are written once over the 13 state components
-[p, v, q, w] with explicit cross and quaternion products, and run either on
-Python floats (one state) or on numpy rows of one shape (a batch).  `step`,
-the simulator, calls them on floats and also integrates the servo angle,
-which maps affinely back to the radius; `controller.nmpc_solve` calls them
-on floats for its rollouts, recording each step's RK stage points, from
-which `rk4_jacobians` chains the exact one-step sensitivities.  The row
-path is the tests' finite-difference oracle for those sensitivities.
+The vehicle, `VehicleParams`, is four rotors on arms that scale with the
+deformation radius over its body's range, plus a central body of the body's
+height; it also holds the power model's coefficients.  Collective thrust
+and body torque follow from the radius-dependent allocation matrix;
+`radius_model` builds it with the inertia and its inverse once per radius,
+and the caller of `step` and of `controller.nmpc_solve` passes that model
+in.  `rigid_body_rates` and `rigid_body_step` (RK4 with quaternion
+renormalisation) are the one rigid-body model: they are written once over
+the 13 state components [p, v, q, w] with explicit cross and quaternion
+products, and run either on Python floats (one state) or on numpy rows of
+one shape (a batch).  `step`, the simulator, calls them on floats and also
+integrates the servo angle, which maps affinely back to the radius;
+`controller.nmpc_solve` calls them on floats for its rollouts, recording
+each step's RK stage points, from which `rk4_jacobians` chains the exact
+one-step sensitivities.  The row path is the tests' finite-difference
+oracle for those sensitivities.
 
 `LowPassFilter` is the one first-order low-pass: the band-limited noise
 disturbance is filtered by it, and the tracking loop's estimates by it and
@@ -28,10 +30,13 @@ from dataclasses import dataclass, field as _field
 
 import numpy as np
 
+from .esdf import BodyGeometry
+from .fields import check_field_types
 from .trajectory import fixed_rate_times
 
 GRAVITY = np.array([0.0, 0.0, -9.81])
 _GRAVITY = tuple(GRAVITY.tolist())  # as Python floats, for the float path
+SPIN_DIRS = (1.0, 1.0, -1.0, -1.0)  # rotor spin directions, in motor order
 
 
 def quat_to_rot(q: np.ndarray) -> np.ndarray:
@@ -100,27 +105,27 @@ class RigidBodyState:
 
 @dataclass
 class VehicleParams:
+    """The one description of the vehicle for tracking and energy; `body`
+    alone gives its radius range and its central body's height."""
+
+    body: BodyGeometry
     mass: float = 1.0
     central_mass_fraction: float = 0.6
     central_radius: float = 0.06
-    height: float = 0.12
     thrust_coeff: float = 1.0e-5   # rotor speed^2 -> thrust
     torque_coeff: float = 1.6e-7   # rotor speed^2 -> drag torque (ratio 0.016 m)
-    spin_dirs: tuple = (1.0, 1.0, -1.0, -1.0)
-    r_min: float = 0.131
-    r_max: float = 0.211
     thrust_min: float = 0.0
     thrust_max: float = 8.0
     servo_tau: float = 0.1  # first-order servo time constant [s]
+    energy_c1: float = 1.0  # `power`'s thrust term
+    energy_c2: float = 1.0  # `power`'s shrink term
 
     def __post_init__(self):
+        check_field_types(self)
         if self.mass <= 0.0 or self.thrust_coeff <= 0.0 or self.torque_coeff <= 0.0:
             raise ValueError("mass and rotor coefficients must be positive")
         if not (self.thrust_min >= 0.0 < self.thrust_max):
             raise ValueError("invalid thrust limits")
-        # the servo map divides by both
-        if not self.r_min < self.r_max:
-            raise ValueError("the vehicle needs r_min < r_max")
         if not self.servo_tau > 0.0:
             raise ValueError("servo_tau must be positive")
 
@@ -130,12 +135,12 @@ class VehicleParams:
         return np.array([[d, d, 0.0], [-d, -d, 0.0], [d, -d, 0.0], [-d, d, 0.0]])
 
     def servo_angle_of_radius(self, r: float) -> float:
-        """Affine map [r_min, r_max] -> [0, pi]."""
-        return np.pi * (r - self.r_min) / (self.r_max - self.r_min)
+        """Affine map [r_min, r_max] of the body -> [0, pi]."""
+        return np.pi * (r - self.body.r_min) / (self.body.r_max - self.body.r_min)
 
     def radius_of_servo_angle(self, theta: float) -> float:
-        r = self.r_min + (self.r_max - self.r_min) * theta / np.pi
-        return float(np.clip(r, self.r_min, self.r_max))
+        r = self.body.r_min + (self.body.r_max - self.body.r_min) * theta / np.pi
+        return float(np.clip(r, self.body.r_min, self.body.r_max))
 
     @property
     def hover_thrust(self) -> float:
@@ -144,22 +149,22 @@ class VehicleParams:
 
 def allocation_matrix(params: VehicleParams, r: float) -> np.ndarray:
     """Rows map per-rotor thrusts to (collective force, body torque)."""
-    if not (params.r_min <= r <= params.r_max):
-        raise ValueError(f"radius {r} outside [{params.r_min}, {params.r_max}]")
+    if not (params.body.r_min <= r <= params.body.r_max):
+        raise ValueError(f"radius {r} outside [{params.body.r_min}, {params.body.r_max}]")
     pos = params.motor_positions(r)
     c = params.torque_coeff / params.thrust_coeff
     h = np.empty((4, 4))
     h[0] = 1.0
     h[1] = pos[:, 1]    # thrust along +z: torque_x = +l_y * t
     h[2] = -pos[:, 0]   # torque_y = -l_x * t
-    h[3] = np.asarray(params.spin_dirs, dtype=float) * c
+    h[3] = np.asarray(SPIN_DIRS) * c
     return h
 
 
 def inertia_of(params: VehicleParams, r: float) -> np.ndarray:
     """Central solid cylinder plus four arm point masses at the motors."""
     m_c = params.central_mass_fraction * params.mass
-    rc, hgt = params.central_radius, params.height
+    rc, hgt = params.central_radius, params.body.height
     j = np.diag([
         m_c * (3 * rc * rc + hgt * hgt) / 12.0,
         m_c * (3 * rc * rc + hgt * hgt) / 12.0,
@@ -356,25 +361,25 @@ def step(state: RigidBodyState, thrusts, servo_rate: float, disturbance: Wrench 
     )
 
 
-def power(thrust, radius, params: VehicleParams, c1: float = 1.0, c2: float = 1.0):
-    """Instantaneous power model: c1 * F^1.5 plus a shrink penalty term;
-    elementwise on arrays of thrusts and radii."""
+def power(thrust, radius, params: VehicleParams):
+    """Instantaneous power model, energy_c1 F^1.5 + energy_c2 ((r - r_max) / r_max)^2
+    with the vehicle's coefficients and body; elementwise on arrays."""
     if np.any(np.asarray(thrust) < 0.0):
         raise ValueError("thrust must be non-negative")
-    shrink = (radius - params.r_max) / params.r_max
-    return c1 * thrust**1.5 + c2 * shrink**2
+    shrink = (radius - params.body.r_max) / params.body.r_max
+    return params.energy_c1 * thrust**1.5 + params.energy_c2 * shrink**2
 
 
-def trajectory_energy(traj, params: VehicleParams, **coeffs) -> float:
-    """Model energy of a flat trajectory: Simpson integral of the power (with
-    `power`'s coefficients c1, c2) over the export's sample grid,
-    `fixed_rate_times` at `EXPORT_HZ`, with thrust from differential flatness."""
+def trajectory_energy(traj, params: VehicleParams) -> float:
+    """Model energy of a flat trajectory: Simpson integral of `power` over the
+    export's sample grid, `fixed_rate_times` at `EXPORT_HZ`, with thrust from
+    differential flatness."""
     from scipy.integrate import simpson
 
     times = fixed_rate_times(traj.total_time)
     data = traj.sample(times, orders=(0, 2))
     thrust = params.mass * np.linalg.norm(data[:, 1, :3] - GRAVITY, axis=1)
-    return float(simpson(power(thrust, data[:, 0, 3], params, **coeffs), x=times))
+    return float(simpson(power(thrust, data[:, 0, 3], params), x=times))
 
 
 def constant_wrench(force, torque):

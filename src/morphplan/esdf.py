@@ -27,6 +27,8 @@ from dataclasses import dataclass, field as _field
 
 import numpy as np
 
+from .fields import check_field_types
+
 _CORNERS = np.array(list(np.ndindex(2, 2, 2)), dtype=np.int64)  # (8, 3)
 # per axis, -1 on the corners at the axis' lower bit and +1 at its upper bit
 _CORNER_SIGNS = np.where(_CORNERS == 1, 1.0, -1.0).T.reshape(3, 2, 2, 2, 1)
@@ -272,7 +274,8 @@ def query_gradient_many(field: EsdfField, points) -> np.ndarray:
 @dataclass(frozen=True, eq=False)
 class BodyGeometry:
     """Cylindrical hull (lateral surface sampled at n_theta angles and n_l+1 rings)
-    plus optional fixed attachment points modeling a grasped object."""
+    plus optional fixed attachment points modeling a grasped object.
+    [r_min, r_max] is the one deformation range, of the planner and the vehicle."""
 
     height: float
     n_theta: int = 16
@@ -282,7 +285,9 @@ class BodyGeometry:
     attachments: np.ndarray = _field(default_factory=lambda: np.zeros((0, 3)))
 
     def __post_init__(self):
-        if self.height <= 0.0 or self.n_theta < 3 or self.n_l < 1:
+        check_field_types(self)
+        # the servo map divides by r_max - r_min
+        if self.height <= 0.0 or self.n_theta < 3 or self.n_l < 1 or not self.r_min < self.r_max:
             raise ValueError("invalid body geometry")
         object.__setattr__(self, "attachments", np.asarray(self.attachments, dtype=float).reshape(-1, 3))
 
@@ -318,8 +323,8 @@ def clearance_batch(field: EsdfField, centers: np.ndarray, radii: np.ndarray,
     """Minimum surface-sample distance, in the extended field, for a batch of
     (center, radius) poses.
 
-    Returns (distance (B,), worst point (B,3), grad wrt center (B,3),
-    grad wrt radius (B,)).  Gradients chain through the active minimum sample.
+    Returns (distance (B,), grad wrt center (B,3), grad wrt radius (B,)).
+    Gradients chain through the active minimum sample.
     """
     centers = np.asarray(centers, dtype=float).reshape(-1, 3)
     radii = np.asarray(radii, dtype=float).reshape(-1)
@@ -329,7 +334,6 @@ def clearance_batch(field: EsdfField, centers: np.ndarray, radii: np.ndarray,
     sel = np.argmin(dist, axis=1)
     rows = np.arange(n)
     d_min = dist[rows, sel]
-    worst = world[rows, sel]
-    grad_pos = query_gradient_many(field, worst)
+    grad_pos = query_gradient_many(field, world[rows, sel])
     grad_rad = np.einsum("ij,ij->i", grad_pos, radial[sel])
-    return d_min, worst, grad_pos, grad_rad
+    return d_min, grad_pos, grad_rad

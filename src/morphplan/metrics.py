@@ -32,13 +32,11 @@ class MetricsRow:
         return ",".join(vals)
 
 
-def metrics_from_report(report: OptReport, traj, params, mode: str, seed: int,
-                        **energy_coeffs) -> MetricsRow:
-    """A metrics row; energy_coeffs are the power model's c1, c2."""
-    energy = trajectory_energy(traj, params, **energy_coeffs)
+def metrics_from_report(report: OptReport, traj, params, mode: str, seed: int) -> MetricsRow:
+    """A metrics row: the report's costs and `trajectory_energy` on the vehicle params."""
     return MetricsRow(mode=mode, seed=seed, pce=report.pce, rce=report.rce,
                       sorr=report.sorr, time_cost=report.time_cost,
-                      total_cost=report.total_cost, total_energy=energy)
+                      total_cost=report.total_cost, total_energy=trajectory_energy(traj, params))
 
 
 def write_metrics_csv(rows, path) -> None:

@@ -38,10 +38,8 @@ def run_plan(scenario: Scenario, mode: str | None, map_seed: int | None = None) 
     # path is payload-aware, and both read its radius_frozen
     result = search(problem, scenario.search_config())
     traj, report = optimize(result.path, problem)
-    params = scenario.vehicle_params()
-    metrics = metrics_from_report(report, traj, params, mode,
-                                  map_seed if map_seed is not None else scenario.seed,
-                                  **scenario.energy_coeffs())
+    metrics = metrics_from_report(report, traj, scenario.vehicle_params(), mode,
+                                  map_seed if map_seed is not None else scenario.seed)
     return PlanOutput(trajectory=traj, report=report, metrics=metrics, search_result=result)
 
 

@@ -7,7 +7,8 @@ default lives in the config class it feeds, and a section's entries are
 passed to those classes by field name.  The `planning` section (limits,
 clearance margin and cost weights) and the `opt` section feed only the
 `OptProblem`, which the search and the optimizer both solve; the `search`
-section feeds only the search's own tuning, `SearchConfig`.
+section feeds only the search's own tuning, `SearchConfig`.  The `body`
+section is the one hull and radius range of `OptProblem` and `VehicleParams`.
 `parse_scenario` builds each config once, so a missing key, a wrong type or
 a value a config rejects fails at load as a `ScenarioError`, before any map
 is built."""
@@ -39,10 +40,9 @@ SCHEMA = {
     "control": {f.name for f in dataclasses.fields(NmpcConfig)} | {
         "control_dt", "force_compensation", "indi", "force_cutoff_hz",
         "omega_cutoff_hz", "servo_rate_limit"},
-    # sim.dt is TrackingConfig.sim_dt; energy_c1/c2 are `power`'s c1/c2
-    "sim": {"dt", "mass", "central_mass_fraction", "central_radius", "thrust_coeff",
-            "torque_coeff", "thrust_min", "thrust_max", "servo_tau", "accel_noise_std",
-            "duration_pad", "energy_c1", "energy_c2", "disturbance"},
+    # VehicleParams but its body (the `body` section); sim.dt is TrackingConfig.sim_dt
+    "sim": {f.name for f in dataclasses.fields(VehicleParams)} - {"body"} | {
+        "dt", "accel_noise_std", "duration_pad", "disturbance"},
 }
 
 _DISTURBANCE_KEYS = {"profile", "force", "torque", "t_ramp", "force_std", "torque_std",
@@ -163,8 +163,7 @@ class Scenario:
         return prob
 
     def vehicle_params(self) -> VehicleParams:
-        return VehicleParams(**_pick(self.sim, VehicleParams), height=self.body.height,
-                             r_min=self.body.r_min, r_max=self.body.r_max)
+        return VehicleParams(body=self.body, **_pick(self.sim, VehicleParams))
 
     def nmpc_config(self) -> NmpcConfig:
         return NmpcConfig(**_pick(self.control, NmpcConfig))
@@ -173,10 +172,6 @@ class Scenario:
         sim_dt = {"sim_dt": self.sim["dt"]} if "dt" in self.sim else {}
         return TrackingConfig(**_pick(self.control, TrackingConfig),
                               **_pick(self.sim, TrackingConfig), **sim_dt, seed=self.seed)
-
-    def energy_coeffs(self) -> dict:
-        """The power model's coefficients the scenario sets, as `power`'s c1, c2."""
-        return {k[-2:]: float(v) for k, v in self.sim.items() if k in ("energy_c1", "energy_c2")}
 
     def disturbance(self, duration: float):
         d = self.sim.get("disturbance", {})
@@ -227,7 +222,6 @@ def parse_scenario(raw: dict) -> Scenario:
         scenario.opt_problem(field=None)
         scenario.vehicle_params()
         scenario.nmpc_config()
-        scenario.energy_coeffs()
         scenario.disturbance(scenario.tracking_config().duration_pad)
     except ScenarioError:
         raise

@@ -107,7 +107,6 @@ class OptReport:
     pce: float
     rce: float
     sorr: float
-    sorr_weighted: float
     time_cost: float
     total_cost: float
     penalty_residuals: dict
@@ -311,8 +310,8 @@ def objective_and_gradient(waypoints, durations, problem: OptProblem):
     # one batch over every sample of every piece.  The margin is buffered: an
     # exterior penalty settles slightly on the infeasible side of an active
     # constraint, and the buffer absorbs that so the true margin still verifies.
-    dist, _, gpos, grad = clearance_batch(problem.field, sig0[..., :3].reshape(-1, 3),
-                                          r.reshape(-1), problem.body)
+    dist, gpos, grad = clearance_batch(problem.field, sig0[..., :3].reshape(-1, 3),
+                                       r.reshape(-1), problem.body)
     dist = dist.reshape(m, kappa)
     gpos = gpos.reshape(m, kappa, 3)
     grad = grad.reshape(m, kappa)
@@ -383,8 +382,8 @@ def verify_trajectory(traj: PiecewiseTrajectory, problem: OptProblem) -> dict:
     ts = np.linspace(0.0, traj.durations, 4 * problem.kappa, axis=1)  # (M, 4 kappa)
     sig0, sig1, sig2 = (poly_basis(ts, k) @ traj.coeffs for k in range(3))  # (M, 4 kappa, 4)
     r = sig0[..., 3]
-    dist, _, _, _ = clearance_batch(problem.field, sig0[..., :3].reshape(-1, 3), r.reshape(-1),
-                                    problem.body)
+    dist, _, _ = clearance_batch(problem.field, sig0[..., :3].reshape(-1, 3), r.reshape(-1),
+                                 problem.body)
     res = {
         "velocity": np.linalg.norm(sig1[..., :3], axis=-1).max() - problem.v_max,
         "acceleration": np.linalg.norm(sig2[..., :3], axis=-1).max() - problem.a_max,
@@ -424,7 +423,6 @@ def optimize(seed_path, problem: OptProblem):
             costs = trajectory_costs(traj, prob)
             report = OptReport(
                 pce=costs["pce"], rce=costs["rce"], sorr=costs["sorr"],
-                sorr_weighted=prob.sorr_weight * costs["sorr"],
                 time_cost=costs["time_cost"], total_cost=costs["total_cost"],
                 penalty_residuals=residuals, iterations=info["iterations"],
                 converged=info["converged"],

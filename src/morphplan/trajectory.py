@@ -18,6 +18,7 @@ from scipy.linalg import lu_factor, lu_solve
 N_COEF = 6  # degree 5
 N_CHANNELS = 4
 EXPORT_HZ = 100.0  # rate of the sample export and of the energy integral's grid
+DUMP_ORDER = 3  # minimum-jerk order s, the second number of a coefficient dump's header
 
 _FACT = np.ones((N_COEF, N_COEF))
 for _d in range(1, N_COEF):
@@ -45,7 +46,6 @@ class PiecewiseTrajectory:
 
     durations: np.ndarray
     coeffs: np.ndarray
-    s: int = 3
 
     def __post_init__(self):
         self.durations = np.asarray(self.durations, dtype=float).reshape(-1)
@@ -204,7 +204,7 @@ def write_sample_csv(traj: PiecewiseTrajectory, path) -> None:
 
 def write_coeff_dump(traj: PiecewiseTrajectory, path) -> None:
     with open(path, "w", newline="\n") as fh:
-        fh.write(f"{traj.n_pieces} {traj.s}\n")
+        fh.write(f"{traj.n_pieces} {DUMP_ORDER}\n")
         for i in range(traj.n_pieces):
             fh.write(format(traj.durations[i], ".17g") + "\n")
             for row in traj.coeffs[i]:
@@ -216,7 +216,8 @@ def read_coeff_dump(path) -> PiecewiseTrajectory:
         tokens = fh.read().split()
     it = iter(tokens)
     m = int(next(it))
-    s = int(next(it))
+    if int(next(it)) != DUMP_ORDER:
+        raise ValueError(f"coefficient dump {path} is not of order {DUMP_ORDER}")
     durations = np.empty(m)
     coeffs = np.empty((m, N_COEF, N_CHANNELS))
     for i in range(m):
@@ -224,7 +225,7 @@ def read_coeff_dump(path) -> PiecewiseTrajectory:
         for a in range(N_COEF):
             for b in range(N_CHANNELS):
                 coeffs[i, a, b] = float(next(it))
-    return PiecewiseTrajectory(durations=durations, coeffs=coeffs, s=s)
+    return PiecewiseTrajectory(durations=durations, coeffs=coeffs)
 
 
 def read_sample_csv(path):

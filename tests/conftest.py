@@ -1,7 +1,15 @@
 import numpy as np
 import pytest
 
+from morphplan.dynamics import VehicleParams
+from morphplan.esdf import BodyGeometry
 from morphplan.trajectory import fit_min_jerk
+
+
+def vehicle_params(**fields):
+    """VehicleParams on the shipped scenarios' body: 0.12 m high, radius
+    range [0.131, 0.211] m."""
+    return VehicleParams(body=BodyGeometry(height=0.12), **fields)
 
 
 def figure_eight(peak_speed=1.5, ax=1.2, ay=0.6, height=1.0, radius=0.211, laps=1):

@@ -17,14 +17,13 @@ from morphplan.controller import (
 )
 from morphplan.dynamics import (
     LowPassFilter,
-    VehicleParams,
     allocation_matrix,
     constant_wrench,
     radius_model,
 )
 from morphplan.trajectory import fit_min_jerk
 
-from conftest import figure_eight
+from conftest import figure_eight, vehicle_params
 
 
 def hover_refs(params, n, p=(0.0, 0.0, 1.0)):
@@ -39,7 +38,7 @@ def hover_refs(params, n, p=(0.0, 0.0, 1.0)):
 def max_model(params):
     """The horizon solver's radius model at r_max, the radius of the hover
     references."""
-    return radius_model(params, params.r_max)
+    return radius_model(params, params.body.r_max)
 
 
 def reference_at(traj, t, params):
@@ -57,7 +56,7 @@ def hover_traj(p=(0.0, 0.0, 1.0), r=0.211, duration=3.0):
 
 class TestNmpc:
     def test_hover_stationarity(self):
-        params = VehicleParams()
+        params = vehicle_params()
         cfg = NmpcConfig()
         x_ref, u_ref = hover_refs(params, cfg.horizon)
         out, info = nmpc_solve(x_ref[0], x_ref, u_ref, cfg, params, max_model(params), None,
@@ -67,7 +66,7 @@ class TestNmpc:
         assert info.converged
 
     def test_below_reference_pushes_up(self):
-        params = VehicleParams()
+        params = vehicle_params()
         cfg = NmpcConfig()
         x_ref, u_ref = hover_refs(params, cfg.horizon)
         x0 = x_ref[0].copy()
@@ -77,7 +76,7 @@ class TestNmpc:
         assert np.linalg.norm(out.torque) < 0.05
 
     def test_thrust_clamped_at_bound_flag_clean(self):
-        params = VehicleParams()
+        params = vehicle_params()
         cfg = NmpcConfig(u_max=np.array([11.0, 1.5, 1.5, 0.5]))
         x_ref, u_ref = hover_refs(params, cfg.horizon)
         x0 = x_ref[0].copy()
@@ -88,7 +87,7 @@ class TestNmpc:
         assert info.converged
 
     def test_warm_start_from_converged_solution_is_used_as_given(self):
-        params = VehicleParams()
+        params = vehicle_params()
         cfg = NmpcConfig(max_iters=30)
         x_ref, u_ref = hover_refs(params, cfg.horizon)
         x0 = x_ref[0].copy()
@@ -104,7 +103,7 @@ class TestNmpc:
         assert out.thrust == pytest.approx(first.inputs[0, 0], rel=0.0, abs=cfg.tol)
 
     def test_budget_bounds_the_iterations(self):
-        params = VehicleParams()
+        params = vehicle_params()
         x_ref, u_ref = hover_refs(params, NmpcConfig().horizon)
         x0 = x_ref[0].copy()
         x0[0:3] += [0.2, -0.1, -0.3]
@@ -118,14 +117,14 @@ class TestNmpc:
         assert full.converged and full.iterations > 3
 
     def test_rejects_bad_reference_shape(self):
-        params = VehicleParams()
+        params = vehicle_params()
         cfg = NmpcConfig()
         x_ref, u_ref = hover_refs(params, cfg.horizon - 1)
         with pytest.raises(ValueError):
             nmpc_solve(x_ref[0], x_ref, u_ref, cfg, params, max_model(params), None, np.zeros(3))
 
     def test_upward_external_force_lowers_thrust(self):
-        params = VehicleParams()
+        params = vehicle_params()
         cfg = NmpcConfig()
         x_ref, u_ref = hover_refs(params, cfg.horizon)
         out, info = nmpc_solve(x_ref[0], x_ref, u_ref, cfg, params, max_model(params),
@@ -137,7 +136,7 @@ class TestNmpc:
         assert info.converged
 
     def test_lateral_external_force_tilts_against_it(self):
-        params = VehicleParams()
+        params = vehicle_params()
         cfg = NmpcConfig()
         x_ref, u_ref = hover_refs(params, cfg.horizon)
         out, _ = nmpc_solve(x_ref[0], x_ref, u_ref, cfg, params, max_model(params),
@@ -225,16 +224,16 @@ class TestIndi:
 
 class TestAllocate:
     def test_zero_torque_splits_evenly(self):
-        params = VehicleParams()
+        params = vehicle_params()
         h = allocation_matrix(params, 0.18)
         t, clamped = allocate(8.0, np.zeros(3), h, params.thrust_min, params.thrust_max)
         assert np.allclose(t, 2.0)
         assert not clamped
 
     def test_round_trip_identity(self):
-        params = VehicleParams()
+        params = vehicle_params()
         rng = np.random.default_rng(4)
-        for r in np.linspace(params.r_min, params.r_max, 9):
+        for r in np.linspace(params.body.r_min, params.body.r_max, 9):
             h = allocation_matrix(params, r)
             f = rng.uniform(4.0, 16.0)
             tau = rng.uniform(-0.1, 0.1, 3)
@@ -245,7 +244,7 @@ class TestAllocate:
             assert np.allclose(back[1:], tau, atol=1e-10)
 
     def test_extreme_torque_preserves_collective(self):
-        params = VehicleParams()
+        params = vehicle_params()
         h = allocation_matrix(params, 0.18)
         t, clamped = allocate(8.0, np.array([5.0, 0, 0]), h, params.thrust_min, params.thrust_max)
         assert clamped
@@ -256,20 +255,20 @@ class TestAllocate:
 
 class TestServo:
     def test_at_target(self):
-        params = VehicleParams(servo_tau=0.1)
+        params = vehicle_params(servo_tau=0.1)
         r_des = 0.18
         theta = params.servo_angle_of_radius(r_des)
         assert servo_command(r_des, theta, params, 6.0) == 0.0
 
     def test_hand_case(self):
-        params = VehicleParams(servo_tau=0.1)
+        params = vehicle_params(servo_tau=0.1)
         # choose r_des so its servo angle is 1.0 rad, estimate 0.8 rad
         r_des = params.radius_of_servo_angle(1.0)
         assert servo_command(r_des, 0.8, params, rate_limit=50.0) == pytest.approx(2.0)
 
     def test_first_order_convergence(self):
-        params = VehicleParams(servo_tau=0.1)
-        r_des = params.r_min
+        params = vehicle_params(servo_tau=0.1)
+        r_des = params.body.r_min
         target = params.servo_angle_of_radius(r_des)
         e0 = abs(np.pi - target)  # start at r_max
         # forward Euler, as dynamics.step integrates the servo angle: the
@@ -291,7 +290,7 @@ class TestServo:
 
 class TestFlatReference:
     def test_unit_z_and_positive_thrust(self, fig8_traj):
-        params = VehicleParams()
+        params = vehicle_params()
         for t in np.linspace(0, fig8_traj.total_time, 50):
             x_ref, u_ref, r_des = reference_at(fig8_traj, t, params)
             q = x_ref[6:10]
@@ -303,7 +302,7 @@ class TestFlatReference:
             assert np.linalg.norm(z_b) == pytest.approx(1.0, abs=1e-12)
 
     def test_batched_matches_scalar(self, fig8_traj):
-        params = VehicleParams()
+        params = vehicle_params()
         times = np.linspace(-0.1, fig8_traj.total_time + 0.2, 41)
         x_refs, u_refs, radii = flat_reference(fig8_traj, times, params)
         for j, t in enumerate(times):
@@ -313,7 +312,7 @@ class TestFlatReference:
             assert radii[j] == r_des
 
     def test_hover_reference(self):
-        params = VehicleParams()
+        params = vehicle_params()
         traj = hover_traj()
         x_ref, u_ref, r_des = reference_at(traj, 1.0, params)
         assert np.allclose(x_ref[0:3], [0, 0, 1.0])
@@ -332,7 +331,7 @@ def fig8_run(fig8_traj):
     """run_tracking on the conftest figure-eight, memoised per (Gauss-Newton
     budget, compensation on/off, constant wrench or none)."""
     runs = {}
-    params = VehicleParams()
+    params = vehicle_params()
 
     def run(max_iters, compensation, wrench=False):
         key = (max_iters, compensation, wrench)
@@ -351,7 +350,7 @@ def fig8_run(fig8_traj):
 
 class TestRunTracking:
     def test_hover_rmse_tiny(self):
-        params = VehicleParams()
+        params = vehicle_params()
         traj = hover_traj(duration=2.0)
         result = run_tracking(traj, params, NmpcConfig(), TrackingConfig(duration_pad=0.0),
                               disturbance=None)
@@ -397,14 +396,14 @@ class TestRunTracking:
 
     def test_logged_references_equal_scalar_flat_reference(self, fig8_traj, fig8_run):
         result = fig8_run(3, compensation=True)
-        params = VehicleParams()
+        params = vehicle_params()
         for k, t in enumerate(result.times):
             x_ref, _, _ = reference_at(fig8_traj, t, params)
             assert np.array_equal(result.references[k], x_ref[0:3])
             assert result.log_rows[k][1:4] == x_ref[0:3].tolist()
 
     def test_force_estimate_converges_in_closed_loop(self):
-        params = VehicleParams()
+        params = vehicle_params()
         traj = hover_traj(duration=2.5)
         injected = np.array([0.3, -0.2, 0.15])
         result = run_tracking(traj, params, NmpcConfig(),
@@ -416,7 +415,7 @@ class TestRunTracking:
         assert err.max() <= 0.05 * np.linalg.norm(injected)
 
     def test_indi_improves_torque_rejection(self):
-        params = VehicleParams()
+        params = vehicle_params()
         traj = hover_traj(duration=2.0)
         wrench = constant_wrench([0, 0, 0], [0.02, -0.015, 0.0])
         base = TrackingConfig(force_compensation=False, indi=False, duration_pad=0.0)
@@ -426,7 +425,7 @@ class TestRunTracking:
         assert on.rmse < off.rmse
 
     def test_log_csv(self, tmp_path):
-        params = VehicleParams()
+        params = vehicle_params()
         traj = hover_traj(duration=0.5)
         result = run_tracking(traj, params, NmpcConfig(), TrackingConfig(duration_pad=0.0),
                               disturbance=None)

@@ -5,7 +5,6 @@ from hypothesis import assume, given, settings, strategies as st
 from morphplan.dynamics import (
     GRAVITY,
     RigidBodyState,
-    VehicleParams,
     Wrench,
     allocation_matrix,
     constant_wrench,
@@ -21,6 +20,8 @@ from morphplan.dynamics import (
     rot_to_quat,
     step,
 )
+
+from conftest import vehicle_params
 
 
 def quat_mul(a, b):
@@ -48,7 +49,7 @@ def arm_inertia(params, r):
 
 
 def hover_state(params, r=None):
-    r = params.r_max if r is None else r
+    r = params.body.r_max if r is None else r
     return RigidBodyState(position=np.zeros(3), velocity=np.zeros(3),
                           quaternion=np.array([1.0, 0, 0, 0]), omega=np.zeros(3),
                           radius=r, servo_angle=params.servo_angle_of_radius(r))
@@ -97,9 +98,9 @@ def _model_input(draw):
 class TestSharedModel:
     @settings(max_examples=60, deadline=None)
     @given(st.lists(_model_input(), min_size=1, max_size=6),
-           st.floats(VehicleParams().r_min, VehicleParams().r_max), st.floats(1e-3, 0.05))
+           st.floats(vehicle_params().body.r_min, vehicle_params().body.r_max), st.floats(1e-3, 0.05))
     def test_float_and_row_paths_bit_identical(self, cases, r, dt):
-        params = VehicleParams()
+        params = vehicle_params()
         j = inertia_of(params, r)
         model = (params.mass, j.tolist(), np.linalg.inv(j).tolist(), dt)
         singles = np.array([rigid_body_step(x, u, tau, f, *model) for x, u, tau, f in cases])
@@ -109,12 +110,12 @@ class TestSharedModel:
 
     @settings(max_examples=60, deadline=None)
     @given(st.lists(_model_input(), min_size=1, max_size=4),
-           st.floats(VehicleParams().r_min, VehicleParams().r_max), st.floats(1e-3, 0.05))
+           st.floats(vehicle_params().body.r_min, vehicle_params().body.r_max), st.floats(1e-3, 0.05))
     def test_exact_jacobians_match_central_differences(self, cases, r, dt):
         """rk4_jacobians from the stage points the float path records, against
         central differences of the row path in all 13 state and 4 input
         components (the quaternion perturbed off the unit sphere too)."""
-        params = VehicleParams()
+        params = vehicle_params()
         j = inertia_of(params, r)
         model = (params.mass, j.tolist(), np.linalg.inv(j).tolist(), dt)
         stages = []
@@ -134,7 +135,7 @@ class TestSharedModel:
             np.testing.assert_allclose(b[i], fd[:, 13:], rtol=0.0, atol=1e-7)
 
     def test_recording_stages_leaves_the_step_unchanged(self):
-        params = VehicleParams()
+        params = vehicle_params()
         j = inertia_of(params, 0.17)
         model = (params.mass, j.tolist(), np.linalg.inv(j).tolist(), 0.05)
         x = [0.1, -0.2, 1.0, 0.5, 0.1, -0.3, 0.9, 0.1, -0.3, 0.2, 1.0, -2.0, 0.5]
@@ -144,7 +145,7 @@ class TestSharedModel:
         assert len(stages) == 1 and stages[0][0] is x
 
     def test_rates_match_rotation_matrix_form(self):
-        params = VehicleParams()
+        params = vehicle_params()
         rng = np.random.default_rng(9)
         for _ in range(50):
             q = rng.normal(size=4)
@@ -153,7 +154,7 @@ class TestSharedModel:
             thrust = rng.uniform(0.0, 32.0)
             torque = rng.normal(scale=0.5, size=3)
             force = rng.normal(size=3)
-            j = inertia_of(params, rng.uniform(params.r_min, params.r_max))
+            j = inertia_of(params, rng.uniform(params.body.r_min, params.body.r_max))
             j_inv = np.linalg.inv(j)
             got = rigid_body_rates(x.tolist(), thrust, torque.tolist(), force.tolist(),
                                    params.mass, j.tolist(), j_inv.tolist())
@@ -169,14 +170,14 @@ class TestSharedModel:
 
 class TestAllocation:
     def test_equal_thrust_symmetry(self):
-        params = VehicleParams()
+        params = vehicle_params()
         h = allocation_matrix(params, 0.18)
         out = h @ np.full(4, 2.0)
         assert out[0] == pytest.approx(8.0)
         assert np.allclose(out[1:], 0.0, atol=1e-12)
 
     def test_radius_scaling_of_rows(self):
-        params = VehicleParams()
+        params = vehicle_params()
         r0, lam = 0.2, 0.7
         h0 = allocation_matrix(params, r0)
         h1 = allocation_matrix(params, lam * r0)
@@ -185,33 +186,33 @@ class TestAllocation:
         assert np.allclose(h1[3], h0[3])
 
     def test_invertible_across_radius_range(self):
-        params = VehicleParams()
-        for r in np.linspace(params.r_min, params.r_max, 100):
+        params = vehicle_params()
+        for r in np.linspace(params.body.r_min, params.body.r_max, 100):
             h = allocation_matrix(params, r)
             assert abs(np.linalg.det(h)) > 1e-9
             assert np.allclose(h @ np.linalg.inv(h), np.eye(4), atol=1e-10)
 
     def test_radius_out_of_range(self):
-        params = VehicleParams()
+        params = vehicle_params()
         with pytest.raises(ValueError):
-            allocation_matrix(params, params.r_max + 0.01)
+            allocation_matrix(params, params.body.r_max + 0.01)
 
 
 class TestInertia:
     def test_arm_contribution_scales_quadratically(self):
-        params = VehicleParams()
+        params = vehicle_params()
         j1 = arm_inertia(params, 0.1)
         j2 = arm_inertia(params, 0.2)
         assert np.allclose(j2, 4.0 * j1, atol=1e-15)
 
     def test_loewner_order_of_arm_part(self):
-        params = VehicleParams()
-        diff = arm_inertia(params, params.r_max) - arm_inertia(params, params.r_min)
+        params = vehicle_params()
+        diff = arm_inertia(params, params.body.r_max) - arm_inertia(params, params.body.r_min)
         assert np.all(np.linalg.eigvalsh(diff) >= -1e-15)
         assert np.linalg.eigvalsh(diff)[-1] > 0.0
 
     def test_symmetric_positive_definite(self):
-        params = VehicleParams()
+        params = vehicle_params()
         j = inertia_of(params, 0.18)
         assert np.array_equal(j, j.T)
         assert np.all(np.linalg.eigvalsh(j) > 0.0)
@@ -219,7 +220,7 @@ class TestInertia:
 
 class TestStep:
     def test_hover_holds_state(self):
-        params = VehicleParams()
+        params = vehicle_params()
         state = hover_state(params)
         t_hover = np.full(4, params.hover_thrust / 4.0)
         for _ in range(1000):
@@ -228,14 +229,14 @@ class TestStep:
         assert np.linalg.norm(state.velocity) < 1e-9
 
     def test_free_fall(self):
-        params = VehicleParams()
+        params = vehicle_params()
         state = hover_state(params)
         dt = 1e-3
         state = sim_step(state, np.zeros(4), 0.0, None, params, dt)
         assert state.velocity[2] == pytest.approx(-9.81 * dt, rel=1e-12)
 
     def test_principal_axis_spin_constant(self):
-        params = VehicleParams()
+        params = vehicle_params()
         state = hover_state(params)
         state.omega = np.array([0.0, 0.0, 2.0])
         for _ in range(2000):
@@ -243,7 +244,7 @@ class TestStep:
         assert np.allclose(state.omega, [0, 0, 2.0], atol=1e-9)
 
     def test_torque_free_energy_conservation(self):
-        params = VehicleParams()
+        params = vehicle_params()
         state = hover_state(params)
         state.omega = np.array([1.3, -0.7, 2.1])
         j = inertia_of(params, state.radius)
@@ -254,7 +255,7 @@ class TestStep:
         assert abs(e1 - e0) / e0 < 1e-6
 
     def test_quaternion_norm_drift(self):
-        params = VehicleParams()
+        params = vehicle_params()
         state = hover_state(params)
         state.omega = np.array([2.0, 1.0, -1.5])
         for _ in range(500):
@@ -262,7 +263,7 @@ class TestStep:
             assert abs(np.linalg.norm(state.quaternion) - 1.0) < 1e-9
 
     def test_rk4_order(self):
-        params = VehicleParams()
+        params = vehicle_params()
 
         def run(dt):
             state = hover_state(params)
@@ -282,7 +283,7 @@ class TestStep:
         assert 12.0 < e1 / e2 < 20.0
 
     def test_deterministic(self):
-        params = VehicleParams()
+        params = vehicle_params()
         outs = []
         for _ in range(2):
             state = hover_state(params)
@@ -296,7 +297,7 @@ class TestStep:
         assert np.array_equal(outs[0], outs[1])
 
     def test_radius_model_must_match_the_state(self):
-        params = VehicleParams()
+        params = vehicle_params()
         state = hover_state(params, r=0.17)
         thrusts = np.array([2.5, 2.4, 2.45, 2.5])
         wrench = Wrench(force=[0.1, 0, 0], torque=[0, 0.01, 0])
@@ -304,16 +305,16 @@ class TestStep:
             step(state, thrusts, 0.1, wrench, params, 1e-3, radius_model(params, 0.18))
 
     def test_servo_moves_radius(self):
-        params = VehicleParams()
-        state = hover_state(params, r=params.r_max)
+        params = vehicle_params()
+        state = hover_state(params, r=params.body.r_max)
         t_hover = np.full(4, params.hover_thrust / 4.0)
         for _ in range(100):
             state = sim_step(state, t_hover, -3.0, None, params, 1e-3)
-        assert state.radius < params.r_max
+        assert state.radius < params.body.r_max
         assert state.servo_angle == pytest.approx(np.pi - 0.3, abs=1e-9)
 
     def test_rejects_bad_inputs(self):
-        params = VehicleParams()
+        params = vehicle_params()
         with pytest.raises(ValueError):
             sim_step(hover_state(params), np.array([np.nan, 0, 0, 0]), 0.0, None, params, 1e-3)
         with pytest.raises(ValueError):
@@ -322,17 +323,17 @@ class TestStep:
 
 class TestPower:
     def test_hand_value(self):
-        params = VehicleParams()
-        assert power(4.0, params.r_max, params, c1=1.0, c2=1.0) == pytest.approx(8.0)
+        params = vehicle_params(energy_c1=1.0, energy_c2=1.0)
+        assert power(4.0, params.body.r_max, params) == pytest.approx(8.0)
 
     def test_zero_thrust_at_max_radius(self):
-        params = VehicleParams()
-        assert power(0.0, params.r_max, params) == 0.0
+        params = vehicle_params()
+        assert power(0.0, params.body.r_max, params) == 0.0
 
     def test_shrink_term(self):
-        params = VehicleParams()
-        shrink = (params.r_min - params.r_max) / params.r_max
-        assert power(0.0, params.r_min, params, c2=2.0) == pytest.approx(2.0 * shrink**2)
+        params = vehicle_params(energy_c2=2.0)
+        shrink = (params.body.r_min - params.body.r_max) / params.body.r_max
+        assert power(0.0, params.body.r_min, params) == pytest.approx(2.0 * shrink**2)
 
 
 class TestWrenchProfiles:

@@ -389,8 +389,8 @@ class TestGradient:
 
 def one_row(field, center, body, radius):
     """clearance_batch for a single pose."""
-    d, pt, gp, gr = clearance_batch(field, np.reshape(center, (1, 3)), np.array([radius]), body)
-    return d[0], pt[0], gp[0], gr[0]
+    d, gp, gr = clearance_batch(field, np.reshape(center, (1, 3)), np.array([radius]), body)
+    return d[0], gp[0], gr[0]
 
 
 class TestBodyClearance:
@@ -409,7 +409,7 @@ class TestBodyClearance:
         grid = build_grid([], [0, 0, 0], [4, 4, 4], 0.1)
         field = compute_esdf(grid, truncation=2.0)
         body = BodyGeometry(height=0.1)
-        d, _, _, _ = one_row(field, [2.0, 2.0, 2.0], body, 0.2)
+        d, _, _ = one_row(field, [2.0, 2.0, 2.0], body, 0.2)
         assert d == pytest.approx(2.0, abs=1e-12)
 
     def test_single_voxel_matches_exhaustive(self):
@@ -420,7 +420,7 @@ class TestBodyClearance:
         field = compute_esdf(grid, truncation=5.0)
         body = BodyGeometry(height=0.1, n_theta=16, n_l=2)
         center = np.zeros(3)
-        d, _, _, _ = one_row(field, center, body, 0.2)
+        d, _, _ = one_row(field, center, body, 0.2)
         samples = [center + [0.2 * np.cos(2 * np.pi * k / 16), 0.2 * np.sin(2 * np.pi * k / 16), z]
                    for k in range(16) for z in (-0.05, 0.0, 0.05)]
         dists = query_distance_many(field, samples)
@@ -446,7 +446,7 @@ class TestBodyClearance:
         body = BodyGeometry(height=0.1, n_theta=16, n_l=2)
         center = np.array([0.62, 0.71, 0.76])
         radius = 0.2
-        _, _, grad_position, grad_radius = one_row(field, center, body, radius)
+        _, grad_position, grad_radius = one_row(field, center, body, radius)
         h = 1e-6
         fd_pos = np.empty(3)
         for k in range(3):
@@ -466,10 +466,10 @@ class TestBodyClearance:
         grid = build_grid([], [0, 0, 0], [1, 1, 1], 0.1)
         field = compute_esdf(grid, truncation=5.0)
         body = BodyGeometry(height=0.1)
-        # the sample at angle pi lies 0.2 m beyond the map's x = 0 face
-        d, worst, grad_pos, grad_rad = one_row(field, [0.1, 0.5, 0.5], body, 0.3)
+        # the sample at angle pi lies 0.2 m beyond the map's x = 0 face, so
+        # the extension's distance there, truncation minus 0.2 m, is the least
+        d, grad_pos, grad_rad = one_row(field, [0.1, 0.5, 0.5], body, 0.3)
         assert d == pytest.approx(5.0 - 0.2, abs=1e-12)
-        assert worst[0] == pytest.approx(-0.2, abs=1e-12)
         assert grad_pos == pytest.approx([1.0, 0.0, 0.0], abs=1e-12)
         assert grad_rad == pytest.approx(-1.0, abs=1e-12)
 

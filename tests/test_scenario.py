@@ -15,10 +15,12 @@ import pytest
 from morphplan import cli
 from morphplan import scenario as scenario_mod
 from morphplan.controller import NmpcConfig, TrackingConfig
-from morphplan.dynamics import VehicleParams
+from morphplan.dynamics import VehicleParams, trajectory_energy
+from morphplan.esdf import BodyGeometry
 from morphplan.scenario import SCHEMA, ScenarioError, load_scenario, parse_scenario
 from morphplan.search import SearchConfig
 from morphplan.traj_opt import OptProblem
+from morphplan.trajectory import fit_min_jerk
 
 ROOT = Path(__file__).resolve().parent.parent
 SCENARIOS = ROOT / "scenarios"
@@ -84,6 +86,9 @@ MALFORMED = {
     # the servo map divides by r_max - r_min and by servo_tau
     "degenerate body": _set("body.r_min", 0.211),
     "zero servo time constant": _set("sim.servo_tau", 0),
+    "central_radius as a string": _set("sim.central_radius", "0.06"),
+    "fractional body angles": _set("body.n_theta", 12.5),
+    "fractional body rings": _set("body.n_l", 1.5),
 }
 
 
@@ -160,11 +165,11 @@ def test_slot_configs_pinned():
         sigma0=[[0.6, 1.0, 0.8, 0.211], [0.0] * 4, [0.0] * 4],
         sigmaf=[[4.4, 1.0, 0.8, 0.211], [0.0] * 4, [0.0] * 4]))
     assert sc.opt_problem(None, "fixed-min").radius_frozen
-    same_config(sc.vehicle_params(), VehicleParams(height=0.12, r_min=0.131, r_max=0.211))
+    assert_fields(sc.body, dict(height=0.12, n_theta=12, n_l=1, r_min=0.131, r_max=0.211))
+    same_config(sc.vehicle_params(), VehicleParams(body=sc.body))
     same_config(sc.nmpc_config(), NmpcConfig())
     same_config(sc.tracking_config(), TrackingConfig())
     assert sc.disturbance(1.0) is None
-    assert sc.energy_coeffs() == {}
     assert sc.benchmark_seeds == list(range(20))
 
 
@@ -173,13 +178,12 @@ def test_configs_without_optional_sections_take_class_defaults():
     for section in ("planning", "search", "opt", "sim", "benchmark"):
         raw.pop(section, None)
     sc = parse_scenario(raw)
-    body = dict(r_min=0.131, r_max=0.211)
     same_config(sc.search_config(), SearchConfig())
     same_config(sc.opt_problem(None), OptProblem(field=None, body=sc.body, sigma0=np.zeros((3, 4)),
                                                   sigmaf=np.zeros((3, 4))),
                 skip=("field", "body", "sigma0", "sigmaf"))
     assert sc.opt_problem(None).d_margin == 0.15
-    same_config(sc.vehicle_params(), VehicleParams(height=0.12, **body))
+    same_config(sc.vehicle_params(), VehicleParams(body=sc.body))
     same_config(sc.tracking_config(), TrackingConfig())
     assert sc.disturbance(1.0) is None
 
@@ -192,20 +196,39 @@ def test_sim_section_reaches_tracking_and_energy():
     sc = parse_scenario(raw)
     assert_fields(sc.tracking_config(), dict(sim_dt=0.004, duration_pad=0.1, indi=False, seed=7))
     assert sc.nmpc_config().horizon == 12
-    assert sc.energy_coeffs() == {"c2": 50.0}
+    assert_fields(sc.vehicle_params(), dict(energy_c1=1.0, energy_c2=50))
     np.testing.assert_array_equal(sc.disturbance(1.0)(0.5).force, [0.5, 0.0, 0.0])
 
 
 def test_every_schema_key_reaches_a_config():
     """Each key a section may set is a field of a config it feeds, or one of
-    the keys read by name (the energy model's coefficients, the disturbance
-    and the simulation step)."""
+    the keys read by name (the disturbance and the simulation step)."""
     feeds = {"planning": (OptProblem,), "search": (SearchConfig,),
              "opt": (OptProblem,), "control": (NmpcConfig, TrackingConfig),
              "sim": (VehicleParams, TrackingConfig)}
-    by_name = {"sim": {"energy_c1", "energy_c2", "disturbance", "dt"}}
+    by_name = {"sim": {"disturbance", "dt"}}
     assert set(feeds) == set(SCHEMA)
     for section, keys in SCHEMA.items():
         fields = {f.name for cls in feeds[section] for f in dataclasses.fields(cls)}
         assert keys - fields - by_name.get(section, set()) == set(), section
 
+
+def test_vehicle_reads_the_scenario_body():
+    """The radius range and height are the body's alone: the vehicle holds
+    the scenario's body, and no other field of it repeats a body field."""
+    vehicle = {f.name for f in dataclasses.fields(VehicleParams)} - {"body"}
+    assert not vehicle & {f.name for f in dataclasses.fields(BodyGeometry)}
+    sc = load_scenario(SCENARIOS / "slot.json")
+    assert sc.vehicle_params().body is sc.body
+
+
+def test_benchmark_energy_coefficient_reaches_the_energy():
+    """benchmark.json sets energy_c2 = 50: the model energy of a 2 s shrink
+    from r_max to r_min is its value before the coefficients moved onto the
+    vehicle (62.08 with energy_c2 = 1)."""
+    sc = load_scenario(SCENARIOS / "benchmark.json")
+    b0, b1 = np.zeros((3, 4)), np.zeros((3, 4))
+    b0[0] = [0.0, 0.0, 1.0, 0.211]
+    b1[0] = [1.0, 0.0, 1.0, 0.131]
+    traj = fit_min_jerk(np.zeros((0, 4)), [2.0], b0, b1)
+    assert trajectory_energy(traj, sc.vehicle_params()) == 67.59558209004601

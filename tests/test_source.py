@@ -11,8 +11,12 @@ string, so that a local variable of the same name does not count.
 Each routine has one calling convention, the program's: every defaulted
 parameter of a function or method of `src/morphplan` is passed by some call
 in `src/morphplan` or `perfbench/`.  A value no call passes is a constant
-of the function body, not a parameter.  Calls are matched by name, as
-references are; a class's `__init__` is called through the class name."""
+of the function body, not a parameter.  Calls are resolved to the module
+they reach: `module.name(...)` reaches the `name` of that module, and a bare
+`name(...)` the `name` its module imports or defines, so that a function of
+one module hides no same-named function of another.  A call on any other
+object reaches every method of that name; a class's `__init__` is called
+through the class name."""
 
 import ast
 from pathlib import Path
@@ -87,14 +91,72 @@ def defaulted(node, cls):
             yield arg.arg, None
 
 
-def calls_to(calls, name, cls):
-    """The calls that may reach the function `name` of class `cls` (or None)."""
-    callee = cls if name == "__init__" else name
-    for node in calls:
-        f = node.func
-        if isinstance(f, ast.Attribute) and f.attr == callee:
-            yield node
-        elif isinstance(f, ast.Name) and f.id == callee and (cls is None or name == "__init__"):
+def import_bindings(tree):
+    """What the module's imports bind: {name: module} for each name that
+    stands for a module, and {name: (module, imported name)} for each other
+    imported name; a module is known by its last dotted component, which
+    for a program module is its file's stem."""
+    modules, names = {}, {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                modules[alias.asname or alias.name] = alias.name.rsplit(".", 1)[-1]
+        elif isinstance(node, ast.ImportFrom):
+            source = (node.module or "").rsplit(".", 1)[-1]
+            for alias in node.names:
+                if source in ("", "morphplan"):   # a module of the package
+                    modules[alias.asname or alias.name] = alias.name
+                else:
+                    names[alias.asname or alias.name] = (source, alias.name)
+    return modules, names
+
+
+def dotted(node):
+    """The dotted name an expression spells, or None."""
+    if isinstance(node, ast.Name):
+        return node.id
+    if isinstance(node, ast.Attribute):
+        head = dotted(node.value)
+        return head and f"{head}.{node.attr}"
+    return None
+
+
+def program_calls():
+    """(module, name, call) of each call in the program.  The module is the
+    one a `module.name(...)` call names, or the one a bare `name(...)`
+    imports the name from or defines it in; None for a call on any other
+    object.  A bare name the module neither imports nor defines (a builtin,
+    a local) reaches no program function and is left out."""
+    calls = []
+    for path in PROGRAM:
+        tree = ast.parse(path.read_text())
+        modules, names = import_bindings(tree)
+        defined = {node.name for node in ast.walk(tree)
+                   if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            f = node.func
+            if isinstance(f, ast.Attribute):
+                calls.append((modules.get(dotted(f.value)), f.attr, node))
+            elif isinstance(f, ast.Name) and f.id in names:
+                calls.append((*names[f.id], node))
+            elif isinstance(f, ast.Name) and f.id in defined:
+                calls.append((path.stem, f.id, node))
+    return calls
+
+
+def calls_to(calls, module, name, cls):
+    """The calls that may reach the function `name` of class `cls` (or None)
+    defined in `module`."""
+    for target, callee, node in calls:
+        if cls is None:
+            hit = (target, callee) == (module, name)
+        elif name == "__init__":
+            hit = (target, callee) == (module, cls)
+        else:
+            hit = target is None and callee == name
+        if hit:
             yield node
 
 
@@ -110,37 +172,27 @@ def passes(call, name, position):
 
 
 def test_every_default_is_passed_by_the_program():
-    calls = [node for path in PROGRAM for node in ast.walk(ast.parse(path.read_text()))
-             if isinstance(node, ast.Call)]
+    calls = program_calls()
     unpassed = []
     for path in PACKAGE:
         for qualname, node, cls in functions(ast.parse(path.read_text())):
             if f"{path.name}: {qualname}" in DEFAULT_EXEMPT:
                 continue
-            reaching = list(calls_to(calls, node.name, cls))
+            reaching = list(calls_to(calls, path.stem, node.name, cls))
             unpassed += [f"{path.name}: {qualname}({param})"
                          for param, position in defaulted(node, cls)
                          if not any(passes(c, param, position) for c in reaching)]
     assert not unpassed, "defaults no program call overrides: " + ", ".join(unpassed)
 
 
-# `power`'s coefficients reach it through `**Scenario.energy_coeffs()`, which
-# holds only the coefficients a scenario sets, so the defaults are the
-# program's for every scenario that leaves them out
-PASSED_EXEMPT = {"dynamics.py: power"}
-
-
 def test_no_default_is_passed_by_every_program_call():
     """A default that every program call overrides is read only by the
     tests; the parameter is then required."""
-    calls = [node for path in PROGRAM for node in ast.walk(ast.parse(path.read_text()))
-             if isinstance(node, ast.Call)]
+    calls = program_calls()
     always = []
     for path in PACKAGE:
         for qualname, node, cls in functions(ast.parse(path.read_text())):
-            if f"{path.name}: {qualname}" in PASSED_EXEMPT:
-                continue
-            reaching = list(calls_to(calls, node.name, cls))
+            reaching = list(calls_to(calls, path.stem, node.name, cls))
             always += [f"{path.name}: {qualname}({param})"
                        for param, position in defaulted(node, cls)
                        if reaching and all(passes(c, param, position) for c in reaching)]

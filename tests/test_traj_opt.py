@@ -340,7 +340,6 @@ class TestInvariantsAndCosts:
         recomputed = report.pce + report.rce + prob.sorr_weight * report.sorr \
             + prob.time_weight * report.time_cost
         assert report.total_cost == pytest.approx(recomputed, abs=1e-9)
-        assert report.sorr_weighted == pytest.approx(prob.sorr_weight * report.sorr, abs=1e-12)
 
     def test_verification_sweep_on_accepted_output(self):
         from morphplan.traj_opt import GATE_FAMILIES

@@ -192,6 +192,12 @@ class TestIo:
         back = read_coeff_dump(p)
         assert np.allclose(back.durations, traj.durations, rtol=0, atol=0)
         assert np.allclose(back.coeffs, traj.coeffs, rtol=1e-16, atol=1e-300)
+        # the header holds the piece count and the minimum-jerk order, always 3
+        lines = p.read_text().splitlines()
+        assert lines[0].split() == [str(traj.n_pieces), "3"]
+        p.write_text("\n".join([f"{traj.n_pieces} 5"] + lines[1:]))
+        with pytest.raises(ValueError):
+            read_coeff_dump(p)
 
     def test_sample_csv(self, tmp_path):
         traj = fit_min_jerk(np.zeros((0, 4)), [2.0], rest(np.zeros(4)), rest(np.array([1.0, 0, 0, 0.2])))
