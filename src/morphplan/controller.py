@@ -51,17 +51,6 @@ from .fields import check_field_types
 log = logging.getLogger(__name__)
 
 
-@dataclass(eq=False)
-class ControlInput:
-    thrust: float          # collective [N]
-    torque: np.ndarray     # body frame [N m]
-
-    def __post_init__(self):
-        self.torque = np.asarray(self.torque, dtype=float).reshape(3)
-        if self.thrust < 0.0:
-            raise ValueError("collective thrust must be non-negative")
-
-
 @dataclass
 class NmpcConfig:
     """Horizon solver settings.  max_iters is the Gauss-Newton budget of one
@@ -99,6 +88,8 @@ class NmpcConfig:
             raise ValueError("every input weight must be positive")
         if not np.all(self.u_min <= self.u_max):
             raise ValueError("u_min must not exceed u_max")
+        if self.u_min[0] < 0.0:
+            raise ValueError("the collective thrust bound u_min[0] must be non-negative")
 
 
 def _quat_error_matrices(q_ref: np.ndarray, q: np.ndarray) -> np.ndarray:
@@ -119,8 +110,9 @@ class NmpcInfo:
 
 def nmpc_solve(x_now: np.ndarray, x_ref: np.ndarray, u_ref: np.ndarray,
                config: NmpcConfig, params: VehicleParams, model: RadiusModel,
-               warm_start: np.ndarray | None, f_ext) -> tuple[ControlInput, NmpcInfo]:
-    """Finite-horizon tracking solve; returns the first input.
+               warm_start: np.ndarray | None, f_ext) -> tuple[np.ndarray, NmpcInfo]:
+    """Finite-horizon tracking solve; returns the first input [f, tau] (4,)
+    of the solution, and the solve's `NmpcInfo`.
 
     x_now (13,), x_ref (N+1, 13), u_ref (N, 4) or (N+1, 4).  The model is the
     rigid body with the inertia of `model` (the current radius's
@@ -220,9 +212,7 @@ def nmpc_solve(x_now: np.ndarray, x_ref: np.ndarray, u_ref: np.ndarray,
     if not converged:
         log.debug("horizon solver stopped at its budget of %d iterations (cost %.3e)",
                   config.max_iters, cost)
-    u0 = u_seq[0]
-    return (ControlInput(thrust=max(float(u0[0]), 0.0), torque=u0[1:]),
-            NmpcInfo(converged=converged, iterations=it, inputs=u_seq))
+    return u_seq[0], NmpcInfo(converged=converged, iterations=it, inputs=u_seq)
 
 
 def _bounded_lsq(a: np.ndarray, b: np.ndarray, lo: np.ndarray, hi: np.ndarray):
@@ -358,7 +348,6 @@ class TrackingConfig:
 class TrackingResult:
     times: np.ndarray
     positions: np.ndarray
-    references: np.ndarray
     force_estimates: np.ndarray
     radii: np.ndarray
     rmse: float
@@ -402,14 +391,12 @@ def run_tracking(traj, params: VehicleParams, nmpc: NmpcConfig,
     thrust_lp = SecondOrderLowPass(config.omega_cutoff_hz, config.sim_dt, 4)
 
     warm = None
-    u_cmd = ControlInput(thrust=params.hover_thrust, torque=np.zeros(3))
     f_ext_est = np.zeros(3)
     last_thrusts = np.full(4, params.hover_thrust / 4.0)
     omega_prev = state.omega.copy()
 
     times = np.empty(n_steps)
     positions = np.empty((n_steps, 3))
-    references = np.empty((n_steps, 3))
     estimates = np.empty((n_steps, 3))
     radii = np.empty(n_steps)
     gn_iterations = np.zeros(len(tick_times), dtype=int)
@@ -422,7 +409,7 @@ def run_tracking(traj, params: VehicleParams, nmpc: NmpcConfig,
         wrench = disturbance(t) if disturbance is not None else None
         model = radius_model(params, state.radius)
 
-        if k % ticks_per_control == 0:
+        if k % ticks_per_control == 0:   # step 0 is a tick, so u_cmd is set before its use
             tick = k // ticks_per_control
             z_b = state.z_body
             accel = (np.sum(last_thrusts) * z_b
@@ -444,11 +431,11 @@ def run_tracking(traj, params: VehicleParams, nmpc: NmpcConfig,
         tau_f = model.allocation[1:] @ thrust_lp.update(last_thrusts)
 
         if config.indi:
-            tau_cmd = indi_torque(u_cmd.torque, state.omega, model.inertia, tau_f, omega_dot_f)
+            tau_cmd = indi_torque(u_cmd[1:], state.omega, model.inertia, tau_f, omega_dot_f)
         else:
-            tau_cmd = u_cmd.torque
+            tau_cmd = u_cmd[1:]
 
-        thrusts, _ = allocate(u_cmd.thrust, tau_cmd, model.allocation, params.thrust_min,
+        thrusts, _ = allocate(u_cmd[0], tau_cmd, model.allocation, params.thrust_min,
                               params.thrust_max)
         ref_now = ref_states[k]
         kappa = servo_command(ref_radii[k], state.servo_angle, params, config.servo_rate_limit)
@@ -457,21 +444,19 @@ def run_tracking(traj, params: VehicleParams, nmpc: NmpcConfig,
         sq_err += float(err @ err)
         times[k] = t
         positions[k] = state.position
-        references[k] = ref_now[0:3]
         estimates[k] = f_ext_est
         radii[k] = state.radius
         log_rows.append([t, *ref_now[0:3], *state.position, *state.velocity,
                          *state.quaternion, *state.omega, state.radius,
-                         state.servo_angle, *f_ext_est, u_cmd.thrust, *tau_cmd, *thrusts])
+                         state.servo_angle, *f_ext_est, u_cmd[0], *tau_cmd, *thrusts])
 
         state = step(state, thrusts, kappa, wrench, params, config.sim_dt, model=model)
         last_thrusts = thrusts
 
     rmse = float(np.sqrt(sq_err / n_steps))
-    return TrackingResult(times=times, positions=positions, references=references,
-                          force_estimates=estimates, radii=radii, rmse=rmse,
-                          log_rows=log_rows, gn_iterations=gn_iterations,
-                          gn_converged=gn_converged)
+    return TrackingResult(times=times, positions=positions, force_estimates=estimates,
+                          radii=radii, rmse=rmse, log_rows=log_rows,
+                          gn_iterations=gn_iterations, gn_converged=gn_converged)
 
 
 TRACKING_LOG_HEADER = (

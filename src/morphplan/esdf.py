@@ -126,7 +126,6 @@ def _add_squared_feature_distance(sq: np.ndarray, feature: np.ndarray) -> None:
 class EsdfField:
     grid: VoxelGrid
     distance: np.ndarray  # float64, shape grid.dims
-    truncation: float
 
     @property
     def lower(self) -> np.ndarray:
@@ -172,7 +171,7 @@ def compute_esdf(grid: VoxelGrid, truncation: float) -> EsdfField:
         dist = np.full(occ.shape, np.inf)  # no voxel of the other class
     np.negative(dist, out=dist, where=occ)
     np.clip(dist, -truncation, truncation, out=dist)
-    return EsdfField(grid=grid, distance=dist, truncation=float(truncation))
+    return EsdfField(grid=grid, distance=dist)
 
 
 def points_in_bounds(field: EsdfField, points: np.ndarray) -> np.ndarray:

@@ -37,7 +37,7 @@ def run_plan(scenario: Scenario, mode: str | None, map_seed: int | None = None) 
     # one problem for both stages: its body carries any payload, so the seed
     # path is payload-aware, and both read its radius_frozen
     result = search(problem, scenario.search_config())
-    traj, report = optimize(result.path, problem)
+    traj, report = optimize(result, problem)
     metrics = metrics_from_report(report, traj, scenario.vehicle_params(), mode,
                                   map_seed if map_seed is not None else scenario.seed)
     return PlanOutput(trajectory=traj, report=report, metrics=metrics, search_result=result)

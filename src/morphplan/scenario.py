@@ -24,7 +24,7 @@ import numpy as np
 from .controller import NmpcConfig, TrackingConfig
 from .dynamics import VehicleParams, constant_wrench, noise_wrench, ramp_wrench
 from .esdf import BodyGeometry, BoxObstacle, SphereObstacle, build_grid, compute_esdf
-from .search import PlanState, SearchConfig
+from .search import SearchConfig
 from .traj_opt import OptProblem, attach_payload
 
 MODES = ("adaptive", "fixed-max", "fixed-min")
@@ -128,23 +128,22 @@ class Scenario:
         grid = build_grid(obstacles, self.bounds_lo, self.bounds_hi, self.resolution)
         return compute_esdf(grid, truncation=self.truncation)
 
-    def mode_radius(self, mode: str) -> float | None:
+    def boundary(self, spec: EndpointSpec, mode: str) -> np.ndarray:
+        """The endpoint's boundary rows [p, r], [v, v_r] and [a, a_r] (at rest
+        in acceleration) in the mode.  A fixed mode holds the radius at r_max
+        or r_min, and a payload at the start radius (the deformation is
+        locked after the grasp), both with no radius rate; an unset radius
+        is r_max."""
+        held = mode != "adaptive" or self.payload is not None
         if mode == "fixed-max":
-            return self.body.r_max
-        if mode == "fixed-min":
-            return self.body.r_min
-        if self.payload is not None:
-            # post-grasp: the deformation is locked at the start radius
-            return self.start.radius if self.start.radius is not None else self.body.r_max
-        return None
-
-    def plan_state(self, spec: EndpointSpec, mode: str) -> PlanState:
-        fixed = self.mode_radius(mode)
-        radius = fixed if fixed is not None else (
-            spec.radius if spec.radius is not None else self.body.r_max)
-        rate = 0.0 if fixed is not None else spec.radius_rate
-        return PlanState(position=spec.position, radius=radius,
-                         velocity=spec.velocity, radius_rate=rate)
+            radius = self.body.r_max
+        elif mode == "fixed-min":
+            radius = self.body.r_min
+        else:
+            radius = (self.start if self.payload is not None else spec).radius
+            radius = self.body.r_max if radius is None else radius
+        rate = 0.0 if held else spec.radius_rate
+        return np.array([[*spec.position, radius], [*spec.velocity, rate], [0.0] * 4])
 
     def search_config(self) -> SearchConfig:
         return SearchConfig(**self.search)
@@ -153,10 +152,8 @@ class Scenario:
         """The planning problem of the mode (None: the scenario's), which the
         search and the optimizer both solve."""
         mode = mode or self.mode
-        # boundary rows [p, r] and [v, v_r], at rest in acceleration
-        sigma0, sigmaf = (np.vstack([self.plan_state(spec, mode).as_array().reshape(2, 4),
-                                     np.zeros(4)]) for spec in (self.start, self.goal))
-        prob = OptProblem(field=field, body=self.body, sigma0=sigma0, sigmaf=sigmaf,
+        prob = OptProblem(field=field, body=self.body, sigma0=self.boundary(self.start, mode),
+                          sigmaf=self.boundary(self.goal, mode),
                           **self.planning, **self.opt, radius_frozen=(mode != "adaptive"))
         if self.payload is not None:
             prob = attach_payload(prob, self.payload["size"], self.payload["offset"])
@@ -266,7 +263,7 @@ def _parse(raw: dict) -> Scenario:
         obstacles.append(ObstacleSpec(kind=kind, data=data, jitter=float(o.get("jitter", 0.0))))
 
     b = raw["body"]
-    _check_keys(b, {"height", "n_theta", "n_l", "r_min", "r_max"}, "body")
+    _check_keys(b, {f.name for f in dataclasses.fields(BodyGeometry)} - {"attachments"}, "body")
     body = BodyGeometry(**b)
 
     mode = raw["mode"]

@@ -28,6 +28,10 @@ kinematic bounds, goal test and deduplication cells are arrays, only the
 closed-set and best-cost lookups run per child, and the sub-sampled states
 of every kept primitive are built by one broadcast and checked by one
 `_states_valid` call.
+
+Every state is a row [p, r, v, v_r] of 8 floats, from the endpoints on: a
+`SearchResult` hands the chain on as arrays of its states, of the controls
+and of the durations of the primitives between them.
 """
 
 from __future__ import annotations
@@ -66,28 +70,6 @@ class InvalidGoalError(PlanningError):
     pass
 
 
-@dataclass(eq=False)
-class PlanState:
-    position: np.ndarray
-    radius: float
-    velocity: np.ndarray
-    radius_rate: float = 0.0
-
-    def __post_init__(self):
-        self.position = np.asarray(self.position, dtype=float).reshape(3)
-        self.velocity = np.asarray(self.velocity, dtype=float).reshape(3)
-        self.radius = float(self.radius)
-        self.radius_rate = float(self.radius_rate)
-
-    def as_array(self) -> np.ndarray:
-        return np.concatenate([self.position, [self.radius], self.velocity, [self.radius_rate]])
-
-    @staticmethod
-    def from_array(x) -> "PlanState":
-        x = np.asarray(x, dtype=float).reshape(8)
-        return PlanState(position=x[:3], radius=x[3], velocity=x[4:7], radius_rate=x[7])
-
-
 @dataclass
 class SearchConfig:
     """The search's own tuning: the primitive set (acceleration bounds u_max
@@ -119,18 +101,14 @@ class SearchConfig:
 
 
 @dataclass(eq=False)
-class PathNode:
-    """One element of a primitive chain: the state reached, and the control
-    and duration of the primitive that reached it (control None at the root)."""
-
-    state: PlanState
-    control: np.ndarray | None
-    duration: float
-
-
-@dataclass(eq=False)
 class SearchResult:
-    path: list[PathNode]
+    """A primitive chain from the start: the states (K, 8) [p, r, v, v_r] it
+    passes, and the control (K-1, 4) and duration (K-1,) of the primitive
+    that reaches each state after the first."""
+
+    states: np.ndarray
+    controls: np.ndarray
+    durations: np.ndarray
     cost: float
     expansions: int
 
@@ -246,11 +224,11 @@ def _arc_bound(x: np.ndarray, dt: float, u_max: np.ndarray) -> float:
     return (speed + shrink) * dt
 
 
-def _at_goal(xs: np.ndarray, goal: PlanState, config: SearchConfig) -> np.ndarray:
-    """Rows of the states xs (B, 8) within the goal's position and radius
-    tolerances."""
-    near = np.linalg.norm(xs[:, :3] - goal.position, axis=1) <= config.goal_pos_tol
-    near &= np.abs(xs[:, 3] - goal.radius) <= config.goal_radius_tol
+def _at_goal(xs: np.ndarray, goal: np.ndarray, config: SearchConfig) -> np.ndarray:
+    """Rows of the states xs (B, 8) within the position and radius
+    tolerances of the goal state (8,)."""
+    near = np.linalg.norm(xs[:, :3] - goal[:3], axis=1) <= config.goal_pos_tol
+    near &= np.abs(xs[:, 3] - goal[3]) <= config.goal_radius_tol
     return near
 
 
@@ -267,9 +245,10 @@ def search(problem: OptProblem, config: SearchConfig) -> SearchResult:
     Raises InvalidStartError / InvalidGoalError for bad endpoints (both are
     checked by one `_states_valid` call, the start's error first), NoPathError
     when the deduplicated state space is exhausted and NodeBudgetExceededError
-    when the expansion budget runs out.
+    when the expansion budget runs out.  A start already at the goal returns
+    the start alone, with no controls and no durations.
     """
-    start, goal = (PlanState.from_array(sigma[:2]) for sigma in (problem.sigma0, problem.sigmaf))
+    ends = np.stack([problem.sigma0[:2].ravel(), problem.sigmaf[:2].ravel()])
     u_max = config.u_max
     sorr_weight = problem.sorr_weight
     if problem.radius_frozen:
@@ -281,15 +260,14 @@ def search(problem: OptProblem, config: SearchConfig) -> SearchResult:
         u_max = u_max.copy()
         u_max[3] = 0.0
         sorr_weight = 0.0
-    ends = np.stack([start.as_array(), goal.as_array()])
     start_ok, goal_ok = _states_valid(problem, ends[:, :3], ends[:, 3], ends[:, 4:7], ends[:, 7])
     if not start_ok:
         raise InvalidStartError("start state is invalid")
     if not goal_ok:
         raise InvalidGoalError("goal state is invalid")
 
-    if _at_goal(ends[:1], goal, config)[0]:
-        return SearchResult(path=[PathNode(state=start, control=None, duration=0.0)],
+    if _at_goal(ends[:1], ends[1], config)[0]:
+        return SearchResult(states=ends[:1], controls=np.zeros((0, 4)), durations=np.zeros(0),
                             cost=0.0, expansions=0)
 
     res = problem.field.grid.resolution
@@ -325,17 +303,14 @@ def search(problem: OptProblem, config: SearchConfig) -> SearchResult:
     expansions = 0
 
     def reconstruct(idx: int) -> SearchResult:
-        chain = []
-        k = idx
-        while k >= 0:
-            chain.append(PathNode(
-                state=PlanState.from_array(states[k]),
-                control=None if controls[k] is None else controls[k].copy(),
-                duration=durations[k],
-            ))
-            k = parents[k]
+        chain = [idx]
+        while parents[chain[-1]] >= 0:
+            chain.append(parents[chain[-1]])
         chain.reverse()
-        return SearchResult(path=chain, cost=gs[idx], expansions=expansions)
+        return SearchResult(states=np.array([states[k] for k in chain]),
+                            controls=np.array([controls[k] for k in chain[1:]]),
+                            durations=np.array([durations[k] for k in chain[1:]]),
+                            cost=gs[idx], expansions=expansions)
 
     while heap:
         f, h, _, idx = heapq.heappop(heap)
@@ -374,7 +349,7 @@ def search(problem: OptProblem, config: SearchConfig) -> SearchResult:
             cand = np.flatnonzero(ok)
             g_new = (gs[idx] + _primitive_cost_batch(us[cand], children[cand, 3], dt, r_max,
                                                      sorr_weight, problem.time_weight)).tolist()
-            at_goal = _at_goal(children[cand], goal, config).tolist()
+            at_goal = _at_goal(children[cand], ends[1], config).tolist()
             cand_keys = keys_of(children[cand])
             keep = []
             for j, ci in enumerate(cand.tolist()):
@@ -434,20 +409,12 @@ def search(problem: OptProblem, config: SearchConfig) -> SearchResult:
 
 
 def write_path_csv(result: SearchResult, path) -> None:
-    """Primitive chain as CSV rows (t, p, r, v, v_r, u), with u the control of
-    the segment leaving each state (zeros on the final row)."""
-    rows = []
-    t = 0.0
-    n = len(result.path)
-    for i, node in enumerate(result.path):
-        if i > 0:
-            t += node.duration
-        u_out = result.path[i + 1].control if i + 1 < n else None
-        u_out = np.zeros(4) if u_out is None else u_out
-        s = node.state
-        rows.append([t, *s.position, s.radius, *s.velocity, s.radius_rate, *u_out])
-    header = "t,x,y,z,r,vx,vy,vz,vr,ux,uy,uz,ur"
+    """The primitive chain as CSV rows (t, p, r, v, v_r, u): the time at each
+    state, the state, and the control of the primitive leaving it (zeros on
+    the final row)."""
+    t = np.cumsum([0.0, *result.durations])
+    rows = np.hstack([t[:, None], result.states, np.vstack([result.controls, np.zeros((1, 4))])])
     with open(path, "w", newline="\n") as fh:
-        fh.write(header + "\n")
-        for row in rows:
+        fh.write("t,x,y,z,r,vx,vy,vz,vr,ux,uy,uz,ur\n")
+        for row in rows.tolist():
             fh.write(",".join(format(v, ".17g") for v in row) + "\n")

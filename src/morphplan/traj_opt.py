@@ -109,9 +109,8 @@ class OptReport:
     sorr: float
     time_cost: float
     total_cost: float
-    penalty_residuals: dict
-    iterations: int
-    converged: bool
+    iterations: int   # L-BFGS iterations summed over every solve of the escalation loop
+    converged: bool   # whether the last solve converged
 
 
 def attach_payload(problem: OptProblem, size, offset) -> OptProblem:
@@ -154,28 +153,30 @@ def _box_surface(size, offset, spacing_xy, spacing_z):
     return pts + offset
 
 
-def seed_to_pieces(path):
-    """Turn a primitive chain into (waypoints, durations); primitives shorter
-    than `MIN_PIECE_DURATION` merge into their successor."""
-    if len(path) < 2:
+def seed_to_pieces(states, durations):
+    """Turn a primitive chain, its states (K, 8) [p, r, v, v_r] and the
+    durations (K-1,) of the primitives between them, into (waypoints,
+    durations); primitives shorter than `MIN_PIECE_DURATION` merge into
+    their successor."""
+    if len(states) < 2:
         raise SeedTooShortError("seed path needs at least two states")
     waypoints = []
-    durations = []
+    pieces = []
     acc = 0.0
-    for node in path[1:]:
-        acc += node.duration
+    for state, dt in zip(states[1:], durations):
+        acc += dt
         if acc >= MIN_PIECE_DURATION:
-            durations.append(acc)
-            waypoints.append(np.concatenate([node.state.position, [node.state.radius]]))
+            pieces.append(acc)
+            waypoints.append(state[:4])
             acc = 0.0
     if acc > 0.0:
-        if durations:
-            durations[-1] += acc
+        if pieces:
+            pieces[-1] += acc
         else:
-            durations.append(acc)
-            waypoints.append(np.concatenate([path[-1].state.position, [path[-1].state.radius]]))
+            pieces.append(acc)
+            waypoints.append(states[-1][:4])
     waypoints = waypoints[:-1]  # last entry is the terminal state, not a waypoint
-    return np.array(waypoints).reshape(-1, 4), np.array(durations)
+    return np.array(waypoints).reshape(-1, 4), np.array(pieces)
 
 
 _XYZ = slice(0, 3)
@@ -348,7 +349,7 @@ def objective_and_gradient(waypoints, durations, problem: OptProblem):
         grad_t[i] -= acc
 
     grad_tau = grad_t * t_vec
-    return float(total), grad_q, grad_tau, coeffs
+    return float(total), grad_q, grad_tau
 
 
 def _exact_sorr(traj: PiecewiseTrajectory, r_max: float) -> float:
@@ -400,8 +401,9 @@ def verify_trajectory(traj: PiecewiseTrajectory, problem: OptProblem) -> dict:
 GATE_FAMILIES = ("velocity", "acceleration", "radius_rate", "radius_acc", "clearance")
 
 
-def optimize(seed_path, problem: OptProblem):
-    """Refine a seed primitive chain; returns (PiecewiseTrajectory, OptReport).
+def optimize(seed, problem: OptProblem):
+    """Refine a seed primitive chain, the `states` and `durations` of a search
+    result; returns (PiecewiseTrajectory, OptReport).
 
     Each solve is L-BFGS with at most `MAX_ITERS` iterations and gradient
     tolerance `GRAD_TOL`, from the seed's pieces (`seed_to_pieces`).  If the
@@ -409,14 +411,17 @@ def optimize(seed_path, problem: OptProblem):
     weights escalate tenfold and the solve restarts warm, up to
     `MAX_ESCALATIONS` times (a cubic hinge leaves ~sqrt(price/3w) slack, so a
     single escalation cannot always reach the tolerance); persistent
-    violations raise VerificationFailedError.
+    violations raise VerificationFailedError.  The report's `iterations` sums
+    the iterations of every solve; `converged` is the last solve's.
     """
-    q0, t0 = seed_to_pieces(seed_path)
+    q0, t0 = seed_to_pieces(seed.states, seed.durations)
     prob = problem
     x_q, x_tau = q0, np.log(t0)
+    iterations = 0
 
     for attempt in range(1 + MAX_ESCALATIONS):
         x_q, x_tau, info = _solve(x_q, x_tau, prob)
+        iterations += info["iterations"]
         traj = _build(x_q, np.exp(x_tau), prob)
         residuals = verify_trajectory(traj, prob)
         if max(residuals[k] for k in GATE_FAMILIES) <= VERIFY_TOL:
@@ -424,8 +429,7 @@ def optimize(seed_path, problem: OptProblem):
             report = OptReport(
                 pce=costs["pce"], rce=costs["rce"], sorr=costs["sorr"],
                 time_cost=costs["time_cost"], total_cost=costs["total_cost"],
-                penalty_residuals=residuals, iterations=info["iterations"],
-                converged=info["converged"],
+                iterations=iterations, converged=info["converged"],
             )
             return traj, report
         log.info("verification residuals %s; escalating penalty weights", residuals)
@@ -456,7 +460,7 @@ def _solve(q0, tau0, problem):
 
     def fun(x):
         q, tau = unpack(x)
-        val, gq, gtau, _ = objective_and_gradient(q, np.exp(tau), problem)
+        val, gq, gtau = objective_and_gradient(q, np.exp(tau), problem)
         return val, np.concatenate([gq[:, :n_ch].ravel(), gtau])
 
     # keep exp(tau) in a sane range so line-search probes stay finite

@@ -112,7 +112,6 @@ class MinJerkSystem:
         junctions[k, 1:, k + 1] = _START_ROWS
         mat[n - 3:, N_COEF * (m - 1):] = ends[-1, :3]
         self.waypoint_rows = 3 + N_COEF * k
-        self.matrix = mat
         self._lu = lu_factor(mat)
 
     def solve(self, waypoints, boundary_start, boundary_end) -> np.ndarray:

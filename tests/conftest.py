@@ -12,6 +12,17 @@ def vehicle_params(**fields):
     return VehicleParams(body=BodyGeometry(height=0.12), **fields)
 
 
+def plan_rows(position, radius, velocity=(0.0, 0.0, 0.0), radius_rate=0.0):
+    """Planning states as the search's rows [p, r, v, v_r]: (8,) for one
+    position (3,), (K, 8) for positions (K, 3); the other arguments
+    broadcast against the positions."""
+    position = np.asarray(position, dtype=float)
+    lead = position.shape[:-1]
+    return np.concatenate([position, np.broadcast_to(radius, lead)[..., None],
+                           np.broadcast_to(velocity, (*lead, 3)),
+                           np.broadcast_to(radius_rate, lead)[..., None]], axis=-1)
+
+
 def figure_eight(peak_speed=1.5, ax=1.2, ay=0.6, height=1.0, radius=0.211, laps=1):
     """Smooth figure-eight reference built from lemniscate waypoints, with the
     durations scaled so the peak speed matches the request."""

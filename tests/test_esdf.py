@@ -51,7 +51,7 @@ def voxel_center(grid, index):
 
 def uniform_field(value, dims=(6, 6, 6), resolution=0.1):
     grid = VoxelGrid(origin=np.zeros(3), resolution=resolution, occupancy=np.zeros(dims, dtype=bool))
-    return EsdfField(grid=grid, distance=np.full(dims, float(value)), truncation=5.0)
+    return EsdfField(grid=grid, distance=np.full(dims, float(value)))
 
 
 class TestBuildGrid:
@@ -319,7 +319,7 @@ def test_interp_equals_reference_formula(dims, resolution, shifted, seed):
     rng = np.random.default_rng(seed)
     origin = rng.uniform(-2.0, 2.0, 3) if shifted else np.zeros(3)
     grid = VoxelGrid(origin=origin, resolution=resolution, occupancy=np.zeros(dims, dtype=bool))
-    field = EsdfField(grid=grid, distance=rng.normal(scale=0.5, size=dims), truncation=5.0)
+    field = EsdfField(grid=grid, distance=rng.normal(scale=0.5, size=dims))
     n = 96
     size = np.asarray(dims, dtype=float)
     cell = rng.integers(0, dims, size=(n, 3))
@@ -355,7 +355,7 @@ class TestGradient:
         dims = (6, 6, 6)
         ramp = np.tile((np.arange(6) * 0.1)[:, None, None], (1, 6, 6))
         grid = VoxelGrid(origin=np.zeros(3), resolution=0.1, occupancy=np.zeros(dims, dtype=bool))
-        field = EsdfField(grid=grid, distance=ramp, truncation=5.0)
+        field = EsdfField(grid=grid, distance=ramp)
         g = query_gradient_many(field, [0.27, 0.33, 0.30])[0]
         assert np.allclose(g, [1.0, 0.0, 0.0], atol=1e-12)
 

@@ -27,14 +27,16 @@ def test_run_plan_golden_total_cost(name, mode, total_cost):
 
 def test_clutter_slot_leg_golden_cost_and_iterations():
     """benchmark.json, map seed 0, adaptive, through the 0.6 m slot from
-    x = 3.6 to 6.4 m: a solve that converges inside the iteration cap, so its
-    iteration count follows every rounding of the objective."""
+    x = 3.6 to 6.4 m: three solves (the gate escalates the penalties twice)
+    of 82, 90 and 95 iterations, each converging inside the iteration cap,
+    so the count follows every rounding of the objective.  The report sums
+    the three."""
     raw = json.loads((SCENARIOS / "benchmark.json").read_text())
     raw["start"]["position"] = [3.6, 1.0, 0.8]
     raw["goal"]["position"] = [6.4, 1.0, 0.8]
     out = run_plan(parse_scenario(raw), mode="adaptive", map_seed=0)
     assert out.report.total_cost == pytest.approx(11.846690501163131, rel=1e-12)
-    assert out.report.iterations == 95
+    assert out.report.iterations == 82 + 90 + 95
 
 
 def test_cli_plan_writes_outputs(tmp_path):

@@ -57,6 +57,7 @@ def _box_without_max(raw):
 MALFORMED = {
     "negative mass": _set("sim.mass", -1),
     "zero input weight": _set("control.w_input", [0.0, 0.4, 0.4, 0.4]),
+    "negative thrust bound": _set("control.u_min", [-1.0, -1.5, -1.5, -0.5]),
     "horizon as a string": _set("control.horizon", "20"),
     "no body height": _drop("body.height"),
     "no map resolution": _drop("map.resolution"),

@@ -23,7 +23,6 @@ from morphplan.search import (
     InvalidGoalError,
     InvalidStartError,
     NoPathError,
-    PlanState,
     SearchConfig,
     _connect_cost,
     _primitive_cost_batch,
@@ -34,6 +33,8 @@ from morphplan.search import (
 )
 from morphplan.scenario import parse_scenario
 from morphplan.traj_opt import OptProblem
+
+from conftest import plan_rows
 
 
 def empty_field(extent=(4.0, 4.0, 2.0), resolution=0.1):
@@ -55,9 +56,9 @@ R_MAX = small_body().r_max
 
 
 def boundary(state):
-    """The (3, 4) boundary rows of a state at rest in acceleration."""
+    """The (3, 4) boundary rows of a state (8,) at rest in acceleration."""
     sigma = np.zeros((3, 4))
-    sigma[:2] = state.as_array().reshape(2, 4)
+    sigma[:2] = state.reshape(2, 4)
     return sigma
 
 
@@ -73,7 +74,7 @@ def fast_problem(start, goal, field, body=None, **kw):
 def propagate(state, u, dt):
     """The state one primitive reaches, as the search's batch propagation
     computes it."""
-    return PlanState.from_array(_propagate_batch(state.as_array(), np.reshape(u, (1, 4)), dt)[0])
+    return _propagate_batch(state, np.reshape(u, (1, 4)), dt)[0]
 
 
 def primitive_cost(u, r_end, dt, problem):
@@ -87,15 +88,15 @@ def primitive_cost(u, r_end, dt, problem):
 def is_valid(state, problem):
     """One state's validity under the problem, as the search's batch check
     decides it."""
-    return bool(_states_valid(problem, state.position.reshape(1, 3), np.array([state.radius]),
-                              state.velocity.reshape(1, 3), np.array([state.radius_rate]))[0])
+    return bool(_states_valid(problem, state[None, :3], state[None, 3], state[None, 4:7],
+                              state[None, 7])[0])
 
 
 def heuristic(state, goal, time_weight):
     """The search's cost-to-go bound from state to goal over all four flat
     axes, as its batch connection cost computes it."""
-    x, g = state.as_array(), goal.as_array()
-    cost, _ = _connect_cost((g[:4] - x[:4])[None, :], x[None, 4:], g[None, 4:], time_weight)
+    cost, _ = _connect_cost((goal[:4] - state[:4])[None, :], state[None, 4:], goal[None, 4:],
+                            time_weight)
     return float(cost[0])
 
 
@@ -110,28 +111,28 @@ def blind(monkeypatch):
 
 class TestPropagate:
     def test_zero_input(self):
-        s = PlanState(position=[1, 2, 3], radius=0.2, velocity=[0.5, 0, -0.1], radius_rate=0.05)
+        s = plan_rows([1, 2, 3], 0.2, [0.5, 0, -0.1], 0.05)
         out = propagate(s, np.zeros(4), 0.7)
-        assert np.allclose(out.position, s.position + 0.7 * s.velocity)
-        assert np.allclose(out.velocity, s.velocity)
-        assert out.radius == pytest.approx(0.2 + 0.7 * 0.05)
-        assert out.radius_rate == pytest.approx(0.05)
+        assert np.allclose(out[:3], s[:3] + 0.7 * s[4:7])
+        assert np.allclose(out[4:7], s[4:7])
+        assert out[3] == pytest.approx(0.2 + 0.7 * 0.05)
+        assert out[7] == pytest.approx(0.05)
 
     def test_position_axis_hand_case(self):
-        s = PlanState(position=np.zeros(3), radius=0.3, velocity=np.zeros(3))
+        s = plan_rows(np.zeros(3), 0.3)
         out = propagate(s, [1.0, 0, 0, 0], 0.5)
-        assert np.allclose(out.position, [0.125, 0, 0])
-        assert np.allclose(out.velocity, [0.5, 0, 0])
-        assert out.radius == pytest.approx(0.3)
+        assert np.allclose(out[:3], [0.125, 0, 0])
+        assert np.allclose(out[4:7], [0.5, 0, 0])
+        assert out[3] == pytest.approx(0.3)
 
     def test_radius_axis_hand_case(self):
-        s = PlanState(position=np.zeros(3), radius=0.3, velocity=np.zeros(3), radius_rate=0.0)
+        s = plan_rows(np.zeros(3), 0.3, radius_rate=0.0)
         out = propagate(s, [0, 0, 0, -0.4], 0.5)
-        assert out.radius == pytest.approx(0.25)
-        assert out.radius_rate == pytest.approx(-0.2)
+        assert out[3] == pytest.approx(0.25)
+        assert out[7] == pytest.approx(-0.2)
 
 
-AT_REST = PlanState(position=[2, 2, 1], radius=R_MAX, velocity=np.zeros(3))
+AT_REST = plan_rows([2, 2, 1], R_MAX)
 
 
 class TestPrimitiveCost:
@@ -154,7 +155,7 @@ class TestPrimitiveCost:
 
 class TestIsValid:
     def test_open_space_valid(self):
-        s = PlanState(position=[2, 2, 1], radius=0.2, velocity=[1, 0, 0])
+        s = plan_rows([2, 2, 1], 0.2, [1, 0, 0])
         assert is_valid(s, fast_problem(s, s, empty_field()))
 
     def test_narrow_slot_invalid_at_r_max(self):
@@ -164,15 +165,15 @@ class TestIsValid:
             BoxObstacle(lo=np.array([1.8, 1.2, 0.0]), hi=np.array([2.2, 4.0, 2.0])),
         ]
         field = compute_esdf(build_grid(obstacles, [0, 0, 0], [4, 4, 2], 0.1), truncation=5.0)
-        s = PlanState(position=[2.0, 1.0, 1.0], radius=R_MAX, velocity=np.zeros(3))
+        s = plan_rows([2.0, 1.0, 1.0], R_MAX)
         assert not is_valid(s, fast_problem(s, s, field, d_margin=0.1))
 
     def test_rate_bound_violation(self):
-        s = PlanState(position=[2, 2, 1], radius=0.2, velocity=np.zeros(3), radius_rate=1.01 * 0.4)
+        s = plan_rows([2, 2, 1], 0.2, radius_rate=1.01 * 0.4)
         assert not is_valid(s, fast_problem(s, s, empty_field(), radius_rate_max=0.4))
 
     def test_out_of_map_invalid_not_error(self):
-        s = PlanState(position=[10, 2, 1], radius=0.2, velocity=np.zeros(3))
+        s = plan_rows([10, 2, 1], 0.2)
         assert not is_valid(s, fast_problem(s, s, empty_field()))
 
 
@@ -226,13 +227,13 @@ def connect_cost_grid_oracle(dp, v0, v1, w_t, t_max=100.0, step=1e-4):
 
 class TestHeuristic:
     def test_zero_at_goal(self):
-        g = PlanState(position=[1, 2, 1], radius=0.18, velocity=[0.3, 0, 0], radius_rate=0.01)
+        g = plan_rows([1, 2, 1], 0.18, [0.3, 0, 0], 0.01)
         assert heuristic(g, g, 2.0) == 0.0
 
     def test_rest_to_rest_matches_grid_search(self):
-        a = PlanState(position=np.zeros(3), radius=0.2, velocity=np.zeros(3))
+        a = plan_rows(np.zeros(3), 0.2)
         for d in (0.5, 1.7, 4.0):
-            b = PlanState(position=[d, 0, 0], radius=0.2, velocity=np.zeros(3))
+            b = plan_rows([d, 0, 0], 0.2)
             oracle = connect_cost_grid_oracle(np.array([d, 0, 0, 0]), np.zeros(4), np.zeros(4), 2.0)
             assert heuristic(a, b, 2.0) == pytest.approx(oracle, rel=1e-6)
 
@@ -242,10 +243,9 @@ class TestHeuristic:
             dp = rng.normal(size=4)
             v0 = rng.normal(scale=0.5, size=4)
             v1 = rng.normal(scale=0.5, size=4)
-            a = PlanState(position=np.zeros(3), radius=0.2, velocity=v0[:3], radius_rate=v0[3])
-            b = PlanState(position=dp[:3], radius=0.2 + dp[3] * 0.05, velocity=v1[:3], radius_rate=v1[3])
-            dpfull = np.concatenate([b.position - a.position, [b.radius - a.radius]])
-            oracle = connect_cost_grid_oracle(dpfull, v0, v1, 1.3)
+            a = plan_rows(np.zeros(3), 0.2, v0[:3], v0[3])
+            b = plan_rows(dp[:3], 0.2 + dp[3] * 0.05, v1[:3], v1[3])
+            oracle = connect_cost_grid_oracle(b[:4] - a[:4], v0, v1, 1.3)
             assert heuristic(a, b, 1.3) == pytest.approx(oracle, rel=1e-5)
 
 
@@ -356,31 +356,31 @@ OUTSIDE = [4.5, 1.5, 1.0]       # beyond the map's x bound
     (OPEN, OBSTRUCTED, InvalidGoalError),
 ])
 def test_invalid_endpoints_raise(start, goal, error):
-    ends = [PlanState(position=p, radius=R_MAX, velocity=np.zeros(3)) for p in (start, goal)]
+    ends = [plan_rows(p, R_MAX) for p in (start, goal)]
     with pytest.raises(error):
         search(fast_problem(*ends, cluttered_field(), d_margin=0.1), fast_config())
 
 
 def rest(position, radius=R_MAX):
-    return PlanState(position=position, radius=radius, velocity=np.zeros(3))
+    return plan_rows(position, radius)
 
 
 class TestSearch:
     def test_start_equals_goal(self):
         s = rest([2, 2, 1])
         result = search(fast_problem(s, s, empty_field()), fast_config())
-        assert len(result.path) == 1
+        assert result.states.tolist() == [s.tolist()]
+        assert result.controls.shape == (0, 4) and result.durations.shape == (0,)
         assert result.cost == 0.0
 
     def test_free_corridor_keeps_max_radius(self):
         prob = fast_problem(rest([0.5, 1.5, 1.0]), rest([5.5, 1.5, 1.0]),
                             empty_field(extent=(6.0, 3.0, 2.0)))
         result = search(prob, fast_config())
-        radii = np.array([n.state.radius for n in result.path])
-        assert np.all(radii == R_MAX)
+        assert np.all(result.states[:, 3] == R_MAX)
         # forcing the same primitive sequence to r_min would cost strictly more
         shrink = ((prob.body.r_min - R_MAX) / R_MAX) ** 2
-        total_t = sum(n.duration for n in result.path)
+        total_t = result.durations.sum()
         forced = result.cost + prob.sorr_weight * shrink * total_t
         assert result.cost < forced
 
@@ -389,17 +389,17 @@ class TestSearch:
                             empty_field(extent=(6.0, 3.0, 2.0)))
         result = search(prob, fast_config())
         total = 0.0
-        for node in result.path[1:]:
-            total += primitive_cost(node.control, node.state.radius, node.duration, prob)
+        for u, state, dt in zip(result.controls, result.states[1:], result.durations):
+            total += primitive_cost(u, state[3], dt, prob)
         assert total == pytest.approx(result.cost, abs=1e-9)
 
     def test_all_primitive_subsamples_valid(self):
         prob = fast_problem(rest([0.5, 1.5, 1.0]), rest([5.0, 1.5, 1.0]),
                             empty_field(extent=(6.0, 3.0, 2.0)))
         result = search(prob, fast_config())
-        for prev, node in zip(result.path, result.path[1:]):
+        for prev, u, dt in zip(result.states, result.controls, result.durations):
             for frac in np.linspace(0.1, 1.0, 10):
-                s = propagate(prev.state, node.control, frac * node.duration)
+                s = propagate(prev, u, frac * dt)
                 assert is_valid(s, prob)
 
     def test_slot_forces_shrink_and_blocks_fixed_max(self):
@@ -414,7 +414,7 @@ class TestSearch:
         prob = fast_problem(rest([0.6, 1.0, 0.8]), rest([4.4, 1.0, 0.8]), field, d_margin=0.15,
                             sorr_weight=4.0)
         result = search(prob, cfg)
-        radii = np.array([n.state.radius for n in result.path])
+        radii = result.states[:, 3]
         assert radii.min() < 0.2
         assert radii[0] == R_MAX and abs(radii[-1] - R_MAX) <= cfg.goal_radius_tol
 
@@ -488,10 +488,10 @@ class TestSearch:
         write_path_csv(result, out)
         lines = out.read_text().splitlines()
         assert lines[0] == "t,x,y,z,r,vx,vy,vz,vr,ux,uy,uz,ur"
-        assert len(lines) == len(result.path) + 1
+        assert len(lines) == len(result.states) + 1
         first = [float(v) for v in lines[1].split(",")]
         assert first[0] == 0.0
-        assert first[1:4] == pytest.approx(list(start.position))
+        assert first[1:4] == pytest.approx(list(start[:3]))
 
 
 def test_search_config_holds_only_the_search_tuning():
@@ -554,12 +554,13 @@ def frozen_path(radius):
     # cross_gap's payload freezes the radius at the start's 0.15 m
     ("cross_gap", "adaptive", None, None, None, 9, 9.0, frozen_path(0.15), 253987),
 ], ids=["benchmark-adaptive", "slot-adaptive-0.05", "slot-fixed-min", "cross_gap-payload"])
-def test_search_golden(monkeypatch, name, mode, resolution, map_seed, ends, expansions, cost,
-                       path, points):
-    """Expansions, cost and every path node pinned exactly, and the number of
-    points the collision checks query, so that no wasted validity work creeps
-    in.  On the frozen cases the point count also pins the sub-sample count,
-    which a radius acceleration left in `_arc_bound` would raise."""
+def test_search_golden(monkeypatch, tmp_path, name, mode, resolution, map_seed, ends, expansions,
+                       cost, path, points):
+    """Expansions, cost, every path node and every row of the path's CSV
+    export pinned exactly, and the number of points the collision checks
+    query, so that no wasted validity work creeps in.  On the frozen cases
+    the point count also pins the sub-sample count, which a radius
+    acceleration left in `_arc_bound` would raise."""
     raw = json.loads((SCENARIOS / f"{name}.json").read_text())
     if resolution is not None:
         raw["map"]["resolution"] = resolution
@@ -579,9 +580,19 @@ def test_search_golden(monkeypatch, name, mode, resolution, map_seed, ends, expa
     result = search(problem, scenario.search_config())
     assert result.expansions == expansions
     assert result.cost == cost
-    assert len(result.path) == len(path)
-    for node, (state, control, duration) in zip(result.path, path):
-        assert node.state.as_array().tolist() == state
-        assert (node.control is None and control is None) or node.control.tolist() == control
-        assert node.duration == duration
+    assert result.states.tolist() == [state for state, _, _ in path]
+    assert result.controls.tolist() == [control for _, control, _ in path[1:]]
+    assert result.durations.tolist() == [duration for _, _, duration in path[1:]]
     assert sum(queried) == points
+    # each CSV row: the time at the state, the state, and the control of the
+    # primitive leaving it (zeros on the last row)
+    write_path_csv(result, tmp_path / "seed_path.csv")
+    lines = (tmp_path / "seed_path.csv").read_text().splitlines()
+    assert lines[0] == "t,x,y,z,r,vx,vy,vz,vr,ux,uy,uz,ur"
+    t = 0.0
+    expected = []
+    for k, (state, _, duration) in enumerate(path):
+        t += duration
+        leaving = path[k + 1][1] if k + 1 < len(path) else [0.0] * 4
+        expected.append([t, *state, *leaving])
+    assert [[float(v) for v in line.split(",")] for line in lines[1:]] == expected

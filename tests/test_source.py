@@ -197,3 +197,40 @@ def test_no_default_is_passed_by_every_program_call():
                        for param, position in defaulted(node, cls)
                        if reaching and all(passes(c, param, position) for c in reaching)]
     assert not always, "defaults every program call overrides: " + ", ".join(always)
+
+
+def dataclass_fields(tree):
+    """(class name, field name) of every field the module's dataclasses
+    declare."""
+    for node in tree.body:
+        decorators = [dotted(d.func if isinstance(d, ast.Call) else d)
+                      for d in getattr(node, "decorator_list", [])]
+        if isinstance(node, ast.ClassDef) and \
+                {"dataclass", "dataclasses.dataclass"} & set(decorators):
+            for sub in node.body:
+                if isinstance(sub, ast.AnnAssign) and isinstance(sub.target, ast.Name):
+                    yield node.name, sub.target.id
+
+
+def test_every_dataclass_field_is_read_by_the_program():
+    """Every field a dataclass of `src/morphplan` declares is read in
+    `src/morphplan` or `perfbench/`, as an attribute or as a string (the
+    benchmark looks some up by string).  A `__post_init__` that only
+    normalizes its own fields reads none of them.  Fields are matched by
+    name, so a read of a same-named field of another class hides an unread
+    one."""
+    reads = set()
+    for path in PROGRAM:
+        tree = ast.parse(path.read_text())
+        post_init = {id(n) for f in ast.walk(tree)
+                     if isinstance(f, ast.FunctionDef) and f.name == "__post_init__"
+                     for n in ast.walk(f)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load) \
+                    and id(node) not in post_init:
+                reads.add(node.attr)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                reads.add(node.value)
+    unread = [f"{path.name}: {cls}.{name}" for path in PACKAGE
+              for cls, name in dataclass_fields(ast.parse(path.read_text())) if name not in reads]
+    assert not unread, "dataclass fields the program never reads: " + ", ".join(unread)

@@ -4,11 +4,13 @@ import numpy as np
 import pytest
 
 from morphplan.esdf import BodyGeometry, BoxObstacle, SphereObstacle, build_grid, compute_esdf
-from morphplan.search import PathNode, PlanState
+from morphplan import traj_opt
+from morphplan.search import SearchResult
 from morphplan.traj_opt import (
     MIN_PIECE_DURATION,
     OptProblem,
     SeedTooShortError,
+    _coefficients,
     _hinge,
     attach_payload,
     objective_and_gradient,
@@ -17,7 +19,9 @@ from morphplan.traj_opt import (
     trajectory_costs,
     verify_trajectory,
 )
-from morphplan.trajectory import fit_min_jerk, jerk_energy, poly_basis
+from morphplan.trajectory import MinJerkSystem, fit_min_jerk, jerk_energy, poly_basis
+
+from conftest import plan_rows
 
 
 def boundary(p, r, v=(0, 0, 0), vr=0.0):
@@ -41,16 +45,19 @@ def empty_problem(extent=(6.0, 3.0, 2.0), **kw):
     return OptProblem(**defaults)
 
 
+def seed(states, durations):
+    """A search result holding the chain of states (K, 8) and the durations
+    (K-1,) of the primitives between them."""
+    durations = np.asarray(durations, dtype=float)
+    return SearchResult(states=states, controls=np.zeros((len(durations), 4)),
+                        durations=durations, cost=0.0, expansions=0)
+
+
 def straight_seed(p0, p1, r, n=4, dt=1.0):
-    nodes = [PathNode(state=PlanState(position=p0, radius=r, velocity=np.zeros(3)),
-                      control=None, duration=0.0)]
     p0 = np.asarray(p0, dtype=float)
     p1 = np.asarray(p1, dtype=float)
-    for k in range(1, n + 1):
-        p = p0 + (p1 - p0) * k / n
-        nodes.append(PathNode(state=PlanState(position=p, radius=r, velocity=np.zeros(3)),
-                              control=np.zeros(4), duration=dt))
-    return nodes
+    k = np.arange(n + 1)[:, None]
+    return seed(plan_rows(p0 + (p1 - p0) * k / n, r), np.full(n, dt))
 
 
 class TestObjective:
@@ -58,10 +65,11 @@ class TestObjective:
         prob = empty_problem()
         wps = np.array([[2.0, 1.5, 1.0, 0.211], [3.5, 1.5, 1.0, 0.211]])
         durs = np.array([2.0, 2.0, 2.0])
-        val, gq, gtau, coeffs = objective_and_gradient(wps, durs, prob)
+        val, gq, gtau = objective_and_gradient(wps, durs, prob)
         from morphplan.trajectory import PiecewiseTrajectory
 
-        traj = PiecewiseTrajectory(durations=durs, coeffs=coeffs)
+        traj = PiecewiseTrajectory(durations=durs,
+                                   coeffs=_coefficients(MinJerkSystem(durs), wps, prob))
         expect = jerk_energy(traj, range(4)) + prob.time_weight * durs.sum()
         assert val == pytest.approx(expect, rel=1e-12)
 
@@ -71,7 +79,7 @@ class TestObjective:
         d = 3.0
         prob = dataclasses.replace(prob, sigmaf=boundary([3.5, 1.5, 1.0], 0.211))
         for t in (1.5, 2.0, 3.0):
-            val, _, _, _ = objective_and_gradient(np.zeros((0, 4)), np.array([t]), prob)
+            val, _, _ = objective_and_gradient(np.zeros((0, 4)), np.array([t]), prob)
             assert val == pytest.approx(720 * d**2 / t**5 + prob.time_weight * t, rel=1e-10)
 
     def test_penalty_cubic_growth(self):
@@ -103,7 +111,7 @@ class TestObjective:
             def fun(x):
                 q = x[: (m - 1) * 4].reshape(m - 1, 4)
                 t = np.exp(x[(m - 1) * 4:])
-                val, gq, gtau, _ = objective_and_gradient(q, t, prob)
+                val, gq, gtau = objective_and_gradient(q, t, prob)
                 return val, np.concatenate([gq.ravel(), gtau])
 
             val, grad = fun(x0)
@@ -133,7 +141,7 @@ class TestObjective:
             q[:, :3] = x[: (m - 1) * 3].reshape(m - 1, 3)
             q[:, 3] = prob.frozen_radius
             t = np.exp(x[(m - 1) * 3:])
-            val, gq, gtau, _ = objective_and_gradient(q, t, prob)
+            val, gq, gtau = objective_and_gradient(q, t, prob)
             return val, np.concatenate([gq[:, :3].ravel(), gtau])
 
         x0 = np.concatenate([wps[:, :3].ravel(), tau])
@@ -163,7 +171,7 @@ class TestGoldenObjective:
 
     def test_adaptive_multi_piece(self):
         prob, wps, durs = golden_problem()
-        val, gq, gtau, _ = objective_and_gradient(wps, durs, prob)
+        val, gq, gtau = objective_and_gradient(wps, durs, prob)
         assert val == 95285.34904246301
         assert np.array_equal(gq, [
             [581025.5865215027, -66968.76101946742, 0.0, -15.963842570910726],
@@ -176,7 +184,7 @@ class TestGoldenObjective:
         prob, wps, durs = golden_problem()
         prob = attach_payload(prob, size=[0.1, 0.1, 0.05], offset=[0.0, 0.0, -0.1])
         wps[:, 3] = 0.211
-        val, gq, gtau, _ = objective_and_gradient(wps, durs, prob)
+        val, gq, gtau = objective_and_gradient(wps, durs, prob)
         assert val == 95374.97245561898
         assert np.array_equal(gq, [
             [581134.4813986777, -66823.18316351283, -0.9905308405747006, 0.0],
@@ -196,7 +204,7 @@ class TestOptimize:
         w = prob.time_weight
         t_star = (3600.0 * d * d / w) ** (1.0 / 6.0)
         j_star = 720.0 * d * d / t_star**5 + w * t_star
-        val, _, _, _ = objective_and_gradient(np.zeros((0, 4)), traj.durations, prob)
+        val, _, _ = objective_and_gradient(np.zeros((0, 4)), traj.durations, prob)
         assert val == pytest.approx(j_star, abs=1e-6)
         assert report.sorr == 0.0
         assert report.rce == 0.0
@@ -241,14 +249,10 @@ class TestOptimize:
                                    sigma0=boundary([0.5, 1.0, 1.0], 0.211),
                                    sigmaf=boundary([5.5, 1.0, 1.0], 0.211))
         # seed passes through the slot already small
-        nodes = [PathNode(state=PlanState(position=[0.5, 1.0, 1.0], radius=0.211,
-                                          velocity=np.zeros(3)), control=None, duration=0.0)]
-        knots = [([1.6, 1.0, 1.0], 0.19), ([2.6, 1.0, 1.0], 0.15), ([3.4, 1.0, 1.0], 0.15),
-                 ([4.4, 1.0, 1.0], 0.19), ([5.5, 1.0, 1.0], 0.211)]
-        for p, r in knots:
-            nodes.append(PathNode(state=PlanState(position=p, radius=r, velocity=np.zeros(3)),
-                                  control=np.zeros(4), duration=1.2))
-        traj, report = optimize(nodes, prob)
+        knots = plan_rows([[0.5, 1.0, 1.0], [1.6, 1.0, 1.0], [2.6, 1.0, 1.0], [3.4, 1.0, 1.0],
+                           [4.4, 1.0, 1.0], [5.5, 1.0, 1.0]],
+                          np.array([0.211, 0.19, 0.15, 0.15, 0.19, 0.211]))
+        traj, report = optimize(seed(knots, np.full(5, 1.2)), prob)
         residuals = verify_trajectory(traj, prob)
         assert residuals["clearance"] <= 1e-3
         ts = np.linspace(0, traj.total_time, 200)
@@ -267,10 +271,36 @@ class TestOptimize:
         assert np.all(np.abs(rs - 0.15) < 1e-12)
         assert report.rce == 0.0
 
+    def test_iterations_sum_over_escalated_solves(self, monkeypatch):
+        """A gate that fails once forces a second, escalated solve: the report
+        counts the iterations of both, and its converged flag is the last
+        solve's."""
+        infos = []
+        solve = traj_opt._solve
+
+        def recording_solve(q, tau, problem):
+            out = solve(q, tau, problem)
+            infos.append(out[2])
+            return out
+
+        verify = traj_opt.verify_trajectory
+
+        def failing_once(traj, problem):
+            residuals = verify(traj, problem)
+            return dict(residuals, clearance=1.0) if len(infos) == 1 else residuals
+
+        monkeypatch.setattr(traj_opt, "_solve", recording_solve)
+        monkeypatch.setattr(traj_opt, "verify_trajectory", failing_once)
+        seed_path = straight_seed([0.5, 1.5, 1.0], [5.5, 1.5, 1.0], 0.211, n=4, dt=1.2)
+        _, report = optimize(seed_path, empty_problem())
+        assert len(infos) == 2 and infos[0]["iterations"] > 0
+        assert report.iterations == infos[0]["iterations"] + infos[1]["iterations"]
+        assert report.converged == infos[1]["converged"]
+
     def test_seed_too_short(self):
         prob = empty_problem()
         with pytest.raises(SeedTooShortError):
-            optimize(straight_seed([0.5, 1.5, 1.0], [5.5, 1.5, 1.0], 0.211, n=1)[:1], prob)
+            optimize(seed(plan_rows([[0.5, 1.5, 1.0]], 0.211), []), prob)
 
 
 class TestAttachPayload:
@@ -312,11 +342,12 @@ class TestInvariantsAndCosts:
         rng = np.random.default_rng(10)
         wps = np.array([[2.0, 1.6, 1.1, 0.18], [4.0, 1.4, 0.9, 0.2]])
         durs = np.array([1.3, 1.1, 1.7])
-        val, _, _, coeffs = objective_and_gradient(wps, durs, prob)
+        val, _, _ = objective_and_gradient(wps, durs, prob)
         from morphplan.trajectory import PiecewiseTrajectory
         from scipy.integrate import simpson
 
-        traj = PiecewiseTrajectory(durations=durs, coeffs=coeffs)
+        traj = PiecewiseTrajectory(durations=durs,
+                                   coeffs=_coefficients(MinJerkSystem(durs), wps, prob))
         total = 0.0
         for i in range(traj.n_pieces):
             ts = np.linspace(0, durs[i], 1025)
@@ -352,13 +383,8 @@ class TestInvariantsAndCosts:
 
 
 def test_seed_to_pieces_merges_short_primitives():
-    nodes = [PathNode(state=PlanState(position=[0, 0, 0], radius=0.2, velocity=np.zeros(3)),
-                      control=None, duration=0.0)]
-    for k, dt in enumerate((0.04, 0.05, 0.5, 0.03, 0.6)):
-        nodes.append(PathNode(state=PlanState(position=[k + 1.0, 0, 0], radius=0.2,
-                                              velocity=np.zeros(3)),
-                              control=np.zeros(4), duration=dt))
-    wps, durs = seed_to_pieces(nodes)
+    states = plan_rows([[k, 0.0, 0.0] for k in range(6)], 0.2)
+    wps, durs = seed_to_pieces(states, np.array([0.04, 0.05, 0.5, 0.03, 0.6]))
     assert MIN_PIECE_DURATION == 0.1
     assert np.all(durs >= 0.1)
     assert durs.sum() == pytest.approx(0.04 + 0.05 + 0.5 + 0.03 + 0.6)
