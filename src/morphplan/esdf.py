@@ -13,6 +13,16 @@ field's 1-Lipschitz extension beyond the map, which inside the map is the
 interpolant itself; a caller that must stay inside the map tests
 `points_in_bounds`.
 
+Inside a cell of the lattice of voxel centers the trilinear interpolant is a
+convex combination of the cell's 8 stored values, so it never exceeds the
+largest of them.  In the half-voxel shell between the outermost centers and
+the map's faces the interpolant extrapolates the outermost cell linearly;
+there the same bound holds with one ghost layer per face, at the face
+itself, holding g = d0 + (d0 - d1)/2 from the two outermost values d0 and
+d1 on the axis normal to it.  `nodes_at_least` thresholds the stored values
+with that ghost layer, which lets the search bound the field over a whole
+cell of centers from booleans alone.
+
 Voxelization tests each obstacle against the voxel centers' coordinates,
 given per axis and broadcast against each other, so no full-size array of
 centers is built.
@@ -172,6 +182,39 @@ def compute_esdf(grid: VoxelGrid, truncation: float) -> EsdfField:
     np.negative(dist, out=dist, where=occ)
     np.clip(dist, -truncation, truncation, out=dist)
     return EsdfField(grid=grid, distance=dist)
+
+
+def _ghost_face(values: np.ndarray, axis: int, side: int) -> np.ndarray:
+    """The ghost layer beyond the face of `values` at index `side` (0 or -1)
+    of `axis`: g = d0 + (d0 - d1)/2 from the two outermost values d0 and d1
+    on that axis (d1 = d0 on an axis of one node)."""
+    n = values.shape[axis]
+    i0, i1 = (0, min(1, n - 1)) if side == 0 else (n - 1, max(n - 2, 0))
+    return 1.5 * values.take(i0, axis) - 0.5 * values.take(i1, axis)
+
+
+def _ghost_layers(values: np.ndarray) -> np.ndarray:
+    """`values` with a ghost layer on each face, added axis by axis, so that
+    the edges and corners extrapolate along every axis they lie beyond."""
+    for axis in range(values.ndim):
+        lo, hi = (np.expand_dims(_ghost_face(values, axis, side), axis) for side in (0, -1))
+        values = np.concatenate([lo, values, hi], axis=axis)
+    return values
+
+
+def nodes_at_least(field: EsdfField, level: float) -> np.ndarray:
+    """Boolean (nx+2, ny+2, nz+2): which stored distances are >= level, with
+    index 0 and -1 of each axis the ghost layer at that face (module
+    docstring).  Only the six face layers are extrapolated in floats."""
+    dist = field.distance
+    out = np.empty(tuple(n + 2 for n in dist.shape), dtype=bool)
+    np.greater_equal(dist, level, out=out[1:-1, 1:-1, 1:-1])
+    for axis in range(3):
+        for side in (0, -1):
+            index = [slice(None)] * 3
+            index[axis] = side
+            out[tuple(index)] = _ghost_layers(_ghost_face(dist, axis, side)) >= level
+    return out
 
 
 def points_in_bounds(field: EsdfField, points: np.ndarray) -> np.ndarray:

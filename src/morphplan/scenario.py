@@ -99,8 +99,6 @@ class EndpointSpec:
 
 @dataclass(eq=False)
 class Scenario:
-    version: int
-    name: str
     seed: int
     bounds_lo: np.ndarray
     bounds_hi: np.ndarray
@@ -292,8 +290,7 @@ def _parse(raw: dict) -> Scenario:
         raise ScenarioError("benchmark needs at least one seed")
 
     scenario = Scenario(
-        version=1, name=str(raw.get("name", "scenario")), seed=_int(raw.get("seed", 0), "seed"),
-        bounds_lo=lo, bounds_hi=hi, resolution=resolution,
+        seed=_int(raw.get("seed", 0), "seed"), bounds_lo=lo, bounds_hi=hi, resolution=resolution,
         truncation=truncation, obstacles=obstacles, body=body,
         start=_endpoint(raw["start"], "start"), goal=_endpoint(raw["goal"], "goal"),
         mode=mode, payload=payload, benchmark_seeds=seeds, **sections,

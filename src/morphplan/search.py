@@ -21,7 +21,25 @@ popped, so a node that has a cell is never at the goal.
 
 Primitives are collision-checked at sub-sampled states: a bounding ball
 around the body clears most of them cheaply, and the rest are checked at
-every sample of `BodyGeometry.surface_points`.
+every sample of `BodyGeometry.surface_points`.  A primitive is checked at
+`n_sub` equal time steps, as many as keep each step within res/2 of arc
+but at most MAX_SUBSAMPLES.  Where the cap binds, a step is at most
+v_max * dt / MAX_SUBSAMPLES long: the speed is convex along a primitive and
+is checked at both ends of every step.  So two consecutive checked centres
+of any chain the search builds are at most
+max(res/2, v_max * dt_max / MAX_SUBSAMPLES) apart.
+
+With the radius frozen, that bound lets the search prove "no path" before
+its first expansion, as the reachability heuristic of Hybrid A* (Dolgov et
+al., IJRR 2010) does.  `_free_cells` marks every voxel that can hold the
+centre of an accepted state, from booleans of the stored field alone, since
+the interpolant never exceeds its largest corner (`esdf` docstring).
+`_start_reaches_goal` grows the free voxels by half the step bound, in
+whole voxels rounded down, and labels their 26-connected components.  If
+no voxel near the goal ball lies in the start's component, no chain of
+accepted states reaches the goal, and the search raises NoPathError at
+once.  The test is sound, so it ends only searches that would exhaust their
+open set or their budget; found paths are untouched.
 
 An expansion handles each primitive duration as one batch: the children's
 kinematic bounds, goal test and deduplication cells are arrays, only the
@@ -36,18 +54,27 @@ and of the durations of the primitives between them.
 
 from __future__ import annotations
 
+import functools
 import heapq
 import itertools
 import logging
+import math
+import time
 from dataclasses import dataclass, field as _field
 
 import numpy as np
 
-from .esdf import points_in_bounds, query_distance_many
+from .esdf import nodes_at_least, points_in_bounds, query_distance_many
 from .fields import check_field_types
 from .traj_opt import OptProblem
 
 log = logging.getLogger(__name__)
+
+# the most states one primitive's collision check samples
+MAX_SUBSAMPLES = 32
+# slack (m) on the reachability test's thresholds: it covers the rounding of
+# the interpolation sums and of sample positions on cell faces
+_ROUNDING_SLACK = 1e-9
 
 
 class PlanningError(RuntimeError):
@@ -232,6 +259,90 @@ def _at_goal(xs: np.ndarray, goal: np.ndarray, config: SearchConfig) -> np.ndarr
     return near
 
 
+def _window_any(mask: np.ndarray, width: int) -> np.ndarray:
+    """OR of `width` consecutive entries per axis: out[i, j, k] is any of
+    mask[i:i+width, j:j+width, k:k+width]; each axis shrinks by width - 1.
+    (scipy.ndimage.maximum_filter does the same about 10 times slower on
+    booleans.)"""
+    for axis in range(3):
+        n = mask.shape[axis] - width + 1
+        mask = functools.reduce(np.logical_or, [mask[(slice(None),) * axis + (slice(s, s + n),)]
+                                                for s in range(width)])
+    return mask
+
+
+def _free_cells(problem: OptProblem) -> np.ndarray:
+    """Boolean over the map's voxels: which can hold the centre of a state
+    `_states_valid` accepts at the problem's frozen radius.
+
+    A state passes the cheap pass or the exact one.  Its centre lies in a
+    voxel, a box of one cell.  Shifted by a body sample's offset o, that box
+    lies within one node, per axis, of the node nearest its centre, which is
+    floor(o / res + 1/2) nodes from the voxel's own (the lattice of voxel
+    centres, with the ghost layers of `nodes_at_least` at the map's faces).
+    The interpolant there is at most the largest of those 27 values (`esdf`
+    docstring).  So a voxel is free if the 27 nodes around its own reach
+    `d_margin + max_reach`, or if for every surface sample the 27 nodes
+    around the shifted one include one that reaches `d_margin`.  Nodes
+    beyond the ghost layers stand for samples outside the map, which never
+    pass.
+    """
+    field, body = problem.field, problem.body
+    radius = problem.frozen_radius
+    dims = field.distance.shape
+    # entry p of a window over the ghost-padded nodes covers nodes p..p+2,
+    # around the node of voxel p, and grown by `pad` layers, around voxel p - pad
+    offsets = body.surface_points(np.zeros((1, 3)), np.array([radius]))[0][0]
+    shifts = np.unique(np.floor(offsets / field.grid.resolution + 0.5).astype(np.int64), axis=0)
+    pad = int(np.abs(shifts).max())
+    near = _window_any(np.pad(nodes_at_least(field, problem.d_margin - _ROUNDING_SLACK), pad), 3)
+    free = np.ones(dims, dtype=bool)
+    for shift in shifts + pad:
+        free &= near[tuple(slice(k, k + n) for k, n in zip(shift, dims))]
+    far = problem.d_margin + float(body.max_reach(radius)) - _ROUNDING_SLACK
+    return free | _window_any(nodes_at_least(field, far), 3)
+
+
+def _start_reaches_goal(problem: OptProblem, config: SearchConfig, ends: np.ndarray) -> bool:
+    """False only if no chain of states the search accepts at the frozen
+    radius joins the start to a state within `goal_pos_tol` of the goal.
+
+    Consecutive checked states of one chain are at most
+    max(res/2, v_max * dt_max / MAX_SUBSAMPLES) apart (module docstring), so
+    their voxels are at most m = ceil(step / res) apart on every axis.  Grown
+    by floor(m / 2) voxels, two such voxels touch or overlap, so the free
+    voxels of one chain fall into one 26-connected component.
+    """
+    t0 = time.perf_counter()
+    free = _free_cells(problem)
+    field = problem.field
+    res = field.grid.resolution
+    dims = np.array(free.shape)
+    n_free = int(np.count_nonzero(free))
+    reached = n_free == free.size
+    if not reached:
+        # imported on first use, as in `esdf`: only frozen searches need it
+        from scipy.ndimage import label
+
+        step = max(0.5 * res, problem.v_max * config.dt_max / MAX_SUBSAMPLES)
+        grow = math.ceil(step / res) // 2
+        region = _window_any(np.pad(free, grow), 2 * grow + 1)
+        labels, _ = label(region, structure=np.ones((3, 3, 3)))
+        start = np.clip(np.floor((ends[0, :3] - field.lower) / res).astype(np.int64), 0, dims - 1)
+        # the voxels whose centre is within goal_pos_tol plus one voxel of the goal
+        reach = config.goal_pos_tol + res
+        lo = np.clip(np.floor((ends[1, :3] - reach - field.lower) / res).astype(np.int64), 0, dims)
+        hi = np.clip(np.ceil((ends[1, :3] + reach - field.lower) / res).astype(np.int64), 0, dims)
+        box = tuple(slice(a, b) for a, b in zip(lo, hi))
+        centres = np.meshgrid(*[field.lower[k] + (np.arange(lo[k], hi[k]) + 0.5) * res
+                                for k in range(3)], indexing="ij")
+        near_goal = np.linalg.norm(np.stack(centres, axis=-1) - ends[1, :3], axis=-1) <= reach
+        reached = bool(np.any(labels[box][near_goal] == labels[tuple(start)]))
+    log.debug("reachability test at radius %.4g m: %d of %d voxels free, %.1f ms",
+              problem.frozen_radius, n_free, free.size, 1e3 * (time.perf_counter() - t0))
+    return reached
+
+
 def search(problem: OptProblem, config: SearchConfig) -> SearchResult:
     """Best-first search over sampled (acceleration, duration) primitives
     from the problem's start to its goal.
@@ -244,11 +355,31 @@ def search(problem: OptProblem, config: SearchConfig) -> SearchResult:
 
     Raises InvalidStartError / InvalidGoalError for bad endpoints (both are
     checked by one `_states_valid` call, the start's error first), NoPathError
-    when the deduplicated state space is exhausted and NodeBudgetExceededError
-    when the expansion budget runs out.  A start already at the goal returns
-    the start alone, with no controls and no durations.
+    when the reachability test on the map proves that a frozen radius cannot
+    reach the goal, or when the deduplicated state space is exhausted, and
+    NodeBudgetExceededError when the expansion budget runs out.  A start
+    already at the goal returns the start alone, with no controls and no
+    durations.
     """
     ends = np.stack([problem.sigma0[:2].ravel(), problem.sigmaf[:2].ravel()])
+    start_ok, goal_ok = _states_valid(problem, ends[:, :3], ends[:, 3], ends[:, 4:7], ends[:, 7])
+    if not start_ok:
+        raise InvalidStartError("start state is invalid")
+    if not goal_ok:
+        raise InvalidGoalError("goal state is invalid")
+
+    if _at_goal(ends[:1], ends[1], config)[0]:
+        return SearchResult(states=ends[:1], controls=np.zeros((0, 4)), durations=np.zeros(0),
+                            cost=0.0, expansions=0)
+    if problem.radius_frozen and not _start_reaches_goal(problem, config, ends):
+        raise NoPathError(f"no connected free space joins the start to the goal at the frozen "
+                          f"radius {problem.frozen_radius:.4g} m")
+    return _best_first(problem, config, ends)
+
+
+def _best_first(problem: OptProblem, config: SearchConfig, ends: np.ndarray) -> SearchResult:
+    """The best-first loop of `search` from the endpoint rows ends (2, 8),
+    which it takes as valid and apart."""
     u_max = config.u_max
     sorr_weight = problem.sorr_weight
     if problem.radius_frozen:
@@ -260,15 +391,6 @@ def search(problem: OptProblem, config: SearchConfig) -> SearchResult:
         u_max = u_max.copy()
         u_max[3] = 0.0
         sorr_weight = 0.0
-    start_ok, goal_ok = _states_valid(problem, ends[:, :3], ends[:, 3], ends[:, 4:7], ends[:, 7])
-    if not start_ok:
-        raise InvalidStartError("start state is invalid")
-    if not goal_ok:
-        raise InvalidGoalError("goal state is invalid")
-
-    if _at_goal(ends[:1], ends[1], config)[0]:
-        return SearchResult(states=ends[:1], controls=np.zeros((0, 4)), durations=np.zeros(0),
-                            cost=0.0, expansions=0)
 
     res = problem.field.grid.resolution
     origin = problem.field.lower
@@ -366,12 +488,14 @@ def search(problem: OptProblem, config: SearchConfig) -> SearchResult:
             if not keep:
                 continue
 
-            # collision check: sub-sample surviving primitives at <= res/2 arc steps;
-            # the step count is a conservative bound from the parent state alone so
-            # it is identical for every child of one (node, dt) expansion
+            # collision check: sub-sample surviving primitives at arc steps of at
+            # most res/2, or at MAX_SUBSAMPLES equal time steps where that takes
+            # more; the count is a conservative bound from the parent state
+            # alone, so it is identical for every child of one (node, dt)
+            # expansion
             kept_ci = np.array([ci for _, ci, _ in keep])
             arc = _arc_bound(x, dt, u_max)
-            n_sub = int(np.clip(np.ceil(arc / (0.5 * res)), 1, 32))
+            n_sub = int(np.clip(np.ceil(arc / (0.5 * res)), 1, MAX_SUBSAMPLES))
             ts = dt * (np.arange(1, n_sub + 1) / n_sub)
             # (kept, n_sub, 8): each kept primitive at each sub-sample time
             flat = _propagate_batch(x, us[kept_ci][:, None, :], ts).reshape(-1, 8)

@@ -13,6 +13,7 @@ from morphplan.esdf import (
     build_grid,
     clearance_batch,
     compute_esdf,
+    nodes_at_least,
     points_in_bounds,
     query_distance_many,
     query_gradient_many,
@@ -343,6 +344,30 @@ def test_interp_equals_reference_formula(dims, resolution, shifted, seed):
             assert (got[1] is None) == (want[1] is None)
             if want_grad:
                 assert got[1][sel].tobytes() == want[1].tobytes()
+
+
+@settings(max_examples=100, deadline=None)
+@given(dims=st.tuples(*[st.integers(1, 6)] * 3),
+       resolution=st.sampled_from([0.025, 0.1, 0.3]),
+       seed=st.integers(0, 2**32 - 1))
+def test_interpolant_never_exceeds_its_ghost_padded_corners(dims, resolution, seed):
+    """Anywhere in the map, the half-voxel shells at its faces included, the
+    interpolant is at most the largest of the 2x2x2 stored or ghost values
+    around the point: `nodes_at_least` at its value keeps one of them."""
+    rng = np.random.default_rng(seed)
+    origin = rng.uniform(-2.0, 2.0, 3)
+    grid = VoxelGrid(origin=origin, resolution=resolution, occupancy=np.zeros(dims, dtype=bool))
+    field = EsdfField(grid=grid, distance=rng.normal(scale=0.5, size=dims))
+    size = np.asarray(dims, dtype=float)
+    n = 48
+    # in voxel units; about half of the coordinates in a face's shell
+    shell = np.where(rng.random((n, 3)) < 0.5, 0.0, size - 0.5) + rng.uniform(0.0, 0.5, (n, 3))
+    coord = np.where(rng.random((n, 3)) < 0.5, shell, rng.uniform(0.0, 1.0, (n, 3)) * size)
+    values = query_distance_many(field, origin + coord * resolution)
+    # the ghost-padded index of the lower corner around each point
+    lower = np.floor(coord - 0.5).astype(np.int64) + 1
+    for value, (i, j, k) in zip(values, lower):
+        assert nodes_at_least(field, value - 1e-12)[i:i + 2, j:j + 2, k:k + 2].any()
 
 
 class TestGradient:

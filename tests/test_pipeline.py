@@ -102,6 +102,23 @@ def test_cli_benchmark_one_seed(tmp_path):
     assert np.all(summary["success_rate"] == 1.0)
 
 
+def test_cli_benchmark_runs_an_unjittered_scenario_once_per_mode(tmp_path, caplog):
+    """slot.json jitters no obstacle, so its 20 seeds pose one query: each
+    mode runs once, on the first seed, and the success rate and count are
+    over that one query."""
+    caplog.set_level(logging.WARNING, logger="morphplan")
+    out = tmp_path / "bench"
+    assert cli.main(["benchmark", str(SCENARIOS / "slot.json"), "-o", str(out)]) == 0
+    runs = (out / "benchmark_runs.csv").read_text().splitlines()[1:]
+    assert [line.split(",")[:2] for line in runs] == [["adaptive", "0"], ["fixed-min", "0"]]
+    summary = [line.split(",") for line in (out / "benchmark_summary.csv").read_text().splitlines()]
+    assert [(row[0], *row[-2:]) for row in summary[1:]] == [
+        ("adaptive", "1", "1"), ("fixed-max", "0", "0"), ("fixed-min", "1", "1")]
+    failures = (out / "benchmark_failures.csv").read_text().splitlines()[1:]
+    assert len(failures) == 1 and failures[0].startswith("0,fixed-max,\"NoPathError:")
+    assert any("the 20 benchmark seeds pose one query" in r.getMessage() for r in caplog.records)
+
+
 def test_cli_benchmark_jobs_write_the_serial_tables(tmp_path):
     """The process-pool path writes every table byte for byte as the serial
     path does."""

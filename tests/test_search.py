@@ -7,7 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from morphplan import search as search_module
 from morphplan.esdf import (
@@ -20,13 +20,17 @@ from morphplan.esdf import (
     query_distance_many,
 )
 from morphplan.search import (
+    MAX_SUBSAMPLES,
     InvalidGoalError,
     InvalidStartError,
     NoPathError,
     SearchConfig,
+    _best_first,
     _connect_cost,
+    _free_cells,
     _primitive_cost_batch,
     _propagate_batch,
+    _start_reaches_goal,
     _states_valid,
     search,
     write_path_csv,
@@ -596,3 +600,183 @@ def test_search_golden(monkeypatch, tmp_path, name, mode, resolution, map_seed, 
         leaving = path[k + 1][1] if k + 1 < len(path) else [0.0] * 4
         expected.append([t, *state, *leaving])
     assert [[float(v) for v in line.split(",")] for line in lines[1:]] == expected
+
+
+def fine_problem(name, mode, resolution):
+    """The planning problem of a scenario file in a mode, at another map
+    resolution, and the file's search tuning."""
+    raw = json.loads((SCENARIOS / f"{name}.json").read_text())
+    raw["map"]["resolution"] = resolution
+    scenario = parse_scenario(raw)
+    return scenario.opt_problem(scenario.build_field(map_seed=None), mode), scenario.search_config()
+
+
+def test_checked_states_are_at_most_one_step_apart(monkeypatch):
+    """Along every sub-sampled primitive, from its parent on, consecutive
+    checked centres are at most max(res/2, v_max * dt_max / MAX_SUBSAMPLES)
+    apart, the step the reachability test allows.  On slot at 0.05 m the
+    sub-sample cap binds, so steps exceed res/2."""
+    problem, config = fine_problem("slot", "fixed-min", 0.05)
+    res = problem.field.grid.resolution
+    gaps = []
+
+    def recording(x0, us, dt):
+        out = _propagate_batch(x0, us, dt)
+        if np.ndim(dt) == 1:  # the sub-sampled states of the kept primitives
+            pos = np.concatenate([np.broadcast_to(x0[:3], (len(out), 1, 3)), out[..., :3]], axis=1)
+            gaps.append(np.linalg.norm(np.diff(pos, axis=1), axis=-1).max())
+        return out
+
+    monkeypatch.setattr(search_module, "_propagate_batch", recording)
+    search(problem, config)
+    step = max(0.5 * res, problem.v_max * config.dt_max / MAX_SUBSAMPLES)
+    assert step == pytest.approx(0.05)
+    assert 0.5 * res < max(gaps) <= step
+
+
+def test_fine_slot_fixed_max_is_refuted_before_the_first_query(monkeypatch):
+    """At 0.025 m the reachability test proves that r_max cannot pass the
+    slot, so the search raises NoPathError without querying the field."""
+    problem, config = fine_problem("slot", "fixed-max", 0.025)
+    queried = []
+    query = search_module.query_distance_many
+
+    def counting_query(field, points):
+        queried.append(len(points))
+        return query(field, points)
+
+    monkeypatch.setattr(search_module, "query_distance_many", counting_query)
+    with pytest.raises(NoPathError, match="at the frozen radius 0.211 m"):
+        search(problem, config)
+    # the endpoints' own check reads the interpolant; the test reads none
+    assert sum(queried) == 2
+
+
+def random_map(draw, resolution):
+    """A small map with up to three boxes and spheres, its corner anywhere."""
+    lower = np.array(draw(st.tuples(*[st.floats(-0.5, 0.5)] * 3)))
+    extent = np.array([1.2, 1.0, 0.8])
+    obstacles = []
+    for _ in range(draw(st.integers(0, 3))):
+        centre = lower + extent * np.array(draw(st.tuples(*[st.floats(0.0, 1.0)] * 3)))
+        if draw(st.booleans()):
+            half = np.array(draw(st.tuples(*[st.floats(0.05, 0.3)] * 3)))
+            obstacles.append(BoxObstacle(lo=centre - half, hi=centre + half))
+        else:
+            obstacles.append(SphereObstacle(center=centre, radius=draw(st.floats(0.05, 0.3))))
+    return compute_esdf(build_grid(obstacles, lower, lower + extent, resolution), truncation=5.0)
+
+
+def frozen_body(draw):
+    """A body of 3 to 12 angles and 1 or 2 rings, half the time with up to
+    four attachments."""
+    body = BodyGeometry(height=0.12, n_theta=draw(st.integers(3, 12)), n_l=draw(st.integers(1, 2)))
+    if draw(st.booleans()):  # a payload's attachments
+        body = dataclasses.replace(body, attachments=np.array(
+            draw(st.lists(st.tuples(*[st.floats(-0.2, 0.2)] * 3), min_size=1, max_size=4))))
+    return body
+
+
+@st.composite
+def marginal_problems(draw):
+    """A frozen problem on a random map, and a centre whose body just keeps
+    the problem's clearance margin: the margin is the centre's clearance."""
+    resolution = draw(st.sampled_from([0.05, 0.075, 0.1]))
+    field = random_map(draw, resolution)
+    body = frozen_body(draw)
+    radius = draw(st.floats(body.r_min, body.r_max))
+    # anywhere its body's samples stay inside the map, up to its faces
+    offsets = body.surface_points(np.zeros((1, 3)), np.array([radius]))[0][0]
+    lo, hi = field.lower - offsets.min(axis=0), field.upper - offsets.max(axis=0)
+    assume(np.all(lo <= hi))
+    centre = lo + (hi - lo) * np.array(draw(st.tuples(*[st.floats(0.0, 1.0)] * 3)))
+    samples = body.surface_points(centre[None, :], np.array([radius]))[0][0]
+    assume(points_in_bounds(field, samples).all())
+    state = plan_rows(field.lower, radius)
+    problem = fast_problem(state, state, field, body, radius_frozen=True,
+                           d_margin=float(query_distance_many(field, samples).min()))
+    return problem, centre
+
+
+# fractions of a voxel: its faces, a rounding error either side of them, and
+# its middle
+_fraction = st.one_of(st.sampled_from([-1e-12, 0.0, 1e-12, 0.5, 1.0 - 1e-12, 1.0, 1.0 + 1e-12]),
+                      st.floats(0.0, 1.0))
+
+
+@settings(max_examples=150, deadline=None)
+@given(marginal=marginal_problems(), fractions=st.tuples(*[_fraction] * 3))
+def test_every_accepted_state_lies_in_a_free_voxel(marginal, fractions):
+    """The marginal centre, and a centre at the same fractions of every
+    voxel, on or beside its faces and the map's faces or inside it: each
+    one `_states_valid` accepts at the frozen radius lies in a voxel
+    `_free_cells` marks free."""
+    problem, centre = marginal
+    field = problem.field
+    res = field.grid.resolution
+    dims = field.distance.shape
+    axes = [field.lower[k] + (np.arange(dims[k]) + fractions[k]) * res for k in range(3)]
+    pos = np.vstack([centre, np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 3)])
+    n = len(pos)
+    ok = _states_valid(problem, pos, np.full(n, problem.frozen_radius), np.zeros((n, 3)),
+                       np.zeros(n))
+    assert ok[0]
+    cells = np.clip(np.floor((pos[ok] - field.lower) / res).astype(np.int64), 0,
+                    np.array(dims) - 1)
+    assert _free_cells(problem)[tuple(cells.T)].all()
+
+
+@st.composite
+def walled_queries(draw):
+    """A frozen query across a wall, at x = 0.8 m, with one rectangular gap
+    that the body may or may not fit through."""
+    resolution = draw(st.sampled_from([0.05, 0.1]))
+    gap_lo = np.array([draw(st.floats(0.0, 0.6)), draw(st.floats(0.0, 0.4))])
+    gap_hi = gap_lo + np.array([draw(st.floats(0.0, 0.5)), draw(st.floats(0.0, 0.5))])
+    wall = [BoxObstacle(lo=np.array([0.7, 0.0, 0.0]), hi=np.array([0.9, 1.2, gap_lo[1]])),
+            BoxObstacle(lo=np.array([0.7, 0.0, gap_hi[1]]), hi=np.array([0.9, 1.2, 0.8])),
+            BoxObstacle(lo=np.array([0.7, 0.0, 0.0]), hi=np.array([0.9, gap_lo[0], 0.8])),
+            BoxObstacle(lo=np.array([0.7, gap_hi[0], 0.0]), hi=np.array([0.9, 1.2, 0.8]))]
+    field = compute_esdf(build_grid(wall, [0, 0, 0], [1.6, 1.2, 0.8], resolution), truncation=5.0)
+    radius = draw(st.floats(0.131, 0.211))
+    start, goal = (plan_rows([draw(st.floats(x, x + 0.1)), draw(st.floats(0.25, 0.95)),
+                              draw(st.floats(0.1, 0.7))], radius) for x in (0.25, 1.25))
+    problem = fast_problem(start, goal, field, d_margin=draw(st.floats(0.0, 0.1)),
+                           radius_frozen=True)
+    # 1 to 3 voxels between checked states at 0.05 m
+    config = fast_config(dt_max=draw(st.sampled_from([0.8, 1.6, 2.4])), node_budget=200000)
+    return problem, config, np.stack([start, goal])
+
+
+@settings(max_examples=40, deadline=None)
+@given(query=walled_queries())
+def test_unreachable_means_the_loop_finds_no_path(query):
+    """Whenever the reachability test says the goal cannot be reached, the
+    best-first loop on its own exhausts its open set."""
+    problem, config, ends = query
+    valid = _states_valid(problem, ends[:, :3], ends[:, 3], ends[:, 4:7], ends[:, 7])
+    assume(valid.all())
+    if not _start_reaches_goal(problem, config, ends):
+        with pytest.raises(NoPathError, match="open set exhausted"):
+            _best_first(problem, config, ends)
+
+
+@pytest.mark.parametrize("dt_max, goal_x, goal_pos_tol, reached", [
+    (0.8, 1.7, 0.2, False),   # steps of 0.05 m: one voxel, no growth
+    (1.6, 1.7, 0.2, True),    # steps of 0.1 m jump the blocked layer
+    (0.8, 1.5 + 0.1, 0.2, True),  # the goal ball reaches across the layer
+    (0.8, 1.5 + 0.1, 0.04, False),
+])
+def test_reachability_grows_by_the_step_and_reads_the_goal_ball(monkeypatch, dt_max, goal_x,
+                                                               goal_pos_tol, reached):
+    """With one layer of voxels blocked across the map, at x in [1.45, 1.5],
+    the start's side reaches the goal only if a step of the search can jump
+    the layer, or the goal ball reaches back across it."""
+    field = empty_field(extent=(3.0, 1.0, 1.0), resolution=0.05)
+    free = np.ones(field.distance.shape, dtype=bool)
+    free[29] = False
+    monkeypatch.setattr(search_module, "_free_cells", lambda problem: free)
+    ends = np.stack([rest([0.5, 0.5, 0.5]), rest([goal_x, 0.5, 0.5])])
+    problem = fast_problem(*ends, field, radius_frozen=True)
+    config = fast_config(dt_max=dt_max, goal_pos_tol=goal_pos_tol)
+    assert _start_reaches_goal(problem, config, ends) == reached
