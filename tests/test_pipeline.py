@@ -121,13 +121,22 @@ def test_cli_benchmark_runs_an_unjittered_scenario_once_per_mode(tmp_path, caplo
 
 def test_cli_benchmark_jobs_write_the_serial_tables(tmp_path):
     """The process-pool path writes every table byte for byte as the serial
-    path does."""
-    scenario = short_scenario(tmp_path, benchmark={"seeds": [0, 1]})
+    path does, over two seeds: a small jittered sphere in a far corner of
+    empty.json makes each seed its own query."""
+    raw = json.loads((SCENARIOS / "empty.json").read_text())
+    corner = {"type": "sphere", "center": [5.8, 0.2, 0.2], "radius": 0.05, "jitter": 0.05}
+    scenario = short_scenario(tmp_path, benchmark={"seeds": [0, 1]},
+                              map={**raw["map"], "obstacles": [corner]})
     outs = [tmp_path / f"jobs{jobs}" for jobs in (1, 2)]
     for jobs, out in zip((1, 2), outs):
         assert cli.main(["benchmark", str(scenario), "-o", str(out), "--jobs", str(jobs)]) == 0
     for name in ("benchmark_runs.csv", "benchmark_summary.csv", "benchmark_failures.csv"):
         assert (outs[1] / name).read_bytes() == (outs[0] / name).read_bytes()
+    runs = (outs[0] / "benchmark_runs.csv").read_text().splitlines()[1:]
+    assert [line.split(",")[:2] for line in runs] == [
+        [mode, seed] for seed in ("0", "1") for mode in ("adaptive", "fixed-max", "fixed-min")]
+    summary = (outs[0] / "benchmark_summary.csv").read_text().splitlines()[1:]
+    assert [row.split(",")[-2:] for row in summary] == [["1", "2"]] * 3
 
 
 def test_cli_plot_trajectory_and_tracking_log(tmp_path):

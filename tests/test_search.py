@@ -726,26 +726,31 @@ def test_every_accepted_state_lies_in_a_free_voxel(marginal, fractions):
     assert _free_cells(problem)[tuple(cells.T)].all()
 
 
-@st.composite
-def walled_queries(draw):
-    """A frozen query across a wall, at x = 0.8 m, with one rectangular gap
-    that the body may or may not fit through."""
-    resolution = draw(st.sampled_from([0.05, 0.1]))
-    gap_lo = np.array([draw(st.floats(0.0, 0.6)), draw(st.floats(0.0, 0.4))])
-    gap_hi = gap_lo + np.array([draw(st.floats(0.0, 0.5)), draw(st.floats(0.0, 0.5))])
+def walled_query(resolution, gap_lo, gap_hi, radius, start, goal, d_margin, dt_max):
+    """A frozen query from start to goal across a wall, at x = 0.8 m, with
+    one rectangular gap, from gap_lo to gap_hi in (y, z)."""
     wall = [BoxObstacle(lo=np.array([0.7, 0.0, 0.0]), hi=np.array([0.9, 1.2, gap_lo[1]])),
             BoxObstacle(lo=np.array([0.7, 0.0, gap_hi[1]]), hi=np.array([0.9, 1.2, 0.8])),
             BoxObstacle(lo=np.array([0.7, 0.0, 0.0]), hi=np.array([0.9, gap_lo[0], 0.8])),
             BoxObstacle(lo=np.array([0.7, gap_hi[0], 0.0]), hi=np.array([0.9, 1.2, 0.8]))]
     field = compute_esdf(build_grid(wall, [0, 0, 0], [1.6, 1.2, 0.8], resolution), truncation=5.0)
-    radius = draw(st.floats(0.131, 0.211))
-    start, goal = (plan_rows([draw(st.floats(x, x + 0.1)), draw(st.floats(0.25, 0.95)),
-                              draw(st.floats(0.1, 0.7))], radius) for x in (0.25, 1.25))
-    problem = fast_problem(start, goal, field, d_margin=draw(st.floats(0.0, 0.1)),
-                           radius_frozen=True)
+    ends = np.stack([plan_rows(start, radius), plan_rows(goal, radius)])
+    problem = fast_problem(*ends, field, d_margin=d_margin, radius_frozen=True)
+    return problem, fast_config(dt_max=dt_max, node_budget=200000), ends
+
+
+@st.composite
+def walled_queries(draw):
+    """A walled query whose gap the body may or may not fit through."""
+    gap_lo = np.array([draw(st.floats(0.0, 0.6)), draw(st.floats(0.0, 0.4))])
+    gap_hi = gap_lo + np.array([draw(st.floats(0.0, 0.5)), draw(st.floats(0.0, 0.5))])
+    start, goal = ([draw(st.floats(x, x + 0.1)), draw(st.floats(0.25, 0.95)),
+                    draw(st.floats(0.1, 0.7))] for x in (0.25, 1.25))
     # 1 to 3 voxels between checked states at 0.05 m
-    config = fast_config(dt_max=draw(st.sampled_from([0.8, 1.6, 2.4])), node_budget=200000)
-    return problem, config, np.stack([start, goal])
+    return walled_query(draw(st.sampled_from([0.05, 0.1])), gap_lo, gap_hi,
+                        draw(st.floats(0.131, 0.211)), start, goal,
+                        d_margin=draw(st.floats(0.0, 0.1)),
+                        dt_max=draw(st.sampled_from([0.8, 1.6, 2.4])))
 
 
 @settings(max_examples=40, deadline=None)
@@ -759,6 +764,22 @@ def test_unreachable_means_the_loop_finds_no_path(query):
     if not _start_reaches_goal(problem, config, ends):
         with pytest.raises(NoPathError, match="open set exhausted"):
             _best_first(problem, config, ends)
+
+
+@pytest.mark.parametrize("dt_max", [0.8, 1.6, 2.4])
+def test_a_closed_wall_is_unreachable_and_exhausts_the_loop(dt_max):
+    """The walled query at 0.05 m with a gap of zero width, at steps of 1 to
+    3 voxels: the reachability test says unreachable, and the best-first
+    loop on its own exhausts its open set.  (At 0.1 m the wall is two voxels
+    thick, narrower than the test's three-node window, so the test cannot
+    close it.)"""
+    problem, config, ends = walled_query(0.05, [0.5, 0.3], [0.5, 0.3], 0.131,
+                                         [0.3, 0.6, 0.4], [1.3, 0.6, 0.4], d_margin=0.0,
+                                         dt_max=dt_max)
+    assert _states_valid(problem, ends[:, :3], ends[:, 3], ends[:, 4:7], ends[:, 7]).all()
+    assert not _start_reaches_goal(problem, config, ends)
+    with pytest.raises(NoPathError, match="open set exhausted"):
+        _best_first(problem, config, ends)
 
 
 @pytest.mark.parametrize("dt_max, goal_x, goal_pos_tol, reached", [
