@@ -6,17 +6,19 @@ The horizon model is `dynamics.rigid_body_step`, the same RK4 rigid body the
 simulator (`dynamics.step`) integrates.  The solver is single-shooting
 Gauss-Newton run as a real-time iteration: each control tick starts from the
 previous tick's input sequence as it is (no shift) and takes at most
-`NmpcConfig.max_iters` iterations (3 by default), stopping early when the
-input step falls below `tol`.  An iteration rolls the model forward on
-Python floats, recording the RK stage points, linearizes every stage at
-once with the exact sensitivities `dynamics.rk4_jacobians` chains from
-them, and takes the least-squares step from the Cholesky-factored normal
-equations, or from a bounded solver when the step hits an input bound;
-backtracking keeps each iteration monotone.  Attitude error enters the cost
-as the vector part of the reference-relative quaternion.  The estimated
-external force acts on the model's translational dynamics, so the solver
-plans the tilt and collective that cancel it rather than correcting it
-after a position error builds up.  `run_tracking` samples the reference of
+`NmpcConfig.max_iters` iterations, one by default as in the original
+real-time iteration (Diehl, Bock & Schloeder, SIAM J. Control Optim. 2005),
+stopping early when the input step falls below `tol`.  An iteration rolls
+the model forward on Python floats, recording the RK stage points,
+linearizes every stage at once with the exact sensitivities
+`dynamics.rk4_jacobians` chains from them, and takes the least-squares step
+from the Cholesky-factored normal equations, or from a bounded solver when
+the step hits an input bound; backtracking keeps each iteration monotone,
+and the solve reports the step fraction it accepted.  Attitude error enters
+the cost as the vector part of the reference-relative quaternion.  The
+estimated external force acts on the model's translational dynamics, so the
+solver plans the tilt and collective that cancel it rather than correcting
+it after a position error builds up.  `run_tracking` samples the reference of
 every simulator step and the horizon of every control tick in two batched
 `flat_reference` calls before its loop, and builds the radius model
 (allocation, inertia) once per step; the horizon solve, the allocation and
@@ -54,8 +56,8 @@ log = logging.getLogger(__name__)
 @dataclass
 class NmpcConfig:
     """Horizon solver settings.  max_iters is the Gauss-Newton budget of one
-    control tick: the real-time iteration takes a few iterations per tick
-    from the previous tick's solution rather than solving each horizon to
+    control tick: the real-time iteration takes one iteration per tick from
+    the previous tick's solution rather than solving each horizon to
     convergence; tol ends a tick early once the input step is below it."""
 
     horizon: int = 20
@@ -68,7 +70,7 @@ class NmpcConfig:
     w_input: np.ndarray = _field(default_factory=lambda: np.array([0.02, 0.4, 0.4, 0.4]))
     u_min: np.ndarray = _field(default_factory=lambda: np.array([0.0, -1.5, -1.5, -0.5]))
     u_max: np.ndarray = _field(default_factory=lambda: np.array([32.0, 1.5, 1.5, 0.5]))
-    max_iters: int = 3
+    max_iters: int = 1
     tol: float = 1e-6
 
     def __post_init__(self):
@@ -105,6 +107,7 @@ def _quat_error_matrices(q_ref: np.ndarray, q: np.ndarray) -> np.ndarray:
 class NmpcInfo:
     converged: bool
     iterations: int
+    step: float         # step fraction of the last iteration; 0: every trial raised the cost
     inputs: np.ndarray  # (N, 4) solution sequence (warm start for the next tick)
 
 
@@ -122,7 +125,10 @@ def nmpc_solve(x_now: np.ndarray, x_ref: np.ndarray, u_ref: np.ndarray,
     the previous tick's (N, 4) input sequence, as given, or from u_ref when
     it is None; it stops after config.max_iters iterations or once the input
     step is below config.tol (then `converged`).  Each iteration linearizes
-    on the exact RK4 sensitivities of its rollout.
+    on the exact RK4 sensitivities of its rollout and backtracks along the
+    Gauss-Newton step over fractions 1, 1/2, 1/4 and 1/8 until the cost does
+    not rise; when none qualifies the inputs stay and the solve ends
+    (`converged`, with `step` 0).
     """
     n = config.horizon
     x_now = np.asarray(x_now, dtype=float).reshape(13)
@@ -191,20 +197,20 @@ def nmpc_solve(x_now: np.ndarray, x_ref: np.ndarray, u_ref: np.ndarray,
         du, _ = _bounded_lsq(jac, -res, lo, hi)
 
         # backtracking keeps the iteration monotone
-        improved = False
+        step = 0.0
         for alpha in (1.0, 0.5, 0.25, 0.125):
             u_try = np.clip(u_seq + alpha * du.reshape(n, 4), config.u_min, config.u_max)
             xs_try, stages_try = rollout(u_try)
             r_try, e_try = residuals(xs_try, u_try)
             c_try = float(r_try @ r_try)
             if c_try <= cost:
-                improved = True
-                step_norm = float(np.max(np.abs(u_try - u_seq)))
-                u_seq, stages, res, e_mats, cost = u_try, stages_try, r_try, e_try, c_try
+                step = alpha
                 break
-        if not improved:
+        if step == 0.0:
             converged = True
             break
+        step_norm = float(np.max(np.abs(u_try - u_seq)))
+        u_seq, stages, res, e_mats, cost = u_try, stages_try, r_try, e_try, c_try
         if step_norm < config.tol:
             converged = True
             break
@@ -212,7 +218,7 @@ def nmpc_solve(x_now: np.ndarray, x_ref: np.ndarray, u_ref: np.ndarray,
     if not converged:
         log.debug("horizon solver stopped at its budget of %d iterations (cost %.3e)",
                   config.max_iters, cost)
-    return u_seq[0], NmpcInfo(converged=converged, iterations=it, inputs=u_seq)
+    return u_seq[0], NmpcInfo(converged=converged, iterations=it, step=step, inputs=u_seq)
 
 
 def _bounded_lsq(a: np.ndarray, b: np.ndarray, lo: np.ndarray, hi: np.ndarray):
@@ -354,6 +360,7 @@ class TrackingResult:
     log_rows: list
     gn_iterations: np.ndarray   # (ticks,) Gauss-Newton iterations of each control tick
     gn_converged: np.ndarray    # (ticks,) whether the tick's solve met the tolerance
+    gn_step: np.ndarray         # (ticks,) step fraction of each tick's last iteration (0: none)
 
 
 def run_tracking(traj, params: VehicleParams, nmpc: NmpcConfig,
@@ -363,8 +370,8 @@ def run_tracking(traj, params: VehicleParams, nmpc: NmpcConfig,
     Tick order per control step: force estimate, then the horizon solve with
     that estimate in its model when force compensation is on; torque
     compensation and allocation run at the simulation rate.  Returns the
-    position RMSE over the run, and each tick's Gauss-Newton iteration count
-    and converged flag.
+    position RMSE over the run, and each tick's Gauss-Newton iteration count,
+    converged flag and accepted step fraction.
     """
     if traj.total_time <= 0.0:
         raise ValueError("trajectory must have positive duration")
@@ -401,6 +408,7 @@ def run_tracking(traj, params: VehicleParams, nmpc: NmpcConfig,
     radii = np.empty(n_steps)
     gn_iterations = np.zeros(len(tick_times), dtype=int)
     gn_converged = np.zeros(len(tick_times), dtype=bool)
+    gn_step = np.zeros(len(tick_times))
     log_rows = []
     sq_err = 0.0
 
@@ -423,7 +431,8 @@ def run_tracking(traj, params: VehicleParams, nmpc: NmpcConfig,
                                      warm_start=warm,
                                      f_ext=f_ext_est if config.force_compensation else np.zeros(3))
             warm = info.inputs
-            gn_iterations[tick], gn_converged[tick] = info.iterations, info.converged
+            gn_iterations[tick], gn_converged[tick], gn_step[tick] = \
+                info.iterations, info.converged, info.step
 
         omega_dot_raw = (state.omega - omega_prev) / config.sim_dt
         omega_prev = state.omega.copy()
@@ -456,7 +465,8 @@ def run_tracking(traj, params: VehicleParams, nmpc: NmpcConfig,
     rmse = float(np.sqrt(sq_err / n_steps))
     return TrackingResult(times=times, positions=positions, force_estimates=estimates,
                           radii=radii, rmse=rmse, log_rows=log_rows,
-                          gn_iterations=gn_iterations, gn_converged=gn_converged)
+                          gn_iterations=gn_iterations, gn_converged=gn_converged,
+                          gn_step=gn_step)
 
 
 TRACKING_LOG_HEADER = (

@@ -100,9 +100,11 @@ def cmd_simulate(scenario_path, trajectory_path, out_dir):
     result = run_tracking(traj, params, nmpc, tracking, disturbance=disturbance)
     iters = result.gn_iterations
     log.info("horizon solver: %.2f Gauss-Newton iterations per tick over %d ticks, "
-             "%.1f%% of ticks at the budget of %d, %.1f%% converged", iters.mean(), len(iters),
-             100.0 * np.mean(iters >= nmpc.max_iters), nmpc.max_iters,
-             100.0 * np.mean(result.gn_converged))
+             "%.1f%% of ticks at the budget of %d, %.1f%% converged, %.1f%% ending on a full "
+             "step, %.1f%% on no improving step",
+             iters.mean(), len(iters), 100.0 * np.mean(iters >= nmpc.max_iters),
+             nmpc.max_iters, 100.0 * np.mean(result.gn_converged),
+             100.0 * np.mean(result.gn_step == 1.0), 100.0 * np.mean(result.gn_step == 0.0))
     write_tracking_csv(result, out / "tracking_log.csv")
     with open(out / "rmse.txt", "w", newline="\n") as fh:
         fh.write(format(result.rmse, ".17g") + "\n")

@@ -1,3 +1,6 @@
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -23,6 +26,9 @@ from morphplan.dynamics import (
 from morphplan.trajectory import fit_min_jerk
 
 from conftest import figure_eight, vehicle_params
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+import workloads  # noqa: E402  the benchmark's operations
 
 
 def hover_refs(params, n, p=(0.0, 0.0, 1.0)):
@@ -75,15 +81,21 @@ class TestNmpc:
         assert np.linalg.norm(out[1:]) < 0.05
 
     def test_thrust_clamped_at_bound_flag_clean(self):
+        """The default budget's one iteration already lands on the bound; the
+        solve converged to tol lands there too."""
         params = vehicle_params()
-        cfg = NmpcConfig(u_max=np.array([11.0, 1.5, 1.5, 0.5]))
-        x_ref, u_ref = hover_refs(params, cfg.horizon)
+        u_max = np.array([11.0, 1.5, 1.5, 0.5])
+        x_ref, u_ref = hover_refs(params, NmpcConfig().horizon)
         x0 = x_ref[0].copy()
         x0[2] -= 3.0
         x0[5] = -2.5  # falling fast: wants much more than the bound allows
-        out, info = nmpc_solve(x0, x_ref, u_ref, cfg, params, max_model(params), None, np.zeros(3))
+        out, _ = nmpc_solve(x0, x_ref, u_ref, NmpcConfig(u_max=u_max), params,
+                            max_model(params), None, np.zeros(3))
         assert out[0] == pytest.approx(11.0, abs=1e-8)
-        assert info.converged
+        out, full = nmpc_solve(x0, x_ref, u_ref, NmpcConfig(u_max=u_max, max_iters=30), params,
+                               max_model(params), None, np.zeros(3))
+        assert out[0] == pytest.approx(11.0, abs=1e-8)
+        assert full.converged
 
     def test_warm_start_from_converged_solution_is_used_as_given(self):
         params = vehicle_params()
@@ -111,8 +123,9 @@ class TestNmpc:
                                np.zeros(3))
         _, full = nmpc_solve(x0, x_ref, u_ref, NmpcConfig(max_iters=30), params,
                              max_model(params), None, np.zeros(3))
-        assert capped.iterations == NmpcConfig().max_iters == 3
-        assert not capped.converged
+        # the default is the real-time iteration: one iteration, the full step
+        assert capped.iterations == NmpcConfig().max_iters == 1
+        assert not capped.converged and capped.step == 1.0
         assert full.converged and full.iterations > 3
 
     def test_rejects_bad_reference_shape(self):
@@ -123,16 +136,17 @@ class TestNmpc:
             nmpc_solve(x_ref[0], x_ref, u_ref, cfg, params, max_model(params), None, np.zeros(3))
 
     def test_upward_external_force_lowers_thrust(self):
+        """At the default budget of one iteration and solved to tol."""
         params = vehicle_params()
-        cfg = NmpcConfig()
-        x_ref, u_ref = hover_refs(params, cfg.horizon)
-        out, info = nmpc_solve(x_ref[0], x_ref, u_ref, cfg, params, max_model(params),
-                               warm_start=None, f_ext=[0.0, 0.0, 1.0])
-        # the model carries 1 N of the weight; the input cost pulls the
-        # collective only slightly back toward the hover reference
-        assert params.hover_thrust - out[0] == pytest.approx(1.0, abs=0.01)
-        assert np.allclose(out[1:], 0.0, atol=1e-6)
-        assert info.converged
+        x_ref, u_ref = hover_refs(params, NmpcConfig().horizon)
+        for cfg in (NmpcConfig(), NmpcConfig(max_iters=30)):
+            out, info = nmpc_solve(x_ref[0], x_ref, u_ref, cfg, params, max_model(params),
+                                   warm_start=None, f_ext=[0.0, 0.0, 1.0])
+            # the model carries 1 N of the weight; the input cost pulls the
+            # collective only slightly back toward the hover reference
+            assert params.hover_thrust - out[0] == pytest.approx(1.0, abs=0.01)
+            assert np.allclose(out[1:], 0.0, atol=1e-6)
+            assert info.converged == (cfg.max_iters == 30)
 
     def test_lateral_external_force_tilts_against_it(self):
         params = vehicle_params()
@@ -319,10 +333,14 @@ class TestFlatReference:
         assert r_des == pytest.approx(0.211)
 
 
-# position RMSEs of the default tracker (3 iterations per tick) on the
-# undisturbed conftest figure-eight, compensation on and off
+# position RMSEs of the tracker on the undisturbed conftest figure-eight,
+# compensation on and off: at the default budget (1 iteration per tick) and
+# at a budget of 3
+ON_RMSE_DEFAULT = 0.004343426493339874
+OFF_RMSE_DEFAULT = 0.00434347519366996
 ON_RMSE_BUDGET_3 = 0.004345863617459309
 OFF_RMSE_BUDGET_3 = 0.0043459123752809005
+DEFAULT_BUDGET = NmpcConfig().max_iters
 
 
 @pytest.fixture(scope="module")
@@ -368,21 +386,33 @@ class TestRunTracking:
         assert off.rmse == pytest.approx(0.004346233636593493, rel=0.0, abs=1e-9)
 
     def test_default_budget_golden(self, fig8_run):
-        """The real-time iteration (3 Gauss-Newton iterations per tick) on the
-        undisturbed figure-eight; a change of arithmetic alone must stay
-        within 1e-9 m."""
+        """A budget of 3 Gauss-Newton iterations per tick on the undisturbed
+        figure-eight; a change of arithmetic alone must stay within 1e-9 m."""
         on = fig8_run(3, compensation=True)
         off = fig8_run(3, compensation=False)
         assert on.rmse == pytest.approx(ON_RMSE_BUDGET_3, rel=0.0, abs=1e-9)
         assert off.rmse == pytest.approx(OFF_RMSE_BUDGET_3, rel=0.0, abs=1e-9)
 
+    def test_one_iteration_golden(self, fig8_run):
+        """The default real-time iteration (1 Gauss-Newton iteration per
+        tick) on the undisturbed figure-eight; a change of arithmetic alone
+        must stay within 1e-9 m."""
+        assert DEFAULT_BUDGET == 1
+        on = fig8_run(DEFAULT_BUDGET, compensation=True)
+        off = fig8_run(DEFAULT_BUDGET, compensation=False)
+        assert on.rmse == pytest.approx(ON_RMSE_DEFAULT, rel=0.0, abs=1e-9)
+        assert off.rmse == pytest.approx(OFF_RMSE_DEFAULT, rel=0.0, abs=1e-9)
+
     def test_constant_wrench_compensation_helps(self, fig8_run):
-        on = fig8_run(3, compensation=True, wrench=True)
-        off = fig8_run(3, compensation=False, wrench=True)
-        assert on.rmse <= 0.8 * off.rmse
+        for budget in (3, DEFAULT_BUDGET):
+            on = fig8_run(budget, compensation=True, wrench=True)
+            off = fig8_run(budget, compensation=False, wrench=True)
+            assert on.rmse <= 0.8 * off.rmse
 
     @pytest.mark.parametrize("wrench", [False, True], ids=["inert", "constant-wrench"])
     def test_default_budget_tracks_like_the_converged_solver(self, fig8_run, wrench):
+        """A budget of 3 iterations per tick tracks within 1% of the solver
+        run to convergence at every tick."""
         budget = fig8_run(3, compensation=True, wrench=wrench)
         full = fig8_run(30, compensation=True, wrench=wrench)
         assert abs(budget.rmse - full.rmse) <= 0.01 * full.rmse
@@ -392,6 +422,24 @@ class TestRunTracking:
         assert budget.gn_iterations.min() >= 1 and budget.gn_iterations.max() == 3
         assert np.all(budget.gn_converged[budget.gn_iterations < 3])
         assert full.gn_iterations.mean() > budget.gn_iterations.mean()
+
+    @pytest.mark.parametrize("wrench", [False, True], ids=["inert", "constant-wrench"])
+    def test_one_iteration_tracks_like_the_converged_solver(self, fig8_run, wrench):
+        """The default budget tracks within 1% of the solver run to
+        convergence at every tick.  Each tick records the step fraction its
+        last iteration accepted, 0 only where no trial kept the cost from
+        rising, which ends the solve as converged."""
+        rti = fig8_run(DEFAULT_BUDGET, compensation=True, wrench=wrench)
+        full = fig8_run(30, compensation=True, wrench=wrench)
+        assert abs(rti.rmse - full.rmse) <= 0.01 * full.rmse
+        ticks = len(range(0, len(rti.times), 2))
+        assert rti.gn_iterations.shape == rti.gn_step.shape == (ticks,)
+        assert np.all(rti.gn_iterations == 1)
+        # no tick's one step is cut back: each takes the whole Gauss-Newton step
+        assert np.all(rti.gn_step == 1.0)
+        for result in (rti, full):
+            assert set(np.unique(result.gn_step)) <= {0.0, 0.125, 0.25, 0.5, 1.0}
+            assert np.all(result.gn_converged[result.gn_step == 0.0])
 
     def test_logged_references_equal_scalar_flat_reference(self, fig8_traj, fig8_run):
         result = fig8_run(3, compensation=True)
@@ -432,3 +480,17 @@ class TestRunTracking:
         lines = path.read_text().splitlines()
         assert lines[0].startswith("t,ref_x")
         assert len(lines) == len(result.log_rows) + 1
+
+
+@pytest.mark.parametrize("seed", [101, 1601, 1811, 7, 42])
+def test_one_iteration_within_one_percent_under_noise(seed):
+    """The benchmark's disturbed-track operation (a small shrinking
+    figure-eight under a constant force and torque, with accelerometer noise
+    drawn from the seed) tracks at the default budget within 1% of the
+    solver run to convergence at every tick."""
+    op = workloads.track_op(seed, disturbed=True)
+    rti = workloads.run_track(op)
+    op.scenario.control.update(max_iters=30)
+    full = workloads.run_track(op)
+    assert np.all(rti.gn_iterations == 1) and full.gn_iterations.max() > 1
+    assert abs(rti.rmse - full.rmse) <= 0.01 * full.rmse

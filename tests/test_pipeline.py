@@ -70,7 +70,8 @@ def test_cli_simulate_reads_both_plan_formats(tmp_path, caplog):
     """A hover exported as a coefficient dump and as a sample CSV (read back
     through _CsvTrajectory) tracks the same: the CSV's linear interpolation is
     exact on a constant reference.  Each run logs its horizon solver's
-    iteration figures."""
+    iteration and step figures: at the default budget of one iteration every
+    tick of the hover takes the full Gauss-Newton step."""
     caplog.set_level(logging.INFO, logger="morphplan")
     scenario = short_scenario(tmp_path)
     write_coeff_dump(hover(), tmp_path / "hover.txt")
@@ -87,7 +88,8 @@ def test_cli_simulate_reads_both_plan_formats(tmp_path, caplog):
     solver = [r.getMessage() for r in caplog.records if r.getMessage().startswith("horizon solver:")]
     # 0.1 s plus the 0.05 s pad is 31 steps of 0.005 s (rounded up), with a
     # solve every second step
-    assert len(solver) == 2 and all("over 16 ticks" in m and "budget of 3" in m for m in solver)
+    assert len(solver) == 2 and all("over 16 ticks" in m and "budget of 1" in m for m in solver)
+    assert all("100.0% ending on a full step, 0.0% on no improving step" in m for m in solver)
 
 
 def test_cli_benchmark_one_seed(tmp_path):
