@@ -9,6 +9,12 @@ clearance margin and cost weights) and the `opt` section feed only the
 `OptProblem`, which the search and the optimizer both solve; the `search`
 section feeds only the search's own tuning, `SearchConfig`.  The `body`
 section is the one hull and radius range of `OptProblem` and `VehicleParams`.
+The `map` section's `truncation` (default 5 m) is the field's outer cap:
+the occupied side is capped at minus it, and the free side at the smaller
+of it and the band of the planning problem (`traj_opt.distance_band`),
+which lies two voxels above every distance the planner compares.  Beyond
+the map's faces a query reads the capped boundary value minus its
+excursion (`esdf` docstring).
 `parse_scenario` builds each config once, so a missing key, a wrong type or
 a value a config rejects fails at load as a `ScenarioError`, before any map
 is built."""
@@ -25,7 +31,7 @@ from .controller import NmpcConfig, TrackingConfig
 from .dynamics import VehicleParams, constant_wrench, noise_wrench, ramp_wrench
 from .esdf import BodyGeometry, BoxObstacle, SphereObstacle, build_grid, compute_esdf
 from .search import SearchConfig
-from .traj_opt import OptProblem, attach_payload
+from .traj_opt import OptProblem, attach_payload, distance_band
 
 MODES = ("adaptive", "fixed-max", "fixed-min")
 
@@ -121,10 +127,14 @@ class Scenario:
     # ---- builders ----------------------------------------------------
 
     def build_field(self, map_seed: int | None):
+        """The map of the seed (None: the obstacles unjittered).  Its free
+        side is capped at the band of the scenario's planning problem
+        (`traj_opt.distance_band`), or at `truncation` if that is smaller."""
         rng = np.random.default_rng(map_seed) if map_seed is not None else None
         obstacles = [o.build(rng) for o in self.obstacles]
         grid = build_grid(obstacles, self.bounds_lo, self.bounds_hi, self.resolution)
-        return compute_esdf(grid, truncation=self.truncation)
+        band = distance_band(self.opt_problem(field=None), self.resolution)
+        return compute_esdf(grid, truncation=self.truncation, band=band)
 
     def boundary(self, spec: EndpointSpec, mode: str) -> np.ndarray:
         """The endpoint's boundary rows [p, r], [v, v_r] and [a, a_r] (at rest

@@ -64,7 +64,7 @@ from dataclasses import dataclass, field as _field
 
 import numpy as np
 
-from .esdf import nodes_at_least, points_in_bounds, query_distance_many
+from .esdf import bounding_box, nodes_at_least, points_in_bounds, query_distance_many
 from .fields import check_field_types
 from .traj_opt import OptProblem
 
@@ -286,21 +286,33 @@ def _free_cells(problem: OptProblem) -> np.ndarray:
     around the shifted one include one that reaches `d_margin`.  Nodes
     beyond the ghost layers stand for samples outside the map, which never
     pass.
+
+    The first test frees most voxels at once.  The second, an AND of one
+    shifted window per distinct sample shift, runs only over the bounding
+    box of the voxels the first leaves blocked, and not at all if it leaves
+    none.
     """
     field, body = problem.field, problem.body
     radius = problem.frozen_radius
-    dims = field.distance.shape
+    far = problem.d_margin + float(body.max_reach(radius)) - _ROUNDING_SLACK
+    free = _window_any(nodes_at_least(field, far), 3)
+    box = None if free.all() else bounding_box(~free)
+    if box is None:
+        return free
     # entry p of a window over the ghost-padded nodes covers nodes p..p+2,
-    # around the node of voxel p, and grown by `pad` layers, around voxel p - pad
+    # around the node of voxel p, and grown by `pad` layers, around voxel
+    # p - pad; cropped to the box, around voxel p - pad + the box's start
     offsets = body.surface_points(np.zeros((1, 3)), np.array([radius]))[0][0]
     shifts = np.unique(np.floor(offsets / field.grid.resolution + 0.5).astype(np.int64), axis=0)
     pad = int(np.abs(shifts).max())
-    near = _window_any(np.pad(nodes_at_least(field, problem.d_margin - _ROUNDING_SLACK), pad), 3)
-    free = np.ones(dims, dtype=bool)
+    nodes = np.pad(nodes_at_least(field, problem.d_margin - _ROUNDING_SLACK), pad)
+    near = _window_any(nodes[tuple(slice(s.start, s.stop + 2 * pad + 2) for s in box)], 3)
+    dims = tuple(s.stop - s.start for s in box)
+    inside = np.ones(dims, dtype=bool)
     for shift in shifts + pad:
-        free &= near[tuple(slice(k, k + n) for k, n in zip(shift, dims))]
-    far = problem.d_margin + float(body.max_reach(radius)) - _ROUNDING_SLACK
-    return free | _window_any(nodes_at_least(field, far), 3)
+        inside &= near[tuple(slice(k, k + n) for k, n in zip(shift, dims))]
+    free[box] |= inside
+    return free
 
 
 def _start_reaches_goal(problem: OptProblem, config: SearchConfig, ends: np.ndarray) -> bool:

@@ -132,6 +132,19 @@ def attach_payload(problem: OptProblem, size, offset) -> OptProblem:
     return dataclasses.replace(problem, body=new_body, radius_frozen=True)
 
 
+def distance_band(problem: OptProblem, resolution: float) -> float:
+    """The free-side cap of a field at `resolution` that answers the
+    problem's queries as an uncapped field would: `d_margin` plus
+    `clearance_buffer` plus the body's reach at `r_max`, attachments
+    included, plus two voxels.  That is two voxels above every level the
+    search and the optimizer compare a distance with (`esdf` docstring).
+    A payload's box is sampled at its corners whatever the radius, so its
+    reach does not depend on the mode."""
+    body = problem.body
+    return (problem.d_margin + problem.clearance_buffer + float(body.max_reach(body.r_max))
+            + 2.0 * resolution)
+
+
 def _box_surface(size, offset, spacing_xy, spacing_z):
     half = 0.5 * size
     axes_spacing = np.array([spacing_xy, spacing_xy, spacing_z])

@@ -5,10 +5,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from morphplan import cli
+from morphplan import cli, traj_opt
+from morphplan.esdf import compute_esdf, points_in_bounds
 from morphplan.metrics import MetricsRow
 from morphplan.pipeline import _CsvTrajectory, load_trajectory_file, run_plan
 from morphplan.scenario import load_scenario, parse_scenario
+from morphplan.search import search
+from morphplan.traj_opt import optimize
 from morphplan.trajectory import fit_min_jerk, write_coeff_dump, write_sample_csv
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
@@ -23,6 +26,64 @@ SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 def test_run_plan_golden_total_cost(name, mode, total_cost):
     out = run_plan(load_scenario(SCENARIOS / f"{name}.json"), mode=mode)
     assert out.metrics.total_cost == pytest.approx(total_cost, rel=1e-12)
+
+
+def shipped_fields(name):
+    """A shipped scenario, its own map, whose free side is capped at the
+    problem's band, and the same map capped at the file's 5 m."""
+    scenario = load_scenario(SCENARIOS / f"{name}.json")
+    banded = scenario.build_field(map_seed=None)
+    wide = compute_esdf(banded.grid, truncation=scenario.truncation, band=scenario.truncation)
+    assert not np.array_equal(banded.distance, wide.distance)
+    return scenario, banded, wide
+
+
+def plan_on(scenario, field, mode):
+    """(trajectory, report) of the scenario's query in the mode on the field."""
+    problem = scenario.opt_problem(field, mode)
+    return optimize(search(problem, scenario.search_config()), problem)
+
+
+@pytest.mark.parametrize("name, mode", [("slot", "fixed-min"), ("cross_gap", "adaptive"),
+                                        ("cross_gap", "fixed-min")])
+def test_the_band_leaves_the_shipped_plans_unchanged(name, mode):
+    """The same coefficients, durations and total cost, bit for bit, on the
+    band's map and on the 5 m map."""
+    scenario, banded, wide = shipped_fields(name)
+    (traj, report), (wide_traj, wide_report) = (plan_on(scenario, f, mode) for f in (banded, wide))
+    assert np.array_equal(traj.coeffs, wide_traj.coeffs)
+    assert np.array_equal(traj.durations, wide_traj.durations)
+    assert report.total_cost == wide_report.total_cost
+
+
+def test_the_band_moves_the_slot_plan_only_through_reads_beyond_the_map(monkeypatch):
+    """Adaptive on slot, the optimizer's line search probes poses whose
+    hull leaves the map by more than the band.  Beyond the map the field
+    reads its boundary value minus the excursion, so there, and only there,
+    the two maps read differently below the hinge's level: every clearance
+    batch of the plan on the band's map is also evaluated on the 5 m map.
+    The plans' total costs agree to 1e-5."""
+    scenario, banded, wide = shipped_fields("slot")
+    _, wide_report = plan_on(scenario, wide, "adaptive")
+    problem = scenario.opt_problem(None)
+    level = problem.d_margin + problem.clearance_buffer
+    clearance = traj_opt.clearance_batch
+    differing = []
+
+    def on_both(field, centers, radii, body):
+        got, want = (clearance(f, centers, radii, body) for f in (field, wide))
+        apart = (got[0] != want[0]) | (got[1] != want[1]).any(axis=1) | (got[2] != want[2])
+        rows = np.flatnonzero(apart & (np.minimum(got[0], want[0]) < level))
+        differing.append(body.surface_points(centers[rows], radii[rows])[0])
+        return got
+
+    monkeypatch.setattr(traj_opt, "clearance_batch", on_both)
+    _, report = plan_on(scenario, banded, "adaptive")
+    poses = np.concatenate(differing)
+    assert len(poses) > 0
+    beyond = ~points_in_bounds(banded, poses.reshape(-1, 3)).reshape(poses.shape[:2])
+    assert beyond.any(axis=1).all()
+    assert report.total_cost == pytest.approx(wide_report.total_cost, rel=1e-5)
 
 
 def test_clutter_slot_leg_golden_cost_and_iterations():

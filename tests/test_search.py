@@ -15,6 +15,7 @@ from morphplan.esdf import (
     BoxObstacle,
     SphereObstacle,
     build_grid,
+    clearance_batch,
     compute_esdf,
     points_in_bounds,
     query_distance_many,
@@ -36,13 +37,13 @@ from morphplan.search import (
     write_path_csv,
 )
 from morphplan.scenario import parse_scenario
-from morphplan.traj_opt import OptProblem
+from morphplan.traj_opt import OptProblem, distance_band
 
 from conftest import plan_rows
 
 
 def empty_field(extent=(4.0, 4.0, 2.0), resolution=0.1):
-    return compute_esdf(build_grid([], [0, 0, 0], list(extent), resolution), truncation=5.0)
+    return compute_esdf(build_grid([], [0, 0, 0], list(extent), resolution), truncation=5.0, band=5.0)
 
 
 def small_body():
@@ -168,7 +169,7 @@ class TestIsValid:
             BoxObstacle(lo=np.array([1.8, 0.0, 0.0]), hi=np.array([2.2, 0.8, 2.0])),
             BoxObstacle(lo=np.array([1.8, 1.2, 0.0]), hi=np.array([2.2, 4.0, 2.0])),
         ]
-        field = compute_esdf(build_grid(obstacles, [0, 0, 0], [4, 4, 2], 0.1), truncation=5.0)
+        field = compute_esdf(build_grid(obstacles, [0, 0, 0], [4, 4, 2], 0.1), truncation=5.0, band=5.0)
         s = plan_rows([2.0, 1.0, 1.0], R_MAX)
         assert not is_valid(s, fast_problem(s, s, field, d_margin=0.1))
 
@@ -188,7 +189,7 @@ def cluttered_field():
         BoxObstacle(lo=np.array([2.2, 1.2, 0.0]), hi=np.array([2.6, 3.0, 1.1])),
         SphereObstacle(center=np.array([3.1, 0.9, 1.2]), radius=0.35),
     ]
-    return compute_esdf(build_grid(obstacles, [0, 0, 0], [4, 3, 2], 0.1), truncation=5.0)
+    return compute_esdf(build_grid(obstacles, [0, 0, 0], [4, 3, 2], 0.1), truncation=5.0, band=5.0)
 
 
 _position = st.tuples(st.floats(0.0, 4.0), st.floats(0.0, 3.0), st.floats(0.0, 2.0))
@@ -275,9 +276,15 @@ def reference_3d_search(prob, cfg):
         v1 = np.concatenate([goal_v, [0.0]])
         return connect_cost_quartic(dp, v0, v1, prob.time_weight)
 
-    def valid(p, v):
-        return bool(_states_valid(prob, p.reshape(1, 3), np.array([r_fix]), v.reshape(1, 3),
-                                  np.zeros(1))[0])
+    def valid_subsamples(p, v, tsubs):
+        """Validity (len(us), len(tsubs)) of every primitive's sub-sampled
+        states from (p, v), in one call: the check works row by row, so each
+        boolean is the one a single-state call gives."""
+        t = tsubs[None, :, None]
+        ps = (p + v * t + 0.5 * us[:, None, :] * t * t).reshape(-1, 3)
+        vs = (v + us[:, None, :] * t).reshape(-1, 3)
+        n = len(ps)
+        return _states_valid(prob, ps, np.full(n, r_fix), vs, np.zeros(n)).reshape(len(us), -1)
 
     nodes = [(start_p.copy(), start_v.copy())]
     gs = [0.0]
@@ -304,7 +311,9 @@ def reference_3d_search(prob, cfg):
         for dt in dts:
             arc = (np.linalg.norm(v) + np.linalg.norm(cfg.u_max[:3]) * dt) * dt
             n_sub = int(np.clip(np.ceil(arc / (0.5 * res)), 1, 32))
-            for u in us:
+            tsubs = dt * (np.arange(1, n_sub + 1) / n_sub)
+            checked = valid_subsamples(p, v, tsubs)
+            for u, valid in zip(us, checked):
                 p1 = p + v * dt + 0.5 * u * dt * dt
                 v1 = v + u * dt
                 if np.linalg.norm(v1) > prob.v_max:
@@ -318,14 +327,7 @@ def reference_3d_search(prob, cfg):
                     ent = best.get(ck)
                     if ent is not None and ent[0] <= g1:
                         continue
-                bad = False
-                for tsub in dt * (np.arange(1, n_sub + 1) / n_sub):
-                    ps = p + v * tsub + 0.5 * u * tsub * tsub
-                    vs = v + u * tsub
-                    if not valid(ps, vs):
-                        bad = True
-                        break
-                if bad:
+                if not valid.all():
                     continue
                 nodes.append((p1, v1))
                 gs.append(g1)
@@ -413,7 +415,7 @@ class TestSearch:
             BoxObstacle(lo=np.array([2.3, 0.0, 0.0]), hi=np.array([2.7, 0.7, 1.6])),
             BoxObstacle(lo=np.array([2.3, 1.3, 0.0]), hi=np.array([2.7, 3.0, 1.6])),
         ]
-        field = compute_esdf(build_grid(obstacles, [0, 0, 0], [5, 3, 1.6], 0.1), truncation=5.0)
+        field = compute_esdf(build_grid(obstacles, [0, 0, 0], [5, 3, 1.6], 0.1), truncation=5.0, band=5.0)
         cfg = fast_config(u_max=np.array([1.5, 1.5, 1.5, 0.3]), node_budget=200000)
         prob = fast_problem(rest([0.6, 1.0, 0.8]), rest([4.4, 1.0, 0.8]), field, d_margin=0.15,
                             sorr_weight=4.0)
@@ -444,7 +446,7 @@ class TestSearch:
             for _ in range(2):
                 c = rng.uniform([1.2, 0.4, 0.4], [2.8, 1.6, 1.2])
                 obstacles.append(BoxObstacle(lo=c - 0.2, hi=c + 0.2))
-            field = compute_esdf(build_grid(obstacles, [0, 0, 0], [4, 2, 1.6], 0.1), truncation=5.0)
+            field = compute_esdf(build_grid(obstacles, [0, 0, 0], [4, 2, 1.6], 0.1), truncation=5.0, band=5.0)
             start, goal = rest([0.5, 1.0, 0.8]), rest([3.5, 1.0, 0.8])
             prob = fast_problem(start, goal, field)
             if is_valid(start, prob) and is_valid(goal, prob):
@@ -466,7 +468,7 @@ class TestSearch:
             for _ in range(rng.integers(0, 3)):
                 c = rng.uniform([1.0, 0.5, 0.5], [3.0, 1.5, 1.1])
                 obstacles.append(BoxObstacle(lo=c - rng.uniform(0.1, 0.3, 3), hi=c + rng.uniform(0.1, 0.3, 3)))
-            field = compute_esdf(build_grid(obstacles, [0, 0, 0], [4, 2, 1.6], 0.1), truncation=5.0)
+            field = compute_esdf(build_grid(obstacles, [0, 0, 0], [4, 2, 1.6], 0.1), truncation=5.0, band=5.0)
             start, goal = rest([0.5, 1.0, 0.8]), rest([3.5, 1.0, 0.8])
             prob = fast_problem(start, goal, field, radius_frozen=True)
             if not (is_valid(start, prob) and is_valid(goal, prob)):
@@ -652,8 +654,9 @@ def test_fine_slot_fixed_max_is_refuted_before_the_first_query(monkeypatch):
     assert sum(queried) == 2
 
 
-def random_map(draw, resolution):
-    """A small map with up to three boxes and spheres, its corner anywhere."""
+def random_grid(draw, resolution):
+    """A small map's occupancy, with up to three boxes and spheres, its
+    corner anywhere."""
     lower = np.array(draw(st.tuples(*[st.floats(-0.5, 0.5)] * 3)))
     extent = np.array([1.2, 1.0, 0.8])
     obstacles = []
@@ -664,7 +667,12 @@ def random_map(draw, resolution):
             obstacles.append(BoxObstacle(lo=centre - half, hi=centre + half))
         else:
             obstacles.append(SphereObstacle(center=centre, radius=draw(st.floats(0.05, 0.3))))
-    return compute_esdf(build_grid(obstacles, lower, lower + extent, resolution), truncation=5.0)
+    return build_grid(obstacles, lower, lower + extent, resolution)
+
+
+def random_map(draw, resolution):
+    """The field of a `random_grid`, capped at 5 m on both sides."""
+    return compute_esdf(random_grid(draw, resolution), truncation=5.0, band=5.0)
 
 
 def frozen_body(draw):
@@ -726,6 +734,56 @@ def test_every_accepted_state_lies_in_a_free_voxel(marginal, fractions):
     assert _free_cells(problem)[tuple(cells.T)].all()
 
 
+@st.composite
+def banded_problems(draw):
+    """A frozen problem on a random map, capped at 5 m and at the problem's
+    band, with a random margin and buffer, and random states across the map,
+    half of them at r_max."""
+    resolution = draw(st.sampled_from([0.025, 0.05, 0.1]))
+    grid = random_grid(draw, resolution)
+    body = frozen_body(draw)
+    radius = draw(st.floats(body.r_min, body.r_max))
+    state = plan_rows(grid.origin, radius)
+    wide = fast_problem(state, state, compute_esdf(grid, truncation=5.0, band=5.0), body,
+                        radius_frozen=True, d_margin=draw(st.floats(0.0, 0.2)),
+                        clearance_buffer=draw(st.floats(0.0, 0.02)))
+    banded = dataclasses.replace(wide, field=compute_esdf(
+        grid, truncation=5.0, band=distance_band(wide, resolution)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = 4000
+    pos = rng.uniform(grid.origin, grid.upper, (n, 3))
+    radii = np.where(rng.random(n) < 0.5, body.r_max, rng.uniform(body.r_min, body.r_max, n))
+    return wide, banded, pos, radii
+
+
+@settings(max_examples=60, deadline=None)
+@given(problems=banded_problems())
+def test_the_band_changes_no_answer_below_the_planners_levels(problems):
+    """Between the field capped at the problem's band and the same map
+    capped at 5 m, bit for bit: every centre distance below the cheap
+    pass's level, `d_margin` plus the body's reach at the state's radius;
+    every body clearance below the hinge's level, `d_margin` plus
+    `clearance_buffer`, with its gradients, on poses whose samples lie in
+    the map; `_states_valid`; and `_free_cells`.  A value that differs is
+    at or above the level on both fields."""
+    wide, banded, pos, radii = problems
+    body = wide.body
+    centre = [query_distance_many(p.field, pos) for p in (wide, banded)]
+    low = np.minimum(*centre) < wide.d_margin + body.max_reach(radii)
+    assert np.array_equal(centre[0][low], centre[1][low])
+    inside = points_in_bounds(wide.field, body.surface_points(pos, radii)[0].reshape(-1, 3))
+    inside = inside.reshape(len(pos), -1).all(axis=1)
+    wide_c, banded_c = (clearance_batch(p.field, pos[inside], radii[inside], body)
+                        for p in (wide, banded))
+    low = np.minimum(wide_c[0], banded_c[0]) < wide.d_margin + wide.clearance_buffer
+    for got, want in zip(banded_c, wide_c):
+        assert np.array_equal(got[low], want[low])
+    n = len(pos)
+    valid = [_states_valid(p, pos, radii, np.zeros((n, 3)), np.zeros(n)) for p in (wide, banded)]
+    assert np.array_equal(*valid)
+    assert np.array_equal(_free_cells(wide), _free_cells(banded))
+
+
 def walled_query(resolution, gap_lo, gap_hi, radius, start, goal, d_margin, dt_max):
     """A frozen query from start to goal across a wall, at x = 0.8 m, with
     one rectangular gap, from gap_lo to gap_hi in (y, z)."""
@@ -733,7 +791,7 @@ def walled_query(resolution, gap_lo, gap_hi, radius, start, goal, d_margin, dt_m
             BoxObstacle(lo=np.array([0.7, 0.0, gap_hi[1]]), hi=np.array([0.9, 1.2, 0.8])),
             BoxObstacle(lo=np.array([0.7, 0.0, 0.0]), hi=np.array([0.9, gap_lo[0], 0.8])),
             BoxObstacle(lo=np.array([0.7, gap_hi[0], 0.0]), hi=np.array([0.9, 1.2, 0.8]))]
-    field = compute_esdf(build_grid(wall, [0, 0, 0], [1.6, 1.2, 0.8], resolution), truncation=5.0)
+    field = compute_esdf(build_grid(wall, [0, 0, 0], [1.6, 1.2, 0.8], resolution), truncation=5.0, band=5.0)
     ends = np.stack([plan_rows(start, radius), plan_rows(goal, radius)])
     problem = fast_problem(*ends, field, d_margin=d_margin, radius_frozen=True)
     return problem, fast_config(dt_max=dt_max, node_budget=200000), ends
