@@ -348,6 +348,10 @@ class TrackingConfig:
             raise ValueError("time steps, cutoffs and the servo rate limit must be positive")
         if min(self.accel_noise_std, self.duration_pad) < 0.0:
             raise ValueError("accel_noise_std and duration_pad must be non-negative")
+        ticks = round(self.control_dt / self.sim_dt)
+        if ticks < 1 or abs(self.control_dt - ticks * self.sim_dt) > 1e-9 * self.control_dt:
+            raise ValueError(f"control_dt {self.control_dt} must be a whole number of "
+                             f"simulation steps of {self.sim_dt}")
 
 
 @dataclass(eq=False)
@@ -377,7 +381,7 @@ def run_tracking(traj, params: VehicleParams, nmpc: NmpcConfig,
         raise ValueError("trajectory must have positive duration")
     rng = np.random.default_rng(config.seed)
     n_steps = int(np.ceil((traj.total_time + config.duration_pad) / config.sim_dt))
-    ticks_per_control = max(1, int(round(config.control_dt / config.sim_dt)))
+    ticks_per_control = round(config.control_dt / config.sim_dt)
     # the references of every step and the horizons of every tick, from two
     # batched calls; a reference does not depend on the batch it is sampled in
     step_times = np.arange(n_steps) * config.sim_dt

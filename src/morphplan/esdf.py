@@ -2,15 +2,15 @@
 
 Sign convention: at a free voxel center the field stores the Euclidean
 distance to the nearest occupied voxel center; at an occupied voxel center
-it stores minus the distance to the nearest free voxel center.  The
-occupied side is capped at minus the truncation radius.  The free side is
-capped at a band, and at the truncation radius if that is smaller: a
-planner reads no distance far above its clearance thresholds, so the free
-side need not be known beyond them (Voxblox, Oleynikova et al., IROS 2017,
-and FIESTA, Han et al., IROS 2019, bound their fields the same way).  The
-distances come from scipy's exact Euclidean distance transform, run over
-the occupied voxels' bounding box, grown by the band for the free side and
-by one voxel for the occupied side; `compute_esdf` shows both crops exact.
+it stores minus the distance to the nearest free voxel center.  Both sides
+are capped at one band: a planner reads no distance far above its clearance
+thresholds, so the field need not be known beyond them (Voxblox, Oleynikova
+et al., IROS 2017, and FIESTA, Han et al., IROS 2019, bound their fields
+the same way).  The field is exact within plus or minus the band and reads
+plus or minus the band beyond it.  The distances come from scipy's exact
+Euclidean distance transform, run over the occupied voxels' bounding box,
+grown by the band for the free side and by one voxel for the occupied side;
+`compute_esdf` shows both crops exact.
 Between centers the field is evaluated by trilinear interpolation, so the
 zero level sits inside the one-voxel band separating free from occupied
 centers.  Every query, of distances, gradients or body clearance, reads the
@@ -18,9 +18,9 @@ field's 1-Lipschitz extension beyond the map, which inside the map is the
 interpolant itself; a caller that must stay inside the map tests
 `points_in_bounds`.
 
-A band of at least L + 2 voxels changes nothing a query compares below a
-level L.  Free-side values are distances to a point set, so they are
-1-Lipschitz over the node positions:
+On the free side, a band of at least L + 2 voxels changes nothing a query
+compares below a level L.  Free-side values are distances to a point set,
+so they are 1-Lipschitz over the node positions:
 - a cell whose interpolant reads below L somewhere has all 8 corners below
   L + sqrt(3) voxels, under the band, so no value or gradient below L
   changes, and a value at or above L stays at or above it;
@@ -31,11 +31,26 @@ The planner's levels are the optimizer's hinge (`d_margin` plus
 `clearance_buffer`), its gate (`d_margin`), the cheap pass of the search's
 collision check (`d_margin` plus the body's reach) and the search's free
 voxels (`d_margin`, and `d_margin` plus the body's largest reach);
-`traj_opt.distance_band` lies two voxels above the largest.  The one change
-is outside the map: there a point reads the capped boundary value minus its
-excursion, so a point more than about band - L - sqrt(3) voxels beyond the
-map may read differently at level L.  Only line-search probes of the
-optimizer go that far.
+`traj_opt.distance_band` lies two voxels above the largest.  The one
+change on this side is outside the map: there a point reads the capped
+boundary value minus its excursion, so a point more than about
+band - L - sqrt(3) voxels beyond the map may read differently at level L.
+Only line-search probes of the optimizer go that far.
+
+The cap on the occupied side changes no comparison at a level L >= 0,
+and every level is at least zero (`OptProblem` rejects a negative
+`d_margin`).  Occupied values are minus the distance to a point set, the
+free voxels, so they are 1-Lipschitz too, and an occupied center within
+sqrt(3) voxels of a free one reads at least -sqrt(3) voxels, above minus
+the band.  So a cell with a capped corner has only occupied corners, all 8
+below sqrt(3) voxels minus the band, which is below zero, and it reads
+below zero with the cap and without.  A face's ghost value next to a capped
+node lies below 1.5 voxels minus the band either way.  Ghost values at the
+map's edges and corners extrapolate along two or three axes, which can add
+up to 5.2 voxels in the worst case; the property tests check the search's
+free voxels on random maps.  What changes is the value and gradient deep
+inside an obstacle thicker than about 2 (band - sqrt(3) voxels): there the
+field reads minus the band, and the hinge's gradient goes flat.
 
 Inside a cell of the lattice of voxel centers the trilinear interpolant is a
 convex combination of the cell's 8 stored values, so it never exceeds the
@@ -194,45 +209,43 @@ def _grown(bbox, layers: int) -> tuple:
     return tuple(slice(max(s.start - layers, 0), s.stop + layers) for s in bbox)
 
 
-def compute_esdf(grid: VoxelGrid, truncation: float, band: float) -> EsdfField:
-    """Signed distance at every voxel center: the free side capped at
-    min(band, truncation), the occupied side at -truncation, each exact up
-    to its cap.
+def compute_esdf(grid: VoxelGrid, band: float) -> EsdfField:
+    """Signed distance at every voxel center, exact within plus or minus
+    `band` and reading plus or minus `band` beyond it.
 
     The occupied side (distance to the nearest free voxel) is transformed
     over the occupied voxels' bounding box grown by one voxel; the free side
     (distance to the nearest occupied voxel) over the bounding box grown by
     m - 1 voxels, and by at least one, where m is the fewest whole voxels
-    whose length, as the transform rounds it, reaches the free cap.  Both
-    boxes are clipped to the grid, and every free voxel outside the larger
-    one reads the cap.
+    whose length, as the transform rounds it, reaches the band.  Both boxes
+    are clipped to the grid, and every free voxel outside the larger one
+    reads the band.
 
     Both crops are exact.  A free voxel outside the larger box is at least m
     voxels from every occupied voxel along some axis, so its distance, a
     square root of a sum of squared integer offsets, rounds to at least the
-    cap.  Inside the box the transform sees every occupied voxel.  For the
+    band.  Inside the box the transform sees every occupied voxel.  For the
     occupied side, a free voxel outside the smaller box, clamped onto it,
     comes no farther from any occupied voxel on any axis, and lands on the
     grown layer, which lies outside the bounding box and so is free.  A
     nearest free voxel can thus always be found inside the smaller box,
     which holds one whenever the grid has a free voxel.  Since the distances
     are exact sums of squared integer offsets, which voxel wins a tie does
-    not change the result, so the field equals the whole grid's transform at
-    the same caps bit for bit.
+    not change the result, so the field equals the whole grid's transform,
+    capped at the same band, bit for bit.
     """
-    if truncation <= 0.0 or band <= 0.0:
-        raise ValueError(f"truncation and band must be positive, got {truncation} and {band}")
+    if band <= 0.0:
+        raise ValueError(f"band must be positive, got {band}")
     t0 = time.perf_counter()
     occ = grid.occupancy
-    cap = min(band, truncation)
     transformed = 0
     # no voxel of the other class, or out of the free side's reach
     dist = np.full(occ.shape, np.inf)
     bbox = bounding_box(occ)
     if bbox is not None and not occ.all():
         res = grid.resolution
-        reach = math.ceil(cap / res)
-        reach += reach * res < cap  # the division rounded down past a whole voxel
+        reach = math.ceil(band / res)
+        reach += reach * res < band  # the division rounded down past a whole voxel
         outer = _grown(bbox, max(reach - 1, 1))
         # the occupied side's box, relative to the free side's
         inner = tuple(slice(b.start - a.start, b.stop - a.start)
@@ -247,7 +260,7 @@ def compute_esdf(grid: VoxelGrid, truncation: float, band: float) -> EsdfField:
         dist[outer] = sq
         transformed = sq.size
     np.negative(dist, out=dist, where=occ)
-    np.clip(dist, -truncation, cap, out=dist)
+    np.clip(dist, -band, band, out=dist)
     log.debug("distance field with a band of %.4g m: %d of %d voxels transformed, %.1f ms",
               band, transformed, occ.size, 1e3 * (time.perf_counter() - t0))
     return EsdfField(grid=grid, distance=dist)

@@ -14,7 +14,7 @@ import numpy as np
 class SvgCanvas:
     """Minimal SVG builder with a world-coordinate viewport (y up)."""
 
-    def __init__(self, x_range, y_range, pad: float = 0.2):
+    def __init__(self, x_range, y_range, pad: float):
         self.x0 = float(x_range[0]) - pad
         self.x1 = float(x_range[1]) + pad
         self.y0 = float(y_range[0]) - pad
@@ -62,12 +62,6 @@ class SvgCanvas:
 def plot_topdown(times, data, path):
     """Top-down XY path with radius-scaled footprint circles at 20 uniform
     time stamps; data is the (N, orders, 4) sample array."""
-    if len(times) == 0:
-        canvas = SvgCanvas((0.0, 1.0), (0.0, 1.0))
-        canvas.rect_border()
-        canvas.text(0.05, 0.5, "empty input")
-        canvas.write(path)
-        return
     xs = data[:, 0, 0]
     ys = data[:, 0, 1]
     rs = data[:, 0, 3]
@@ -84,34 +78,42 @@ def plot_series(times, data, path):
     """Radius and speed over time as normalized polylines."""
     canvas = SvgCanvas((0.0, 1.0), (0.0, 1.0), pad=0.1)
     canvas.rect_border()
-    if len(times):
-        t = (times - times[0]) / max(times[-1] - times[0], 1e-9)
-        rs = data[:, 0, 3]
-        speed = np.linalg.norm(data[:, 1, :3], axis=1)
-        r_span = max(rs.max() - rs.min(), 1e-9)
-        canvas.polyline(t, (rs - rs.min()) / r_span, stroke="#c44e52", width=0.005)
-        v_span = max(speed.max(), 1e-9)
-        canvas.polyline(t, speed / v_span, stroke="#1f6fb2", width=0.005)
-        canvas.text(0.02, 0.95, f"radius [{rs.min():.3f}, {rs.max():.3f}] m")
-        canvas.text(0.02, 0.88, f"speed max {speed.max():.3f} m/s")
+    t = (times - times[0]) / max(times[-1] - times[0], 1e-9)
+    rs = data[:, 0, 3]
+    speed = np.linalg.norm(data[:, 1, :3], axis=1)
+    r_span = max(rs.max() - rs.min(), 1e-9)
+    canvas.polyline(t, (rs - rs.min()) / r_span, stroke="#c44e52", width=0.005)
+    v_span = max(speed.max(), 1e-9)
+    canvas.polyline(t, speed / v_span, stroke="#1f6fb2", width=0.005)
+    canvas.text(0.02, 0.95, f"radius [{rs.min():.3f}, {rs.max():.3f}] m")
+    canvas.text(0.02, 0.88, f"speed max {speed.max():.3f} m/s")
     canvas.write(path)
 
 
 def plot_tracking_error(times, positions, references, path):
     canvas = SvgCanvas((0.0, 1.0), (0.0, 1.0), pad=0.1)
     canvas.rect_border()
-    if len(times):
-        err = np.linalg.norm(positions - references, axis=1)
-        t = (times - times[0]) / max(times[-1] - times[0], 1e-9)
-        span = max(err.max(), 1e-9)
-        canvas.polyline(t, err / span, stroke="#55a868", width=0.005)
-        canvas.text(0.02, 0.95, f"max error {err.max():.4f} m")
+    err = np.linalg.norm(positions - references, axis=1)
+    t = (times - times[0]) / max(times[-1] - times[0], 1e-9)
+    span = max(err.max(), 1e-9)
+    canvas.polyline(t, err / span, stroke="#55a868", width=0.005)
+    canvas.text(0.02, 0.95, f"max error {err.max():.4f} m")
     canvas.write(path)
+
+
+def _checked(path, *arrays):
+    """The arrays read from `path`; ValueError if they hold no row or a NaN."""
+    if len(arrays[0]) == 0:
+        raise ValueError(f"no rows in {path}")
+    if any(np.isnan(a).any() for a in arrays):
+        raise ValueError(f"a value in {path} is not a number")
+    return arrays
 
 
 def plot_input_file(path, out_dir):
     """Dispatch on the CSV header: trajectory exports get the top-down and
-    series plots, tracking logs get the error plot."""
+    series plots, tracking logs get the error plot.  A missing column, a
+    row that does not parse, a NaN or no rows raise ValueError."""
     path = Path(path)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -119,25 +121,16 @@ def plot_input_file(path, out_dir):
         header = fh.readline().strip()
     stem = path.stem
     if header.startswith("t,ref_x"):
-        raw = np.genfromtxt(path, delimiter=",", names=True)
-        times = np.atleast_1d(raw["t"])
-        if times.size and not np.isnan(times[0]):
-            pos = np.stack([raw["x"], raw["y"], raw["z"]], axis=-1).reshape(-1, 3)
-            ref = np.stack([raw["ref_x"], raw["ref_y"], raw["ref_z"]], axis=-1).reshape(-1, 3)
-        else:
-            times = np.empty(0)
-            pos = ref = np.empty((0, 3))
+        raw = np.atleast_1d(np.genfromtxt(path, delimiter=",", names=True))
+        times, pos, ref = _checked(
+            path, raw["t"], np.stack([raw["x"], raw["y"], raw["z"]], axis=-1),
+            np.stack([raw["ref_x"], raw["ref_y"], raw["ref_z"]], axis=-1))
         plot_tracking_error(times, pos, ref, out / f"{stem}_error.svg")
         return [out / f"{stem}_error.svg"]
     if header.startswith("t,x"):
         from .trajectory import read_sample_csv
 
-        try:
-            times, data = read_sample_csv(path)
-            if np.isnan(times).any():
-                raise ValueError
-        except Exception:
-            times, data = np.empty(0), np.empty((0, 4, 4))
+        times, data = _checked(path, *read_sample_csv(path))
         plot_topdown(times, data, out / f"{stem}_topdown.svg")
         plot_series(times, data, out / f"{stem}_series.svg")
         return [out / f"{stem}_topdown.svg", out / f"{stem}_series.svg"]

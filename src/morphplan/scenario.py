@@ -9,12 +9,12 @@ clearance margin and cost weights) and the `opt` section feed only the
 `OptProblem`, which the search and the optimizer both solve; the `search`
 section feeds only the search's own tuning, `SearchConfig`.  The `body`
 section is the one hull and radius range of `OptProblem` and `VehicleParams`.
-The `map` section's `truncation` (default 5 m) is the field's outer cap:
-the occupied side is capped at minus it, and the free side at the smaller
-of it and the band of the planning problem (`traj_opt.distance_band`),
-which lies two voxels above every distance the planner compares.  Beyond
-the map's faces a query reads the capped boundary value minus its
-excursion (`esdf` docstring).
+The map's field has one cap, derived from the planning problem and not
+set by the file: it is exact within plus or minus the problem's band
+(`traj_opt.distance_band`), which lies two voxels above every distance the
+planner compares, and reads plus or minus the band beyond it.  Beyond the
+map's faces a query reads the capped boundary value minus its excursion
+(`esdf` docstring).
 `parse_scenario` builds each config once, so a missing key, a wrong type or
 a value a config rejects fails at load as a `ScenarioError`, before any map
 is built."""
@@ -109,7 +109,6 @@ class Scenario:
     bounds_lo: np.ndarray
     bounds_hi: np.ndarray
     resolution: float
-    truncation: float
     obstacles: list
     body: BodyGeometry
     start: EndpointSpec
@@ -127,14 +126,14 @@ class Scenario:
     # ---- builders ----------------------------------------------------
 
     def build_field(self, map_seed: int | None):
-        """The map of the seed (None: the obstacles unjittered).  Its free
-        side is capped at the band of the scenario's planning problem
-        (`traj_opt.distance_band`), or at `truncation` if that is smaller."""
+        """The map of the seed (None: the obstacles unjittered), capped on
+        both sides at the band of the scenario's planning problem
+        (`traj_opt.distance_band`)."""
         rng = np.random.default_rng(map_seed) if map_seed is not None else None
         obstacles = [o.build(rng) for o in self.obstacles]
         grid = build_grid(obstacles, self.bounds_lo, self.bounds_hi, self.resolution)
         band = distance_band(self.opt_problem(field=None), self.resolution)
-        return compute_esdf(grid, truncation=self.truncation, band=band)
+        return compute_esdf(grid, band)
 
     def boundary(self, spec: EndpointSpec, mode: str) -> np.ndarray:
         """The endpoint's boundary rows [p, r], [v, v_r] and [a, a_r] (at rest
@@ -248,14 +247,13 @@ def _parse(raw: dict) -> Scenario:
             raise ScenarioError(f"missing required section '{req}'")
 
     m = raw["map"]
-    _check_keys(m, {"bounds", "resolution", "truncation", "obstacles"}, "map")
+    _check_keys(m, {"bounds", "resolution", "obstacles"}, "map")
     _check_keys(m["bounds"], {"min", "max"}, "map.bounds")
     lo = _vec(m["bounds"]["min"], 3, "map.bounds.min")
     hi = _vec(m["bounds"]["max"], 3, "map.bounds.max")
     resolution = float(m["resolution"])
-    truncation = float(m.get("truncation", 5.0))
-    if not (resolution > 0.0 and truncation > 0.0) or np.any(hi <= lo):
-        raise ScenarioError("map must have positive resolution, truncation and extent")
+    if not resolution > 0.0 or np.any(hi <= lo):
+        raise ScenarioError("map must have positive resolution and extent")
     obstacles = []
     for i, o in enumerate(m.get("obstacles", [])):
         where = f"map.obstacles[{i}]"
@@ -301,9 +299,9 @@ def _parse(raw: dict) -> Scenario:
 
     scenario = Scenario(
         seed=_int(raw.get("seed", 0), "seed"), bounds_lo=lo, bounds_hi=hi, resolution=resolution,
-        truncation=truncation, obstacles=obstacles, body=body,
-        start=_endpoint(raw["start"], "start"), goal=_endpoint(raw["goal"], "goal"),
-        mode=mode, payload=payload, benchmark_seeds=seeds, **sections,
+        obstacles=obstacles, body=body, start=_endpoint(raw["start"], "start"),
+        goal=_endpoint(raw["goal"], "goal"), mode=mode, payload=payload,
+        benchmark_seeds=seeds, **sections,
     )
     _validate_endpoints(scenario)
     return scenario

@@ -93,9 +93,9 @@ class OptProblem:
             raise ValueError("kappa must be at least 4")
         if min(self.v_max, self.a_max, self.radius_rate_max, self.radius_acc_max) <= 0.0:
             raise ValueError("the dynamic limits must be positive")
-        if min(self.sorr_weight, self.time_weight, self.w_clearance, self.w_dynamics,
-               self.clearance_buffer) < 0.0:
-            raise ValueError("the buffer and weights must be non-negative")
+        if min(self.d_margin, self.clearance_buffer, self.sorr_weight, self.time_weight,
+               self.w_clearance, self.w_dynamics) < 0.0:
+            raise ValueError("the clearance margin, buffer and weights must be non-negative")
 
     @property
     def frozen_radius(self) -> float:

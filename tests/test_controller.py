@@ -441,6 +441,18 @@ class TestRunTracking:
             assert set(np.unique(result.gn_step)) <= {0.0, 0.125, 0.25, 0.5, 1.0}
             assert np.all(result.gn_converged[result.gn_step == 0.0])
 
+    def test_one_iteration_backtracks_above_the_planners_speed(self):
+        """At a 2.5 m/s peak, above the planner's 2 m/s `v_max`, the default
+        budget cuts its one step back on some ticks (6 of 525), so the trial
+        rollouts act at a budget of 1; a change of arithmetic alone must stay
+        within 1e-9 m."""
+        assert DEFAULT_BUDGET == 1
+        result = run_tracking(figure_eight(peak_speed=2.5), vehicle_params(), NmpcConfig(),
+                              TrackingConfig(duration_pad=0.0), disturbance=None)
+        assert np.all(result.gn_iterations == 1)
+        assert np.any(result.gn_step < 1.0)
+        assert result.rmse == pytest.approx(0.08991919285887273, rel=0.0, abs=1e-9)
+
     def test_logged_references_equal_scalar_flat_reference(self, fig8_traj, fig8_run):
         result = fig8_run(3, compensation=True)
         params = vehicle_params()

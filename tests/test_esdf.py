@@ -142,23 +142,23 @@ class TestComputeEsdf:
         occ = np.zeros((10, 10, 10), dtype=bool)
         occ[2, 5, 5] = True
         grid = VoxelGrid(origin=np.zeros(3), resolution=0.1, occupancy=occ)
-        field = compute_esdf(grid, truncation=5.0, band=5.0)
+        field = compute_esdf(grid, band=5.0)
         assert field.distance[5, 5, 5] == pytest.approx(0.3, abs=1e-15)
 
     def test_empty_grid_truncation_everywhere(self):
         grid = VoxelGrid(origin=np.zeros(3), resolution=0.1, occupancy=np.zeros((5, 5, 5), dtype=bool))
-        field = compute_esdf(grid, truncation=2.0, band=2.0)
+        field = compute_esdf(grid, band=2.0)
         assert np.all(field.distance == 2.0)
 
     def test_occupied_center_nonpositive(self):
         occ = np.zeros((5, 5, 5), dtype=bool)
         occ[2, 2, 2] = True
-        field = compute_esdf(VoxelGrid(origin=np.zeros(3), resolution=0.1, occupancy=occ), truncation=5.0, band=5.0)
+        field = compute_esdf(VoxelGrid(origin=np.zeros(3), resolution=0.1, occupancy=occ), band=5.0)
         assert field.distance[2, 2, 2] <= 0.0
 
     def test_all_occupied_interior(self):
         occ = np.ones((4, 4, 4), dtype=bool)
-        field = compute_esdf(VoxelGrid(origin=np.zeros(3), resolution=0.1, occupancy=occ), truncation=1.5, band=1.5)
+        field = compute_esdf(VoxelGrid(origin=np.zeros(3), resolution=0.1, occupancy=occ), band=1.5)
         assert np.all(field.distance == -1.5)
 
     def test_matches_brute_force_exactly(self):
@@ -194,22 +194,21 @@ class TestComputeEsdf:
         wall[5:7] = True
         wall[5:7, 3:6] = False
         cases += [(corner, 5.0), (one_free, 5.0), (wall, 5.0)]
-        # last, a truncation below the largest distance
+        # last, a band below the largest distance
         cases.append((rng.random((12, 11, 10)) < 0.05, 0.25))
-        for occ, truncation in cases:
+        for occ, band in cases:
             grid = VoxelGrid(origin=np.zeros(3), resolution=0.1, occupancy=occ)
-            field = compute_esdf(grid, truncation=truncation, band=truncation)
-            oracle = brute_force_signed(grid, truncation)
-            assert np.array_equal(field.distance, oracle)
-        # the last case's truncation cuts off its largest distances
-        assert np.abs(brute_force_signed(grid, 5.0)).max() > truncation
-        assert np.abs(field.distance).max() == truncation
+            field = compute_esdf(grid, band=band)
+            assert np.array_equal(field.distance, brute_force_signed(grid, band))
+        # the last case's band cuts off its largest distances
+        assert np.abs(brute_force_signed(grid, 5.0)).max() > band
+        assert np.abs(field.distance).max() == band
 
     def test_lipschitz_between_same_sign_neighbors(self):
         rng = np.random.default_rng(3)
         occ = rng.random((12, 10, 8)) < 0.2
         grid = VoxelGrid(origin=np.zeros(3), resolution=0.1, occupancy=occ)
-        d = compute_esdf(grid, truncation=5.0, band=5.0).distance
+        d = compute_esdf(grid, band=5.0).distance
         for axis in range(3):
             a = np.moveaxis(d, axis, 0)[:-1]
             b = np.moveaxis(d, axis, 0)[1:]
@@ -240,36 +239,37 @@ _voxels = st.one_of(st.sampled_from([0.4, 1.0, 2.0, 3.0, 4.0, 7.0]), st.floats(0
 
 @settings(max_examples=200, deadline=None)
 @given(occ=occupancies(), resolution=st.sampled_from([0.025, 0.07, 0.1]),
-       band=_voxels, truncation=_voxels)
-def test_band_crop_equals_brute_force(occ, resolution, band, truncation):
-    """Bit for bit, the free side capped at min(band, truncation) and the
-    occupied side at -truncation: the cropped transforms equal the O(V^2)
-    oracle at any caps, a cap below one voxel and grids with no voxel of
-    one class included."""
+       band=_voxels)
+def test_band_crop_equals_brute_force(occ, resolution, band):
+    """Bit for bit, both sides capped at the band: the cropped transforms
+    equal the O(V^2) oracle at any band, a band below one voxel and grids
+    with no voxel of one class included."""
     band *= resolution
-    truncation *= resolution
     grid = VoxelGrid(origin=np.zeros(3), resolution=resolution, occupancy=occ)
-    oracle = brute_force_signed(grid, truncation)
-    oracle = np.where(occ, oracle, np.minimum(oracle, band))
-    assert np.array_equal(compute_esdf(grid, truncation=truncation, band=band).distance, oracle)
+    assert np.array_equal(compute_esdf(grid, band=band).distance, brute_force_signed(grid, band))
 
 
 def test_band_crop_is_tight():
     """One occupied voxel and a band of three voxels: the voxels two layers
     out read their own distance, and those three out, as far as the band,
-    read the band."""
+    read the band.  Seven occupied voxels and a band of two: the voxels two
+    deep read their own distance, and those three or four deep read minus
+    the band."""
     occ = np.zeros((9, 1, 1), dtype=bool)
     occ[4] = True
     grid = VoxelGrid(origin=np.zeros(3), resolution=0.1, occupancy=occ)
-    dist = compute_esdf(grid, truncation=5.0, band=0.3).distance.ravel()
+    dist = compute_esdf(grid, band=0.3).distance.ravel()
     assert dist.tolist() == [0.3, 0.3, 0.2, 0.1, -0.1, 0.1, 0.2, 0.3, 0.3]
+    occ[1:8] = True
+    dist = compute_esdf(grid, band=0.2).distance.ravel()
+    assert dist.tolist() == [0.1, -0.1, -0.2, -0.2, -0.2, -0.2, -0.2, -0.1, 0.1]
 
 
 class TestQueries:
     def test_voxel_center_returns_stored_value(self):
         occ = np.zeros((6, 6, 6), dtype=bool)
         occ[1, 1, 1] = True
-        field = compute_esdf(VoxelGrid(origin=np.zeros(3), resolution=0.1, occupancy=occ), truncation=5.0, band=5.0)
+        field = compute_esdf(VoxelGrid(origin=np.zeros(3), resolution=0.1, occupancy=occ), band=5.0)
         pt = voxel_center(field.grid, (4, 3, 2))
         assert query_distance_many(field, pt)[0] == pytest.approx(field.distance[4, 3, 2], abs=1e-14)
 
@@ -298,7 +298,7 @@ class TestQueries:
     def test_continuity_lipschitz(self):
         rng = np.random.default_rng(11)
         occ = rng.random((8, 8, 8)) < 0.2
-        field = compute_esdf(VoxelGrid(origin=np.zeros(3), resolution=0.1, occupancy=occ), truncation=5.0, band=5.0)
+        field = compute_esdf(VoxelGrid(origin=np.zeros(3), resolution=0.1, occupancy=occ), band=5.0)
         res = field.grid.resolution
         lcap = np.max(np.abs(np.diff(field.distance, axis=0)))
         for axis in range(1, 3):
@@ -435,7 +435,7 @@ class TestGradient:
     def test_matches_finite_differences(self):
         rng = np.random.default_rng(21)
         occ = rng.random((12, 12, 12)) < 0.15
-        field = compute_esdf(VoxelGrid(origin=np.zeros(3), resolution=0.1, occupancy=occ), truncation=5.0, band=5.0)
+        field = compute_esdf(VoxelGrid(origin=np.zeros(3), resolution=0.1, occupancy=occ), band=5.0)
         pts = rng.uniform(0.15, 1.05, size=(100, 3))
         h = 1e-5
         g = query_gradient_many(field, pts)
@@ -480,7 +480,7 @@ class TestBodyClearance:
 
     def test_empty_map_truncation(self):
         grid = build_grid([], [0, 0, 0], [4, 4, 4], 0.1)
-        field = compute_esdf(grid, truncation=2.0, band=2.0)
+        field = compute_esdf(grid, band=2.0)
         body = BodyGeometry(height=0.1)
         d, _, _ = one_row(field, [2.0, 2.0, 2.0], body, 0.2)
         assert d == pytest.approx(2.0, abs=1e-12)
@@ -490,7 +490,7 @@ class TestBodyClearance:
         occ = np.zeros((30, 30, 30), dtype=bool)
         occ[20, 10, 10] = True
         grid = VoxelGrid(origin=np.full(3, -1.05), resolution=0.1, occupancy=occ)
-        field = compute_esdf(grid, truncation=5.0, band=5.0)
+        field = compute_esdf(grid, band=5.0)
         body = BodyGeometry(height=0.1, n_theta=16, n_l=2)
         center = np.zeros(3)
         d, _, _ = one_row(field, center, body, 0.2)
@@ -503,7 +503,7 @@ class TestBodyClearance:
         occ = np.zeros((16, 16, 16), dtype=bool)
         occ[10:12, 7:9, 7:9] = True
         grid = VoxelGrid(origin=np.zeros(3), resolution=0.1, occupancy=occ)
-        field = compute_esdf(grid, truncation=5.0, band=5.0)
+        field = compute_esdf(grid, band=5.0)
         coarse = BodyGeometry(height=0.12, n_theta=6, n_l=1)
         fine = BodyGeometry(height=0.12, n_theta=12, n_l=2)
         for center in ([0.5, 0.8, 0.8], [0.6, 0.7, 0.8], [0.55, 0.85, 0.75]):
@@ -515,7 +515,7 @@ class TestBodyClearance:
         occ = np.zeros((16, 16, 16), dtype=bool)
         occ[11:13, 6:10, 6:10] = True
         grid = VoxelGrid(origin=np.zeros(3), resolution=0.1, occupancy=occ)
-        field = compute_esdf(grid, truncation=5.0, band=5.0)
+        field = compute_esdf(grid, band=5.0)
         body = BodyGeometry(height=0.1, n_theta=16, n_l=2)
         center = np.array([0.62, 0.71, 0.76])
         radius = 0.2
@@ -537,10 +537,10 @@ class TestBodyClearance:
 
     def test_out_of_map_sample_is_the_worst(self):
         grid = build_grid([], [0, 0, 0], [1, 1, 1], 0.1)
-        field = compute_esdf(grid, truncation=5.0, band=5.0)
+        field = compute_esdf(grid, band=5.0)
         body = BodyGeometry(height=0.1)
         # the sample at angle pi lies 0.2 m beyond the map's x = 0 face, so
-        # the extension's distance there, truncation minus 0.2 m, is the least
+        # the extension's distance there, the band minus 0.2 m, is the least
         d, grad_pos, grad_rad = one_row(field, [0.1, 0.5, 0.5], body, 0.3)
         assert d == pytest.approx(5.0 - 0.2, abs=1e-12)
         assert grad_pos == pytest.approx([1.0, 0.0, 0.0], abs=1e-12)
@@ -549,7 +549,7 @@ class TestBodyClearance:
     def test_attachments_only_lower_clearance(self):
         occ = np.zeros((16, 16, 16), dtype=bool)
         occ[12, 8, 8] = True
-        field = compute_esdf(VoxelGrid(origin=np.zeros(3), resolution=0.1, occupancy=occ), truncation=5.0, band=5.0)
+        field = compute_esdf(VoxelGrid(origin=np.zeros(3), resolution=0.1, occupancy=occ), band=5.0)
         plain = BodyGeometry(height=0.1)
         import dataclasses
 
@@ -559,7 +559,7 @@ class TestBodyClearance:
 
 
 def test_points_in_bounds():
-    field = compute_esdf(build_grid([], [0, 0, 0], [1, 1, 1], 0.1), truncation=5.0, band=5.0)
+    field = compute_esdf(build_grid([], [0, 0, 0], [1, 1, 1], 0.1), band=5.0)
     mask = points_in_bounds(field, [[0.5, 0.5, 0.5], [1.5, 0.5, 0.5]])
     assert mask.tolist() == [True, False]
 
@@ -567,7 +567,7 @@ def test_points_in_bounds():
 def test_clearance_batch_matches_single():
     occ = np.zeros((14, 14, 14), dtype=bool)
     occ[9, 6:8, 6:8] = True
-    field = compute_esdf(VoxelGrid(origin=np.zeros(3), resolution=0.1, occupancy=occ), truncation=5.0, band=5.0)
+    field = compute_esdf(VoxelGrid(origin=np.zeros(3), resolution=0.1, occupancy=occ), band=5.0)
     body = BodyGeometry(height=0.1)
     centers = np.array([[0.5, 0.7, 0.7], [0.6, 0.6, 0.7]])
     radii = np.array([0.18, 0.15])

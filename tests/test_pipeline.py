@@ -29,11 +29,11 @@ def test_run_plan_golden_total_cost(name, mode, total_cost):
 
 
 def shipped_fields(name):
-    """A shipped scenario, its own map, whose free side is capped at the
-    problem's band, and the same map capped at the file's 5 m."""
+    """A shipped scenario, its own map, capped on both sides at the
+    problem's band, and the same map capped at 5 m."""
     scenario = load_scenario(SCENARIOS / f"{name}.json")
     banded = scenario.build_field(map_seed=None)
-    wide = compute_esdf(banded.grid, truncation=scenario.truncation, band=scenario.truncation)
+    wide = compute_esdf(banded.grid, band=5.0)
     assert not np.array_equal(banded.distance, wide.distance)
     return scenario, banded, wide
 
@@ -212,6 +212,20 @@ def test_cli_plot_trajectory_and_tracking_log(tmp_path):
     for name in ("hover_topdown.svg", "hover_series.svg", "tracking_log_error.svg"):
         assert (plots / name).read_text().startswith("<svg")
 
+
+@pytest.mark.parametrize("name,text", [
+    ("missing_columns", "t,x,y\n0,1,2\n1,2,3\n"),
+    ("header_only", "t,x,y,z,r\n"),
+    ("empty_log", "t,ref_x,ref_y,ref_z,x,y,z\n"),
+    ("nan_log", "t,ref_x,ref_y,ref_z,x,y,z\n0,0,0,1,0,0,nan\n"),
+])
+def test_cli_plot_rejects_malformed_input(tmp_path, name, text):
+    """A CSV with a missing column, no rows or a NaN exits 1 and draws
+    nothing; the program itself never writes one."""
+    path = tmp_path / f"{name}.csv"
+    path.write_text(text)
+    assert cli.main(["plot", str(path), "-o", str(tmp_path)]) == cli.EXIT_PARSE
+    assert not list(tmp_path.glob("*.svg"))
 
 
 def test_cli_plot_draws_20_footprints_800_px_wide(tmp_path, fig8_traj):

@@ -17,7 +17,7 @@ from morphplan import scenario as scenario_mod
 from morphplan.controller import NmpcConfig, TrackingConfig
 from morphplan.dynamics import VehicleParams, trajectory_energy
 from morphplan.esdf import BodyGeometry
-from morphplan.scenario import SCHEMA, ScenarioError, load_scenario, parse_scenario
+from morphplan.scenario import MODES, SCHEMA, ScenarioError, load_scenario, parse_scenario
 from morphplan.search import SearchConfig
 from morphplan.traj_opt import OptProblem
 from morphplan.trajectory import fit_min_jerk
@@ -61,7 +61,7 @@ MALFORMED = {
     "horizon as a string": _set("control.horizon", "20"),
     "no body height": _drop("body.height"),
     "no map resolution": _drop("map.resolution"),
-    "zero truncation": _set("map.truncation", 0.0),
+    "removed truncation": _set("map.truncation", 5.0),
     "box without max": _box_without_max,
     "two body angles": _set("body.n_theta", 2),
     "non-integer seed": _set("benchmark.seeds", [0, 1.5]),
@@ -75,6 +75,10 @@ MALFORMED = {
     "max_iters as a string": _set("control.max_iters", "30"),
     "fractional horizon": _set("control.horizon", 20.5),
     "zero control step": _set("control.control_dt", 0.0),
+    # the shipped 0.01 s is two simulation steps of 0.005 s
+    "control step of 2.4 simulation steps": _set("control.control_dt", 0.012),
+    "control step below a simulation step": _set("control.control_dt", 0.002),
+    "negative clearance margin": _set("planning.d_margin", -1.0),
     "duration_pad as a string": _set("sim.duration_pad", "0.5"),
     "node_budget as a string": _set("search.node_budget", "100"),
     "fractional kappa": _set("opt.kappa", 16.5),
@@ -91,6 +95,17 @@ MALFORMED = {
     "fractional body angles": _set("body.n_theta", 12.5),
     "fractional body rings": _set("body.n_l", 1.5),
 }
+
+
+@pytest.mark.parametrize("path", sorted(SCENARIOS.glob("*.json")), ids=lambda p: p.name)
+def test_shipped_scenario_builds_its_map_and_problems(path):
+    """Each shipped file loads, builds its map, and builds its planning
+    problem in every mode, so a file left holding a removed key fails
+    here."""
+    scenario = load_scenario(path)
+    field = scenario.build_field(map_seed=None)
+    for mode in MODES:
+        assert scenario.opt_problem(field, mode).field is field
 
 
 def malformed_file(tmp_path, edit):
@@ -192,10 +207,10 @@ def test_configs_without_optional_sections_take_class_defaults():
 def test_sim_section_reaches_tracking_and_energy():
     raw = empty_raw()
     raw["seed"] = 7
-    raw["sim"].update(dt=0.004, duration_pad=0.1, energy_c2=50)
+    raw["sim"].update(dt=0.0025, duration_pad=0.1, energy_c2=50)
     raw["control"] = {"indi": False, "horizon": 12}
     sc = parse_scenario(raw)
-    assert_fields(sc.tracking_config(), dict(sim_dt=0.004, duration_pad=0.1, indi=False, seed=7))
+    assert_fields(sc.tracking_config(), dict(sim_dt=0.0025, duration_pad=0.1, indi=False, seed=7))
     assert sc.nmpc_config().horizon == 12
     assert_fields(sc.vehicle_params(), dict(energy_c1=1.0, energy_c2=50))
     np.testing.assert_array_equal(sc.disturbance(1.0)(0.5).force, [0.5, 0.0, 0.0])

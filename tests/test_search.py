@@ -43,7 +43,7 @@ from conftest import plan_rows
 
 
 def empty_field(extent=(4.0, 4.0, 2.0), resolution=0.1):
-    return compute_esdf(build_grid([], [0, 0, 0], list(extent), resolution), truncation=5.0, band=5.0)
+    return compute_esdf(build_grid([], [0, 0, 0], list(extent), resolution), band=5.0)
 
 
 def small_body():
@@ -169,7 +169,7 @@ class TestIsValid:
             BoxObstacle(lo=np.array([1.8, 0.0, 0.0]), hi=np.array([2.2, 0.8, 2.0])),
             BoxObstacle(lo=np.array([1.8, 1.2, 0.0]), hi=np.array([2.2, 4.0, 2.0])),
         ]
-        field = compute_esdf(build_grid(obstacles, [0, 0, 0], [4, 4, 2], 0.1), truncation=5.0, band=5.0)
+        field = compute_esdf(build_grid(obstacles, [0, 0, 0], [4, 4, 2], 0.1), band=5.0)
         s = plan_rows([2.0, 1.0, 1.0], R_MAX)
         assert not is_valid(s, fast_problem(s, s, field, d_margin=0.1))
 
@@ -189,7 +189,7 @@ def cluttered_field():
         BoxObstacle(lo=np.array([2.2, 1.2, 0.0]), hi=np.array([2.6, 3.0, 1.1])),
         SphereObstacle(center=np.array([3.1, 0.9, 1.2]), radius=0.35),
     ]
-    return compute_esdf(build_grid(obstacles, [0, 0, 0], [4, 3, 2], 0.1), truncation=5.0, band=5.0)
+    return compute_esdf(build_grid(obstacles, [0, 0, 0], [4, 3, 2], 0.1), band=5.0)
 
 
 _position = st.tuples(st.floats(0.0, 4.0), st.floats(0.0, 3.0), st.floats(0.0, 2.0))
@@ -415,7 +415,7 @@ class TestSearch:
             BoxObstacle(lo=np.array([2.3, 0.0, 0.0]), hi=np.array([2.7, 0.7, 1.6])),
             BoxObstacle(lo=np.array([2.3, 1.3, 0.0]), hi=np.array([2.7, 3.0, 1.6])),
         ]
-        field = compute_esdf(build_grid(obstacles, [0, 0, 0], [5, 3, 1.6], 0.1), truncation=5.0, band=5.0)
+        field = compute_esdf(build_grid(obstacles, [0, 0, 0], [5, 3, 1.6], 0.1), band=5.0)
         cfg = fast_config(u_max=np.array([1.5, 1.5, 1.5, 0.3]), node_budget=200000)
         prob = fast_problem(rest([0.6, 1.0, 0.8]), rest([4.4, 1.0, 0.8]), field, d_margin=0.15,
                             sorr_weight=4.0)
@@ -446,7 +446,7 @@ class TestSearch:
             for _ in range(2):
                 c = rng.uniform([1.2, 0.4, 0.4], [2.8, 1.6, 1.2])
                 obstacles.append(BoxObstacle(lo=c - 0.2, hi=c + 0.2))
-            field = compute_esdf(build_grid(obstacles, [0, 0, 0], [4, 2, 1.6], 0.1), truncation=5.0, band=5.0)
+            field = compute_esdf(build_grid(obstacles, [0, 0, 0], [4, 2, 1.6], 0.1), band=5.0)
             start, goal = rest([0.5, 1.0, 0.8]), rest([3.5, 1.0, 0.8])
             prob = fast_problem(start, goal, field)
             if is_valid(start, prob) and is_valid(goal, prob):
@@ -468,7 +468,7 @@ class TestSearch:
             for _ in range(rng.integers(0, 3)):
                 c = rng.uniform([1.0, 0.5, 0.5], [3.0, 1.5, 1.1])
                 obstacles.append(BoxObstacle(lo=c - rng.uniform(0.1, 0.3, 3), hi=c + rng.uniform(0.1, 0.3, 3)))
-            field = compute_esdf(build_grid(obstacles, [0, 0, 0], [4, 2, 1.6], 0.1), truncation=5.0, band=5.0)
+            field = compute_esdf(build_grid(obstacles, [0, 0, 0], [4, 2, 1.6], 0.1), band=5.0)
             start, goal = rest([0.5, 1.0, 0.8]), rest([3.5, 1.0, 0.8])
             prob = fast_problem(start, goal, field, radius_frozen=True)
             if not (is_valid(start, prob) and is_valid(goal, prob)):
@@ -672,7 +672,7 @@ def random_grid(draw, resolution):
 
 def random_map(draw, resolution):
     """The field of a `random_grid`, capped at 5 m on both sides."""
-    return compute_esdf(random_grid(draw, resolution), truncation=5.0, band=5.0)
+    return compute_esdf(random_grid(draw, resolution), band=5.0)
 
 
 def frozen_body(draw):
@@ -700,9 +700,11 @@ def marginal_problems(draw):
     centre = lo + (hi - lo) * np.array(draw(st.tuples(*[st.floats(0.0, 1.0)] * 3)))
     samples = body.surface_points(centre[None, :], np.array([radius]))[0][0]
     assume(points_in_bounds(field, samples).all())
+    # a problem keeps a non-negative margin, so the centre's body is clear
+    margin = float(query_distance_many(field, samples).min())
+    assume(margin >= 0.0)
     state = plan_rows(field.lower, radius)
-    problem = fast_problem(state, state, field, body, radius_frozen=True,
-                           d_margin=float(query_distance_many(field, samples).min()))
+    problem = fast_problem(state, state, field, body, radius_frozen=True, d_margin=margin)
     return problem, centre
 
 
@@ -737,18 +739,17 @@ def test_every_accepted_state_lies_in_a_free_voxel(marginal, fractions):
 @st.composite
 def banded_problems(draw):
     """A frozen problem on a random map, capped at 5 m and at the problem's
-    band, with a random margin and buffer, and random states across the map,
-    half of them at r_max."""
+    band on both sides, with a random margin and buffer, and random states
+    across the map, half of them at r_max."""
     resolution = draw(st.sampled_from([0.025, 0.05, 0.1]))
     grid = random_grid(draw, resolution)
     body = frozen_body(draw)
     radius = draw(st.floats(body.r_min, body.r_max))
     state = plan_rows(grid.origin, radius)
-    wide = fast_problem(state, state, compute_esdf(grid, truncation=5.0, band=5.0), body,
+    wide = fast_problem(state, state, compute_esdf(grid, band=5.0), body,
                         radius_frozen=True, d_margin=draw(st.floats(0.0, 0.2)),
                         clearance_buffer=draw(st.floats(0.0, 0.02)))
-    banded = dataclasses.replace(wide, field=compute_esdf(
-        grid, truncation=5.0, band=distance_band(wide, resolution)))
+    banded = dataclasses.replace(wide, field=compute_esdf(grid, distance_band(wide, resolution)))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     n = 4000
     pos = rng.uniform(grid.origin, grid.upper, (n, 3))
@@ -765,17 +766,29 @@ def test_the_band_changes_no_answer_below_the_planners_levels(problems):
     every body clearance below the hinge's level, `d_margin` plus
     `clearance_buffer`, with its gradients, on poses whose samples lie in
     the map; `_states_valid`; and `_free_cells`.  A value that differs is
-    at or above the level on both fields."""
+    at or above the level on both fields, or, deep inside an obstacle,
+    below sqrt(3) voxels minus the band on both."""
     wide, banded, pos, radii = problems
     body = wide.body
+    resolution = wide.field.grid.resolution
+    deep = np.sqrt(3.0) * resolution - distance_band(wide, resolution) + 1e-9
+    assert deep < 0.0
+
+    def same_below(pair, level):
+        """Where `pair`'s values differ, both are at or above `level` or
+        both below `deep`; the mask of entries below `level` that agree."""
+        low, high = np.minimum(*pair), np.maximum(*pair)
+        differ = pair[0] != pair[1]
+        assert np.all((low >= level) | (high < deep) | ~differ)
+        return (low < level) & (high >= deep)
+
     centre = [query_distance_many(p.field, pos) for p in (wide, banded)]
-    low = np.minimum(*centre) < wide.d_margin + body.max_reach(radii)
-    assert np.array_equal(centre[0][low], centre[1][low])
+    same_below(centre, wide.d_margin + body.max_reach(radii))
     inside = points_in_bounds(wide.field, body.surface_points(pos, radii)[0].reshape(-1, 3))
     inside = inside.reshape(len(pos), -1).all(axis=1)
     wide_c, banded_c = (clearance_batch(p.field, pos[inside], radii[inside], body)
                         for p in (wide, banded))
-    low = np.minimum(wide_c[0], banded_c[0]) < wide.d_margin + wide.clearance_buffer
+    low = same_below((wide_c[0], banded_c[0]), wide.d_margin + wide.clearance_buffer)
     for got, want in zip(banded_c, wide_c):
         assert np.array_equal(got[low], want[low])
     n = len(pos)
@@ -791,7 +804,7 @@ def walled_query(resolution, gap_lo, gap_hi, radius, start, goal, d_margin, dt_m
             BoxObstacle(lo=np.array([0.7, 0.0, gap_hi[1]]), hi=np.array([0.9, 1.2, 0.8])),
             BoxObstacle(lo=np.array([0.7, 0.0, 0.0]), hi=np.array([0.9, gap_lo[0], 0.8])),
             BoxObstacle(lo=np.array([0.7, gap_hi[0], 0.0]), hi=np.array([0.9, 1.2, 0.8]))]
-    field = compute_esdf(build_grid(wall, [0, 0, 0], [1.6, 1.2, 0.8], resolution), truncation=5.0, band=5.0)
+    field = compute_esdf(build_grid(wall, [0, 0, 0], [1.6, 1.2, 0.8], resolution), band=5.0)
     ends = np.stack([plan_rows(start, radius), plan_rows(goal, radius)])
     problem = fast_problem(*ends, field, d_margin=d_margin, radius_frozen=True)
     return problem, fast_config(dt_max=dt_max, node_budget=200000), ends

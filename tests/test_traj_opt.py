@@ -34,7 +34,7 @@ def boundary(p, r, v=(0, 0, 0), vr=0.0):
 
 
 def empty_problem(extent=(6.0, 3.0, 2.0), **kw):
-    field = compute_esdf(build_grid([], [0, 0, 0], list(extent), 0.1), truncation=5.0, band=5.0)
+    field = compute_esdf(build_grid([], [0, 0, 0], list(extent), 0.1), band=5.0)
     body = BodyGeometry(height=0.12, n_theta=8, n_l=1)
     defaults = dict(field=field, body=body,
                     sigma0=boundary([0.5, 1.5, 1.0], 0.211),
@@ -75,7 +75,7 @@ class TestObjective:
 
     def test_single_piece_matches_closed_form(self):
         # rest-to-rest distance d over one piece: jerk energy 720 d^2 / T^5
-        prob = empty_problem(sorr_weight=0.0, v_max=100.0, a_max=1000.0, d_margin=-10.0)
+        prob = empty_problem(sorr_weight=0.0, v_max=100.0, a_max=1000.0, w_clearance=0.0)
         d = 3.0
         prob = dataclasses.replace(prob, sigmaf=boundary([3.5, 1.5, 1.0], 0.211))
         for t in (1.5, 2.0, 3.0):
@@ -93,7 +93,7 @@ class TestObjective:
         # mix of empty and obstructed maps, active and inactive penalties
         rng = np.random.default_rng(42)
         obstacles = [SphereObstacle(center=np.array([3.0, 1.5, 1.0]), radius=0.35)]
-        field_obs = compute_esdf(build_grid(obstacles, [0, 0, 0], [6, 3, 2], 0.1), truncation=5.0, band=5.0)
+        field_obs = compute_esdf(build_grid(obstacles, [0, 0, 0], [6, 3, 2], 0.1), band=5.0)
         worst = 0.0
         for trial in range(10):
             prob = empty_problem(v_max=1.0, radius_rate_max=0.2, a_max=2.0)
@@ -160,7 +160,7 @@ def golden_problem():
     r_max]: the clearance, velocity and radius-box hinges are all active."""
     obstacles = [SphereObstacle(center=np.array([3.0, 1.5, 1.0]), radius=0.35)]
     prob = empty_problem(v_max=1.0, a_max=2.0, radius_rate_max=0.2)
-    prob = dataclasses.replace(prob, field=compute_esdf(build_grid(obstacles, [0, 0, 0], [6, 3, 2], 0.1), truncation=5.0, band=5.0))
+    prob = dataclasses.replace(prob, field=compute_esdf(build_grid(obstacles, [0, 0, 0], [6, 3, 2], 0.1), band=5.0))
     wps = np.array([[2.0, 1.3, 1.0, 0.18], [3.0, 1.05, 1.0, 0.125], [4.0, 1.3, 1.0, 0.23]])
     return prob, wps, np.array([1.2, 1.0, 1.0, 1.3])
 
@@ -243,7 +243,7 @@ class TestOptimize:
             BoxObstacle(lo=np.array([2.8, 0.0, 0.0]), hi=np.array([3.2, 0.7, 2.0])),
             BoxObstacle(lo=np.array([2.8, 1.3, 0.0]), hi=np.array([3.2, 3.0, 2.0])),
         ]
-        field = compute_esdf(build_grid(obstacles, [0, 0, 0], [6, 3, 2], 0.1), truncation=5.0, band=5.0)
+        field = compute_esdf(build_grid(obstacles, [0, 0, 0], [6, 3, 2], 0.1), band=5.0)
         prob = empty_problem(d_margin=0.15, sorr_weight=20.0)
         prob = dataclasses.replace(prob, field=field,
                                    sigma0=boundary([0.5, 1.0, 1.0], 0.211),
@@ -322,7 +322,7 @@ class TestAttachPayload:
 
     def test_payload_clearance_never_larger(self):
         obstacles = [SphereObstacle(center=np.array([3.0, 1.5, 0.5]), radius=0.3)]
-        field = compute_esdf(build_grid(obstacles, [0, 0, 0], [6, 3, 2], 0.1), truncation=5.0, band=5.0)
+        field = compute_esdf(build_grid(obstacles, [0, 0, 0], [6, 3, 2], 0.1), band=5.0)
         prob = empty_problem()
         prob = dataclasses.replace(prob, field=field)
         loaded = attach_payload(prob, size=[0.2, 0.2, 0.4], offset=[0, 0, -0.26])
@@ -338,7 +338,7 @@ class TestInvariantsAndCosts:
     def test_objective_identity_jerk_energy(self):
         prob = empty_problem(sorr_weight=0.0, time_weight=0.0,
                              v_max=100.0, a_max=100.0, radius_rate_max=100.0,
-                             radius_acc_max=100.0, d_margin=-100.0)
+                             radius_acc_max=100.0, w_clearance=0.0)
         rng = np.random.default_rng(10)
         wps = np.array([[2.0, 1.6, 1.1, 0.18], [4.0, 1.4, 0.9, 0.2]])
         durs = np.array([1.3, 1.1, 1.7])
