@@ -22,8 +22,16 @@ it after a position error builds up.  `run_tracking` samples the reference of
 every simulator step and the horizon of every control tick in two batched
 `flat_reference` calls before its loop, and builds the radius model
 (allocation, inertia) once per step; the horizon solve, the allocation and
-the simulator step all take that one model.  Its filters are
-`dynamics.LowPassFilter` and `dynamics.SecondOrderLowPass`.
+the simulator step all take that one model.  The loop's state is the state
+row of `dynamics.rigid_body_step`, 13 floats [p, v, q, w], which the
+simulator steps and the horizon solve starts from as it is; beside it the
+loop carries the servo angle and the radius it maps to.  Each step appends
+one row of the 30 `TRACKING_LOG_HEADER` columns (time, reference position,
+state row, radius, servo angle, force estimate, commanded collective and
+torque, rotor thrusts) to `TrackingResult.log`, a (steps, 30) array of
+which the result's times, positions, radii and force estimates are column
+views.  Its filters are `dynamics.LowPassFilter` and
+`dynamics.SecondOrderLowPass`.
 """
 
 from __future__ import annotations
@@ -39,9 +47,9 @@ from .dynamics import (
     GRAVITY,
     LowPassFilter,
     RadiusModel,
-    RigidBodyState,
     SecondOrderLowPass,
     VehicleParams,
+    quat_to_rot,
     radius_model,
     rigid_body_step,
     rk4_jacobians,
@@ -49,6 +57,7 @@ from .dynamics import (
     step,
 )
 from .fields import check_field_types
+from .trajectory import write_numeric_csv
 
 log = logging.getLogger(__name__)
 
@@ -356,26 +365,42 @@ class TrackingConfig:
 
 @dataclass(eq=False)
 class TrackingResult:
-    times: np.ndarray
-    positions: np.ndarray
-    force_estimates: np.ndarray
-    radii: np.ndarray
+    log: np.ndarray             # (steps, 30): one row per simulator step, TRACKING_LOG_HEADER
     rmse: float
-    log_rows: list
     gn_iterations: np.ndarray   # (ticks,) Gauss-Newton iterations of each control tick
     gn_converged: np.ndarray    # (ticks,) whether the tick's solve met the tolerance
     gn_step: np.ndarray         # (ticks,) step fraction of each tick's last iteration (0: none)
+
+    @property
+    def times(self) -> np.ndarray:
+        return self.log[:, 0]
+
+    @property
+    def positions(self) -> np.ndarray:
+        return self.log[:, 4:7]
+
+    @property
+    def radii(self) -> np.ndarray:
+        return self.log[:, 17]
+
+    @property
+    def force_estimates(self) -> np.ndarray:
+        return self.log[:, 19:22]
 
 
 def run_tracking(traj, params: VehicleParams, nmpc: NmpcConfig,
                  config: TrackingConfig, disturbance) -> TrackingResult:
     """Closed-loop tracking of a flat trajectory on the simulator.
 
+    The loop carries the state row x (13 floats [p, v, q, w]), the servo
+    angle and the radius it maps to, and builds the radius model at that
+    radius once per step for the horizon solve, the allocation and `step`.
     Tick order per control step: force estimate, then the horizon solve with
     that estimate in its model when force compensation is on; torque
     compensation and allocation run at the simulation rate.  Returns the
-    position RMSE over the run, and each tick's Gauss-Newton iteration count,
-    converged flag and accepted step fraction.
+    log (one `TRACKING_LOG_HEADER` row per step, taken before the step),
+    the position RMSE over the run, and each tick's Gauss-Newton iteration
+    count, converged flag and accepted step fraction.
     """
     if traj.total_time <= 0.0:
         raise ValueError("trajectory must have positive duration")
@@ -392,10 +417,8 @@ def run_tracking(traj, params: VehicleParams, nmpc: NmpcConfig,
     horizon_x = horizon_x.reshape(len(tick_times), nmpc.horizon + 1, 13)
     horizon_u = horizon_u.reshape(len(tick_times), nmpc.horizon + 1, 4)
 
-    x0, r0 = ref_states[0], float(ref_radii[0])
-    state = RigidBodyState(position=x0[0:3], velocity=x0[3:6], quaternion=x0[6:10],
-                           omega=x0[10:13], radius=r0,
-                           servo_angle=params.servo_angle_of_radius(r0))
+    x, radius = ref_states[0].tolist(), float(ref_radii[0])
+    theta = params.servo_angle_of_radius(radius)
 
     force_lp = LowPassFilter(config.force_cutoff_hz, config.control_dt, 3)
     omega_lp = SecondOrderLowPass(config.omega_cutoff_hz, config.sim_dt, 3)
@@ -404,71 +427,58 @@ def run_tracking(traj, params: VehicleParams, nmpc: NmpcConfig,
     warm = None
     f_ext_est = np.zeros(3)
     last_thrusts = np.full(4, params.hover_thrust / 4.0)
-    omega_prev = state.omega.copy()
+    omega_prev = np.array(x[10:13])
 
-    times = np.empty(n_steps)
-    positions = np.empty((n_steps, 3))
-    estimates = np.empty((n_steps, 3))
-    radii = np.empty(n_steps)
     gn_iterations = np.zeros(len(tick_times), dtype=int)
     gn_converged = np.zeros(len(tick_times), dtype=bool)
     gn_step = np.zeros(len(tick_times))
-    log_rows = []
-    sq_err = 0.0
+    rows = []
 
     for k in range(n_steps):
         t = k * config.sim_dt
         wrench = disturbance(t) if disturbance is not None else None
-        model = radius_model(params, state.radius)
+        model = radius_model(params, radius)
 
         if k % ticks_per_control == 0:   # step 0 is a tick, so u_cmd is set before its use
             tick = k // ticks_per_control
-            z_b = state.z_body
+            z_b = quat_to_rot(x[6:10])[:, 2]
             accel = (np.sum(last_thrusts) * z_b
                      + (wrench.force if wrench is not None else 0.0)) / params.mass + GRAVITY
             if config.accel_noise_std > 0.0:
                 accel = accel + rng.normal(scale=config.accel_noise_std, size=3)
             f_ext_est = force_lp.update(estimate_external_force(
                 params.mass, accel, float(np.sum(last_thrusts)), z_b))
-            x13 = np.concatenate([state.position, state.velocity, state.quaternion, state.omega])
-            u_cmd, info = nmpc_solve(x13, horizon_x[tick], horizon_u[tick], nmpc, params, model,
+            u_cmd, info = nmpc_solve(x, horizon_x[tick], horizon_u[tick], nmpc, params, model,
                                      warm_start=warm,
                                      f_ext=f_ext_est if config.force_compensation else np.zeros(3))
             warm = info.inputs
             gn_iterations[tick], gn_converged[tick], gn_step[tick] = \
                 info.iterations, info.converged, info.step
 
-        omega_dot_raw = (state.omega - omega_prev) / config.sim_dt
-        omega_prev = state.omega.copy()
-        omega_dot_f = omega_lp.update(omega_dot_raw)
+        omega = np.array(x[10:13])
+        omega_dot_f = omega_lp.update((omega - omega_prev) / config.sim_dt)
+        omega_prev = omega
         tau_f = model.allocation[1:] @ thrust_lp.update(last_thrusts)
 
         if config.indi:
-            tau_cmd = indi_torque(u_cmd[1:], state.omega, model.inertia, tau_f, omega_dot_f)
+            tau_cmd = indi_torque(u_cmd[1:], omega, model.inertia, tau_f, omega_dot_f)
         else:
             tau_cmd = u_cmd[1:]
 
         thrusts, _ = allocate(u_cmd[0], tau_cmd, model.allocation, params.thrust_min,
                               params.thrust_max)
-        ref_now = ref_states[k]
-        kappa = servo_command(ref_radii[k], state.servo_angle, params, config.servo_rate_limit)
+        kappa = servo_command(ref_radii[k], theta, params, config.servo_rate_limit)
+        rows.append([t, *ref_states[k, 0:3], *x, radius, theta, *f_ext_est, u_cmd[0],
+                     *tau_cmd, *thrusts])
 
-        err = state.position - ref_now[0:3]
-        sq_err += float(err @ err)
-        times[k] = t
-        positions[k] = state.position
-        estimates[k] = f_ext_est
-        radii[k] = state.radius
-        log_rows.append([t, *ref_now[0:3], *state.position, *state.velocity,
-                         *state.quaternion, *state.omega, state.radius,
-                         state.servo_angle, *f_ext_est, u_cmd[0], *tau_cmd, *thrusts])
-
-        state = step(state, thrusts, kappa, wrench, params, config.sim_dt, model=model)
+        x, theta = step(x, theta, thrusts, kappa, wrench, params, config.sim_dt, model=model)
+        radius = params.radius_of_servo_angle(theta)
         last_thrusts = thrusts
 
-    rmse = float(np.sqrt(sq_err / n_steps))
-    return TrackingResult(times=times, positions=positions, force_estimates=estimates,
-                          radii=radii, rmse=rmse, log_rows=log_rows,
+    log = np.array(rows)
+    # summed in step order (np.sum's pairwise order would move the last bits)
+    sq_err = sum(float(e @ e) for e in log[:, 4:7] - log[:, 1:4])
+    return TrackingResult(log=log, rmse=float(np.sqrt(sq_err / n_steps)),
                           gn_iterations=gn_iterations, gn_converged=gn_converged,
                           gn_step=gn_step)
 
@@ -480,7 +490,4 @@ TRACKING_LOG_HEADER = (
 
 
 def write_tracking_csv(result: TrackingResult, path) -> None:
-    with open(path, "w", newline="\n") as fh:
-        fh.write(TRACKING_LOG_HEADER + "\n")
-        for row in result.log_rows:
-            fh.write(",".join(format(v, ".17g") for v in row) + "\n")
+    write_numeric_csv(path, result.log, TRACKING_LOG_HEADER)

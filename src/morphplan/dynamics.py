@@ -11,12 +11,14 @@ in.  `rigid_body_rates` and `rigid_body_step` (RK4 with quaternion
 renormalisation) are the one rigid-body model: they are written once over
 the 13 state components [p, v, q, w] with explicit cross and quaternion
 products, and run either on Python floats (one state) or on numpy rows of
-one shape (a batch).  `step`, the simulator, calls them on floats and also
-integrates the servo angle, which maps affinely back to the radius;
-`controller.nmpc_solve` calls them on floats for its rollouts, recording
-each step's RK stage points, from which `rk4_jacobians` chains the exact
-one-step sensitivities.  The row path is the tests' finite-difference
-oracle for those sensitivities.
+one shape (a batch).  The simulated state is the same 13 components as
+one list of floats, the state row, and nothing more: `step`, the
+simulator, steps the row and integrates the servo angle beside it; its
+caller carries the angle and the radius it maps to affinely, and builds the
+radius model at that radius.  `controller.nmpc_solve` calls them on floats
+for its rollouts, recording each step's RK stage points, from which
+`rk4_jacobians` chains the exact one-step sensitivities.  The row path is
+the tests' finite-difference oracle for those sensitivities.
 
 `LowPassFilter` is the one first-order low-pass: the band-limited noise
 disturbance is filtered by it, and the tracking loop's estimates by it and
@@ -81,26 +83,6 @@ class Wrench:
         self.torque = np.asarray(self.torque, dtype=float).reshape(3)
         if not (np.all(np.isfinite(self.force)) and np.all(np.isfinite(self.torque))):
             raise ValueError("wrench components must be finite")
-
-
-@dataclass(eq=False)
-class RigidBodyState:
-    position: np.ndarray
-    velocity: np.ndarray
-    quaternion: np.ndarray  # (w, x, y, z), world from body
-    omega: np.ndarray       # body frame [rad/s]
-    radius: float
-    servo_angle: float
-
-    def __post_init__(self):
-        self.position = np.asarray(self.position, dtype=float).reshape(3)
-        self.velocity = np.asarray(self.velocity, dtype=float).reshape(3)
-        self.quaternion = np.asarray(self.quaternion, dtype=float).reshape(4)
-        self.omega = np.asarray(self.omega, dtype=float).reshape(3)
-
-    @property
-    def z_body(self) -> np.ndarray:
-        return quat_to_rot(self.quaternion)[:, 2]
 
 
 @dataclass
@@ -180,7 +162,6 @@ def inertia_of(params: VehicleParams, r: float) -> np.ndarray:
 class RadiusModel:
     """The radius-dependent parts of the model at one radius."""
 
-    radius: float
     allocation: np.ndarray   # `allocation_matrix`
     inertia: np.ndarray      # `inertia_of`
     inertia_inv: np.ndarray
@@ -188,7 +169,7 @@ class RadiusModel:
 
 def radius_model(params: VehicleParams, r: float) -> RadiusModel:
     inertia = inertia_of(params, r)
-    return RadiusModel(radius=r, allocation=allocation_matrix(params, r), inertia=inertia,
+    return RadiusModel(allocation=allocation_matrix(params, r), inertia=inertia,
                        inertia_inv=np.linalg.inv(inertia))
 
 
@@ -326,14 +307,17 @@ def rk4_jacobians(stages: list, thrust, mass: float, inertia, inertia_inv,
     return out[:, :, :13], out[:, :, 13:]
 
 
-def step(state: RigidBodyState, thrusts, servo_rate: float, disturbance: Wrench | None,
-         params: VehicleParams, dt: float, model: RadiusModel) -> RigidBodyState:
-    """One RK4 step under constant rotor thrusts and servo rate.
+def step(x, servo_angle: float, thrusts, servo_rate: float, disturbance: Wrench | None,
+         params: VehicleParams, dt: float, model: RadiusModel) -> tuple[list, float]:
+    """One RK4 step of the state row x, 13 floats [p, v, q, w], and the
+    servo angle under constant rotor thrusts and servo rate; returns the
+    next row and angle.
 
-    Thrusts outside the rotor limits are clamped.  The radius, allocation
-    and inertia are held at their start-of-step values, those of `model`,
-    which must be `radius_model`'s at state.radius.  The servo angle
-    integrates the commanded rate and the radius follows the servo map.
+    Thrusts outside the rotor limits are clamped, and the quaternion is
+    renormalised before the step.  The radius, allocation and inertia are
+    held at their start-of-step values, those of `model`: the caller carries
+    the radius, `params.radius_of_servo_angle` of the angle, and builds the
+    model at it.  The servo angle integrates the commanded rate.
     """
     if dt <= 0.0:
         raise ValueError("dt must be positive")
@@ -341,24 +325,17 @@ def step(state: RigidBodyState, thrusts, servo_rate: float, disturbance: Wrench 
     if not np.all(np.isfinite(thrusts)) or not np.isfinite(servo_rate):
         raise ValueError("non-finite control input")
     clamped = np.clip(thrusts, params.thrust_min, params.thrust_max)
-    if model.radius != state.radius:
-        raise ValueError(f"radius model at {model.radius}, state at {state.radius}")
     general = model.allocation @ clamped
     torque = general[1:]
     force = (0.0, 0.0, 0.0)
     if disturbance is not None:
         force = disturbance.force.tolist()
         torque = torque + disturbance.torque
-    q = state.quaternion / np.linalg.norm(state.quaternion)
-    x = np.concatenate([state.position, state.velocity, q, state.omega]).tolist()
-    x_new = rigid_body_step(x, float(general[0]), torque.tolist(), force, params.mass,
-                            model.inertia.tolist(), model.inertia_inv.tolist(), dt)
-    theta = float(np.clip(state.servo_angle + servo_rate * dt, 0.0, np.pi))
-    return RigidBodyState(
-        position=x_new[0:3], velocity=x_new[3:6], quaternion=x_new[6:10],
-        omega=x_new[10:13], radius=params.radius_of_servo_angle(theta),
-        servo_angle=theta,
-    )
+    x = np.asarray(x, dtype=float).reshape(13)
+    x = np.concatenate([x[0:6], x[6:10] / np.linalg.norm(x[6:10]), x[10:13]]).tolist()
+    x_next = rigid_body_step(x, float(general[0]), torque.tolist(), force, params.mass,
+                             model.inertia.tolist(), model.inertia_inv.tolist(), dt)
+    return x_next, float(np.clip(servo_angle + servo_rate * dt, 0.0, np.pi))
 
 
 def power(thrust, radius, params: VehicleParams):

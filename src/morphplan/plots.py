@@ -130,7 +130,7 @@ def plot_input_file(path, out_dir):
     if header.startswith("t,x"):
         from .trajectory import read_sample_csv
 
-        times, data = _checked(path, *read_sample_csv(path))
+        times, data = read_sample_csv(path)
         plot_topdown(times, data, out / f"{stem}_topdown.svg")
         plot_series(times, data, out / f"{stem}_series.svg")
         return [out / f"{stem}_topdown.svg", out / f"{stem}_series.svg"]

@@ -67,6 +67,7 @@ import numpy as np
 from .esdf import bounding_box, nodes_at_least, points_in_bounds, query_distance_many
 from .fields import check_field_types
 from .traj_opt import OptProblem
+from .trajectory import write_numeric_csv
 
 log = logging.getLogger(__name__)
 
@@ -550,7 +551,4 @@ def write_path_csv(result: SearchResult, path) -> None:
     the final row)."""
     t = np.cumsum([0.0, *result.durations])
     rows = np.hstack([t[:, None], result.states, np.vstack([result.controls, np.zeros((1, 4))])])
-    with open(path, "w", newline="\n") as fh:
-        fh.write("t,x,y,z,r,vx,vy,vz,vr,ux,uy,uz,ur\n")
-        for row in rows.tolist():
-            fh.write(",".join(format(v, ".17g") for v in row) + "\n")
+    write_numeric_csv(path, rows, "t,x,y,z,r,vx,vy,vz,vr,ux,uy,uz,ur")

@@ -19,6 +19,8 @@ N_COEF = 6  # degree 5
 N_CHANNELS = 4
 EXPORT_HZ = 100.0  # rate of the sample export and of the energy integral's grid
 DUMP_ORDER = 3  # minimum-jerk order s, the second number of a coefficient dump's header
+# the sample export's columns: time, then each channel's value and first three derivatives
+SAMPLE_COLUMNS = ["t"] + [tag + ch for tag in ("", "d", "dd", "ddd") for ch in "xyzr"]
 
 _FACT = np.ones((N_COEF, N_COEF))
 for _d in range(1, N_COEF):
@@ -185,20 +187,19 @@ def fixed_rate_times(total_time: float) -> np.ndarray:
     return times
 
 
+def write_numeric_csv(path, rows, header: str) -> None:
+    """The one writer of the numeric CSV outputs: the header line, then each
+    row's values at 17 significant digits, which read back exactly."""
+    np.savetxt(path, rows, fmt="%.17g", delimiter=",", header=header, comments="")
+
+
 def write_sample_csv(traj: PiecewiseTrajectory, path) -> None:
     """Export at `EXPORT_HZ` (`fixed_rate_times`) with value and first three
     derivatives per channel."""
     times = fixed_rate_times(traj.total_time)
     data = traj.sample(times, orders=(0, 1, 2, 3))
-    header = ["t"]
-    for tag in ("", "d", "dd", "ddd"):
-        for ch in ("x", "y", "z", "r"):
-            header.append(tag + ch)
-    with open(path, "w", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
-        for j, t in enumerate(times):
-            row = [t] + [data[j, oi, ch] for oi in range(4) for ch in range(4)]
-            fh.write(",".join(format(v, ".17g") for v in row) + "\n")
+    write_numeric_csv(path, np.hstack([times[:, None], data.reshape(len(times), 16)]),
+                      ",".join(SAMPLE_COLUMNS))
 
 
 def write_coeff_dump(traj: PiecewiseTrajectory, path) -> None:
@@ -211,29 +212,31 @@ def write_coeff_dump(traj: PiecewiseTrajectory, path) -> None:
 
 
 def read_coeff_dump(path) -> PiecewiseTrajectory:
+    """Read a `write_coeff_dump` file back.  ValueError unless it holds the
+    header (a positive piece count m and the order) and then exactly m
+    pieces of a duration and the coefficients, all finite."""
     with open(path) as fh:
-        tokens = fh.read().split()
-    it = iter(tokens)
-    m = int(next(it))
-    if int(next(it)) != DUMP_ORDER:
+        values = np.array(fh.read().split(), dtype=float)
+    per_piece = 1 + N_COEF * N_CHANNELS
+    if len(values) >= 2 and values[1] != DUMP_ORDER:
         raise ValueError(f"coefficient dump {path} is not of order {DUMP_ORDER}")
-    durations = np.empty(m)
-    coeffs = np.empty((m, N_COEF, N_CHANNELS))
-    for i in range(m):
-        durations[i] = float(next(it))
-        for a in range(N_COEF):
-            for b in range(N_CHANNELS):
-                coeffs[i, a, b] = float(next(it))
-    return PiecewiseTrajectory(durations=durations, coeffs=coeffs)
+    m = (len(values) - 2) // per_piece
+    if not (m >= 1 and values[0] == m and len(values) == 2 + m * per_piece):
+        raise ValueError(f"coefficient dump {path} does not hold the pieces its header counts")
+    if not np.all(np.isfinite(values)):
+        raise ValueError(f"a value in coefficient dump {path} is not finite")
+    pieces = values[2:].reshape(m, per_piece)
+    return PiecewiseTrajectory(durations=pieces[:, 0], coeffs=pieces[:, 1:])
 
 
 def read_sample_csv(path):
-    """Read a fixed-rate trajectory export back as (times, data (N, 4, 4))."""
-    raw = np.genfromtxt(path, delimiter=",", names=True)
-    times = np.atleast_1d(raw["t"])
-    cols = []
-    for tag in ("", "d", "dd", "ddd"):
-        for ch in ("x", "y", "z", "r"):
-            cols.append(np.atleast_1d(raw[tag + ch]))
-    data = np.stack(cols, axis=1).reshape(len(times), 4, 4)
-    return times, data
+    """Read a fixed-rate trajectory export back as (times, data (N, 4, 4)).
+    A missing column, a row that does not parse, a value that is not finite
+    or no rows raise ValueError."""
+    raw = np.atleast_1d(np.genfromtxt(path, delimiter=",", names=True))
+    data = np.stack([raw[c] for c in SAMPLE_COLUMNS], axis=1)
+    if len(data) == 0:
+        raise ValueError(f"no rows in {path}")
+    if not np.isfinite(data).all():
+        raise ValueError(f"a value in {path} is not finite")
+    return data[:, 0], data[:, 1:].reshape(len(data), 4, 4)

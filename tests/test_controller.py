@@ -15,6 +15,7 @@ from morphplan.controller import (
     nmpc_solve,
     run_tracking,
     servo_command,
+    TRACKING_LOG_HEADER,
     write_tracking_csv,
 )
 from morphplan.dynamics import (
@@ -458,7 +459,7 @@ class TestRunTracking:
         params = vehicle_params()
         for k, t in enumerate(result.times):
             x_ref, _, _ = reference_at(fig8_traj, t, params)
-            assert result.log_rows[k][1:4] == x_ref[0:3].tolist()
+            assert result.log[k, 1:4].tolist() == x_ref[0:3].tolist()
 
     def test_force_estimate_converges_in_closed_loop(self):
         params = vehicle_params()
@@ -490,8 +491,18 @@ class TestRunTracking:
         path = tmp_path / "log.csv"
         write_tracking_csv(result, path)
         lines = path.read_text().splitlines()
-        assert lines[0].startswith("t,ref_x")
-        assert len(lines) == len(result.log_rows) + 1
+        assert lines[0] == TRACKING_LOG_HEADER
+        assert len(lines) == len(result.log) + 1
+        back = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+        assert np.array_equal(back, result.log)
+        # the arrays the benchmark reads are the log's columns of those names
+        col = TRACKING_LOG_HEADER.split(",").index
+        assert back.shape[1] == len(TRACKING_LOG_HEADER.split(","))
+        assert np.array_equal(result.times, back[:, col("t")])
+        assert np.array_equal(result.positions, back[:, [col("x"), col("y"), col("z")]])
+        assert np.array_equal(result.radii, back[:, col("r")])
+        assert np.array_equal(result.force_estimates,
+                              back[:, [col("fext_x"), col("fext_y"), col("fext_z")]])
 
 
 @pytest.mark.parametrize("seed", [101, 1601, 1811, 7, 42])

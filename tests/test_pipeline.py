@@ -228,6 +228,36 @@ def test_cli_plot_rejects_malformed_input(tmp_path, name, text):
     assert not list(tmp_path.glob("*.svg"))
 
 
+SAMPLE_HEADER = "t,x,y,z,r,dx,dy,dz,dr,ddx,ddy,ddz,ddr,dddx,dddy,dddz,dddr\n"
+
+
+@pytest.mark.parametrize("name", ["empty.txt", "header_only.csv", "nan.csv", "inf.csv",
+                                  "truncated.txt", "trailing.txt", "nan_dump.txt"])
+def test_cli_rejects_malformed_trajectory_files(tmp_path, name):
+    """`simulate` exits 5 and `plot` exits 1, neither raising, on a trajectory
+    file that is empty, holds no rows, a NaN or an infinite value, or is a
+    coefficient dump with fewer or more numbers than its header counts, or a
+    NaN."""
+    path = tmp_path / name
+    write_coeff_dump(hover(), tmp_path / "dump.txt")
+    dump = (tmp_path / "dump.txt").read_text()
+    path.write_text({
+        "empty.txt": "",
+        "header_only.csv": SAMPLE_HEADER,
+        "nan.csv": SAMPLE_HEADER + "0" + ",0" * 15 + ",nan\n",
+        "inf.csv": SAMPLE_HEADER + "0" + ",0" * 9 + ",inf" + ",0" * 6 + "\n",
+        "truncated.txt": "2 3\n1.0\n1 2 3 4\n",
+        "trailing.txt": dump + "0\n",
+        "nan_dump.txt": "1 3\nnan\n" + "0 0 0 0\n" * 6,
+    }[name])
+    out = tmp_path / "out"
+    assert cli.main(["simulate", str(SCENARIOS / "empty.json"), str(path), "-o", str(out)]) \
+        == cli.EXIT_SIMULATION
+    assert not (out / "tracking_log.csv").exists()
+    assert cli.main(["plot", str(path), "-o", str(out)]) == cli.EXIT_PARSE
+    assert not list(out.glob("*.svg"))
+
+
 def test_cli_plot_draws_20_footprints_800_px_wide(tmp_path, fig8_traj):
     write_sample_csv(fig8_traj, tmp_path / "fig8.csv")
     assert cli.main(["plot", str(tmp_path / "fig8.csv"), "-o", str(tmp_path)]) == 0

@@ -9,6 +9,7 @@ from morphplan.trajectory import (
     read_coeff_dump,
     read_sample_csv,
     write_coeff_dump,
+    write_numeric_csv,
     write_sample_csv,
 )
 
@@ -198,6 +199,22 @@ class TestIo:
         p.write_text("\n".join([f"{traj.n_pieces} 5"] + lines[1:]))
         with pytest.raises(ValueError):
             read_coeff_dump(p)
+
+    def test_numeric_csv_writes_each_value_at_17_digits(self, tmp_path):
+        """The one CSV writer prints each value as format(v, ".17g") does, over
+        600 decades and on signed zeros, a subnormal, infinities and NaN, and
+        reads back exactly."""
+        rng = np.random.default_rng(5)
+        rows = rng.normal(size=(200, 4)) * 10.0 ** rng.integers(-300, 300, size=(200, 4))
+        rows[0] = [0.0, -0.0, 5e-324, np.inf]
+        rows[1, :2] = [-np.inf, np.nan]
+        p = tmp_path / "rows.csv"
+        write_numeric_csv(p, rows, "a,b,c,d")
+        lines = ["a,b,c,d"] + [",".join(format(v, ".17g") for v in row) for row in rows.tolist()]
+        assert p.read_text() == "\n".join(lines) + "\n"
+        back = np.loadtxt(p, delimiter=",", skiprows=1)
+        assert np.array_equal(back, rows, equal_nan=True)
+        assert np.array_equal(np.signbit(back), np.signbit(rows))
 
     def test_sample_csv(self, tmp_path):
         traj = fit_min_jerk(np.zeros((0, 4)), [2.0], rest(np.zeros(4)), rest(np.array([1.0, 0, 0, 0.2])))
