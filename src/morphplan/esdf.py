@@ -76,6 +76,7 @@ import logging
 import math
 import time
 from dataclasses import dataclass, field as _field
+from functools import cached_property
 
 import numpy as np
 
@@ -339,46 +340,63 @@ def _interp(field: EsdfField, points: np.ndarray, want_grad: bool):
     lo, hi = field.lower[:, None], field.upper[:, None]
     res = grid.resolution
     dims = grid.dims
-    # one row per axis, so that every step runs along the points
+    # one row per axis, so that every step runs along the points; steps run
+    # in place where they can, which saves allocations and changes no result
     p = pts.T.copy()
-    q = np.clip(p, lo, hi)
+    # np.clip clamps to the same values, but for the sign of a zero that
+    # lands on a bound, which neither out_vec's test nor u below can see
+    q = np.maximum(p, lo)
+    np.minimum(q, hi, out=q)
     out_vec = p - q
 
-    u = (q - lo) / res - 0.5
+    u = q
+    u -= lo
+    u /= res
+    u -= 0.5
     i0 = np.floor(u)
-    on_face = (u == i0) & (i0 >= 1.0)  # face tie-break: take the left cell
-    i0 = np.where(on_face, i0 - 1.0, i0)
-    i0 = np.clip(i0, 0.0, np.maximum(dims - 2.0, 0.0)[:, None])
-    f = u - i0
+    # face tie-break: take the left cell
+    np.subtract(i0, 1.0, out=i0, where=(u == i0) & (i0 >= 1.0))
+    # i0 holds whole numbers, none of them -0, so the bounds clip it exactly
+    np.maximum(i0, 0.0, out=i0)
+    np.minimum(i0, np.maximum(dims - 2.0, 0.0)[:, None], out=i0)
+    f = u
+    f -= i0
 
     strides = np.array([dims[1] * dims[2], dims[2], 1])
     offsets = _CORNERS @ (np.minimum(dims - 1, 1) * strides)  # (8,)
     base = strides @ i0.astype(np.int64)
     vals = np.ravel(field.distance).take(base + offsets[:, None])  # (8, N)
     # per axis, the (2, N) weights of the lower and the upper corner
-    wx, wy, wz = np.stack([1.0 - f, f], axis=1)
+    wx, wy, wz = w = np.empty((3, 2, len(base)))
+    np.subtract(1.0, f, out=w[:, 0])
+    w[:, 1] = f
     wxy = wx[:, None] * wy[None, :]  # (2, 2, N)
-    weights = wxy[:, :, None] * wz[None, None, :]  # (2, 2, 2, N)
-    values = _pairwise_sum8(vals * weights.reshape(8, -1))
+    terms = np.empty((2, 2, 2, len(base)))
+    np.multiply(wxy[:, :, None], wz[None, None, :], out=terms)  # the corner weights
+    terms = terms.reshape(8, -1)
+    terms *= vals
+    values = _pairwise_sum8(terms)
 
     grads = None
     if want_grad:
-        grads = np.empty_like(p)
-        corner_vals = vals.reshape(2, 2, 2, -1)
-        # the product of the other two axes' weights, broadcast over this axis' bit
-        w_other = (wy[:, None] * wz[None, :],
-                   (wx[:, None] * wz[None, :])[:, None],
-                   wxy[:, :, None])
-        for ax in range(3):
-            terms = corner_vals * _CORNER_SIGNS[ax] * w_other[ax]
-            grads[ax] = _pairwise_sum8(terms.reshape(8, -1)) / res
+        # per axis, the product of the other two axes' weights, broadcast
+        # over this axis' bit
+        w_other = np.empty((3, 2, 2, 2, len(base)))
+        w_other[0] = wy[:, None] * wz[None, :]
+        w_other[1] = (wx[:, None] * wz[None, :])[:, None]
+        w_other[2] = wxy[:, :, None]
+        terms = vals.reshape(2, 2, 2, -1) * _CORNER_SIGNS * w_other
+        grads = _pairwise_sum8(terms.reshape(3, 8, -1).transpose(1, 0, 2)) / res
 
-    excursion = np.linalg.norm(out_vec, axis=0)
-    values = values - excursion
+    # beyond the map only: inside, the excursion and its gradient are zero
+    if out_vec.any():
+        excursion = np.linalg.norm(out_vec, axis=0)
+        values = values - excursion
+        if want_grad:
+            grads[out_vec != 0.0] = 0.0
+            outside = excursion > 0.0
+            grads[:, outside] -= out_vec[:, outside] / excursion[outside]
     if want_grad:
-        grads[out_vec != 0.0] = 0.0
-        outside = excursion > 0.0
-        grads[:, outside] -= out_vec[:, outside] / excursion[outside]
         grads = np.ascontiguousarray(grads.T)
     return values, grads
 
@@ -422,6 +440,18 @@ class BodyGeometry:
             reach = np.maximum(reach, np.max(np.linalg.norm(self.attachments, axis=1)))
         return reach
 
+    @cached_property
+    def _layout(self):
+        """The sample layout, built once per body: the radial direction
+        (S, 3) of every sample (zero on attachments, read-only) and the ring
+        height of each cylinder sample."""
+        ang = 2.0 * np.pi * np.arange(self.n_theta) / self.n_theta
+        zs = -0.5 * self.height + self.height * np.arange(self.n_l + 1) / self.n_l
+        dir_xy = np.stack([np.cos(ang), np.sin(ang), np.zeros_like(ang)], axis=1)
+        radial = np.vstack([np.repeat(dir_xy, len(zs), axis=0), np.zeros_like(self.attachments)])
+        radial.flags.writeable = False
+        return radial, np.tile(zs, self.n_theta)
+
     def surface_points(self, centers: np.ndarray, radii: np.ndarray):
         """World sample points (B, S, 3) of the hull at centers (B, 3) with
         radii (B,), and the radial direction (S, 3) of each sample (the unit
@@ -430,15 +460,11 @@ class BodyGeometry:
         A cylinder sample's x and y are center + direction * radius and its z
         is center_z + ring height; an attachment sits at center + offset.
         """
-        ang = 2.0 * np.pi * np.arange(self.n_theta) / self.n_theta
-        zs = -0.5 * self.height + self.height * np.arange(self.n_l + 1) / self.n_l
-        dir_xy = np.stack([np.cos(ang), np.sin(ang), np.zeros_like(ang)], axis=1)
-        radial = np.repeat(dir_xy, len(zs), axis=0)  # (n_theta * (n_l + 1), 3)
-        pts = centers[:, None, :] + radial[None, :, :] * radii[:, None, None]
-        pts[:, :, 2] = centers[:, None, 2] + np.tile(zs, self.n_theta)[None, :]
+        radial, ring_z = self._layout
+        pts = centers[:, None, :] + radial[None, :len(ring_z)] * radii[:, None, None]
+        pts[:, :, 2] = centers[:, None, 2] + ring_z[None, :]
         if len(self.attachments):
             pts = np.concatenate([pts, centers[:, None, :] + self.attachments[None, :, :]], axis=1)
-            radial = np.vstack([radial, np.zeros_like(self.attachments)])
         return pts, radial
 
 

@@ -34,9 +34,9 @@ from .trajectory import (
     N_COEF,
     MinJerkSystem,
     PiecewiseTrajectory,
+    basis_rows,
     jerk_energy,
-    jerk_energy_matrix,
-    poly_basis,
+    jerk_energy_matrices,
 )
 
 log = logging.getLogger(__name__)
@@ -214,6 +214,11 @@ def _hinge(g):
     return gp**3, 3.0 * gp**2
 
 
+# the derivative order of the end row that each of a junction's duration rows
+# (its waypoint row, then continuity of orders 0..4) differentiates to
+_JUNCTION_ORDERS = [1, 1, 2, 3, 4, 5]
+
+
 def objective_and_gradient(waypoints, durations, problem: OptProblem):
     """Penalized objective and its exact gradients.
 
@@ -234,7 +239,7 @@ def objective_and_gradient(waypoints, durations, problem: OptProblem):
     total = 0.0
 
     # jerk energy of all channels, closed form
-    qms = np.stack([jerk_energy_matrix(t) for t in t_vec])
+    qms = jerk_energy_matrices(t_vec)
     for i in range(m):
         total += float(np.einsum("ac,ab,bc->", coeffs[i], qms[i], coeffs[i]))
     grad_c += 2.0 * qms @ coeffs
@@ -250,18 +255,27 @@ def objective_and_gradient(waypoints, durations, problem: OptProblem):
     frac = (np.arange(kappa) + 0.5) / kappa
     w_quad = t_vec / kappa
     ts = frac[None, :] * t_vec[:, None]
-    b0, b1, b2, b3 = (poly_basis(ts, k) for k in range(4))  # (M, kappa, 6)
-    sig0, sig1, sig2, sig3 = (b @ coeffs for b in (b0, b1, b2, b3))  # (M, kappa, 4)
+    basis = basis_rows(ts, range(4))  # (4, M, kappa, 6)
+    b0, b1, b2, b3 = basis
+    sig0, sig1, sig2, sig3 = basis @ coeffs  # (M, kappa, 4) each
     # per term, the pieces it is active on and each one's share of the total
     shares = []
+
+    def hinge(g):
+        """The cubic hinge on g (M, kappa), its derivative and the pieces
+        where it is positive; None where it is zero everywhere, which adds
+        no term.  g <= 0 everywhere is told by one pass over g."""
+        if g.max() <= 0.0:
+            return None
+        pen, dpen = _hinge(g)
+        active = pen.any(axis=1)
+        return (pen, dpen, active) if active.any() else None
 
     def add_term(active, val, dval_dsig, basis, chan, dval_dt_direct):
         """On the active pieces: sum of val_j * w_quad with dval/dsig chained
         through the basis; dval_dt_direct is dval/dt along the trajectory
         (coefficients fixed), covering the sample-position dependence on T_i."""
-        idx = np.flatnonzero(active)
-        if not idx.size:
-            return
+        idx = slice(None) if active.all() else np.flatnonzero(active)
         wq = w_quad[idx]
         grad_c[idx, :, chan] += (wq[:, None, None] * basis[idx].transpose(0, 2, 1)) @ dval_dsig[idx]
         val_sum = val[idx].sum(axis=1)
@@ -270,10 +284,6 @@ def objective_and_gradient(waypoints, durations, problem: OptProblem):
         share = np.zeros(m)
         share[idx] = val_sum * wq
         shares.append((active, share))
-
-    def hinge(g):
-        pen, dpen = _hinge(g)
-        return pen, dpen, pen.any(axis=1)
 
     w_dyn = problem.w_dynamics
     # radius regularization (integrated shrink cost)
@@ -287,15 +297,17 @@ def objective_and_gradient(waypoints, durations, problem: OptProblem):
     # velocity bound
     v = sig1[..., :3]
     a = sig2[..., :3]
-    pen, dpen, active = hinge(np.einsum("mkj,mkj->mk", v, v) - problem.v_max**2)
-    if active.any():
+    term = hinge(np.einsum("mkj,mkj->mk", v, v) - problem.v_max**2)
+    if term:
+        pen, dpen, active = term
         gdot = 2.0 * np.einsum("mkj,mkj->mk", v, a)
         add_term(active, w_dyn * pen, w_dyn * dpen[..., None] * 2.0 * v, b1, _XYZ,
                  w_dyn * dpen * gdot)
 
     # acceleration bound
-    pen, dpen, active = hinge(np.einsum("mkj,mkj->mk", a, a) - problem.a_max**2)
-    if active.any():
+    term = hinge(np.einsum("mkj,mkj->mk", a, a) - problem.a_max**2)
+    if term:
+        pen, dpen, active = term
         gdot = 2.0 * np.einsum("mkj,mkj->mk", a, sig3[..., :3])
         add_term(active, w_dyn * pen, w_dyn * dpen[..., None] * 2.0 * a, b2, _XYZ,
                  w_dyn * dpen * gdot)
@@ -303,20 +315,23 @@ def objective_and_gradient(waypoints, durations, problem: OptProblem):
     if not problem.radius_frozen:
         # deformation rate bound
         rdd = sig2[..., 3]
-        pen, dpen, active = hinge(rdot**2 - problem.radius_rate_max**2)
-        if active.any():
+        term = hinge(rdot**2 - problem.radius_rate_max**2)
+        if term:
+            pen, dpen, active = term
             add_term(active, w_dyn * pen, (w_dyn * dpen * 2.0 * rdot)[..., None], b1, _R,
                      w_dyn * dpen * 2.0 * rdot * rdd)
         # deformation acceleration bound
-        pen, dpen, active = hinge(rdd**2 - problem.radius_acc_max**2)
-        if active.any():
+        term = hinge(rdd**2 - problem.radius_acc_max**2)
+        if term:
+            pen, dpen, active = term
             rddd = sig3[..., 3]
             add_term(active, w_dyn * pen, (w_dyn * dpen * 2.0 * rdd)[..., None], b2, _R,
                      w_dyn * dpen * 2.0 * rdd * rddd)
         # radius box bounds
         for sign, bound in ((1.0, r_max), (-1.0, r_min)):
-            pen, dpen, active = hinge(sign * (r - bound))
-            if active.any():
+            term = hinge(sign * (r - bound))
+            if term:
+                pen, dpen, active = term
                 add_term(active, w_dyn * pen, (w_dyn * dpen * sign)[..., None], b0, _R,
                          w_dyn * dpen * sign * rdot)
 
@@ -326,19 +341,15 @@ def objective_and_gradient(waypoints, durations, problem: OptProblem):
     # constraint, and the buffer absorbs that so the true margin still verifies.
     dist, gpos, grad = clearance_batch(problem.field, sig0[..., :3].reshape(-1, 3),
                                        r.reshape(-1), problem.body)
-    dist = dist.reshape(m, kappa)
-    gpos = gpos.reshape(m, kappa, 3)
-    grad = grad.reshape(m, kappa)
-    pen, dpen, active = hinge(problem.d_margin + problem.clearance_buffer - dist)
-    if active.any():
-        w_cl = problem.w_clearance
-        dg_dr = -grad if not problem.radius_frozen else np.zeros_like(grad)
+    term = hinge(problem.d_margin + problem.clearance_buffer - dist.reshape(m, kappa))
+    if term:
+        pen, dpen, active = term
+        gpos = gpos.reshape(m, kappa, 3)
+        wd = problem.w_clearance * dpen
+        dg_dr = -grad.reshape(m, kappa) if not problem.radius_frozen else np.zeros((m, kappa))
         gdot = -np.einsum("mkj,mkj->mk", gpos, v) + dg_dr * rdot
-        dval_dsig = np.concatenate([
-            w_cl * dpen[..., None] * -gpos,
-            (w_cl * dpen * dg_dr)[..., None],
-        ], axis=-1)
-        add_term(active, w_cl * pen, dval_dsig, b0, _XYZR, w_cl * dpen * gdot)
+        dval_dsig = np.concatenate([wd[..., None] * -gpos, (wd * dg_dr)[..., None]], axis=-1)
+        add_term(active, problem.w_clearance * pen, dval_dsig, b0, _XYZR, wd * gdot)
 
     # the shares join the total piece by piece, each piece's terms in the
     # order above, so the total's rounding does not depend on the batching
@@ -353,13 +364,21 @@ def objective_and_gradient(waypoints, durations, problem: OptProblem):
     grad_q[:, chan] = lam[system.waypoint_rows]
 
     # d(matrix)/dT_i: each duration row's entries are basis rows of order d
-    # at T_i, so their derivative is the order d + 1 row at the piece's end
+    # at T_i, so their derivative is the order d + 1 row at the piece's end.
+    # Junction i owns rows 3 + 6i .. 8 + 6i (signs +, -, -, -, -, -) and the
+    # last piece the final 3 rows (signs +).  Each dot product reads a row
+    # of lam in place: BLAS rounds a strided row differently than a
+    # contiguous copy.  The rows' terms add in row order.
     sig_end = (system.end_rows[:, :, None, :] @ coeffs[:, None, :, chan])[:, :, 0]  # (M, 6, C)
-    for i in range(m):
-        acc = 0.0
-        for row, d, sign in system.duration_rows(i):
-            acc += sign * float(lam[row] @ sig_end[i, d + 1])
-        grad_t[i] -= acc
+    n = m * N_COEF
+    rows = lam[3:n - 3].reshape(m - 1, N_COEF, 1, lam.shape[1])
+    dots = (rows @ sig_end[:-1, _JUNCTION_ORDERS, :, None])[..., 0, 0]  # (M - 1, 6)
+    acc = 0.0 + dots[:, 0]
+    for k in range(1, N_COEF):
+        acc -= dots[:, k]
+    grad_t[:-1] -= acc
+    end = (lam[n - 3:, None, :] @ sig_end[-1, 1:4, :, None])[:, 0, 0].tolist()
+    grad_t[-1] -= ((0.0 + end[0]) + end[1]) + end[2]
 
     grad_tau = grad_t * t_vec
     return float(total), grad_q, grad_tau
@@ -371,7 +390,7 @@ def _exact_sorr(traj: PiecewiseTrajectory, r_max: float) -> float:
     for i in range(traj.n_pieces):
         ti = traj.durations[i]
         ts = 0.5 * ti * (_GAUSS_X + 1.0)
-        r = poly_basis(ts, 0) @ traj.coeffs[i][:, 3]
+        r = basis_rows(ts, (0,))[0] @ traj.coeffs[i][:, 3]
         shrink = (r - r_max) / r_max
         total += 0.5 * ti * float(_GAUSS_W @ shrink**2)
     return total
@@ -394,7 +413,7 @@ def verify_trajectory(traj: PiecewiseTrajectory, problem: OptProblem) -> dict:
     batch; each residual is a max, so its value does not depend on how the
     samples are grouped."""
     ts = np.linspace(0.0, traj.durations, 4 * problem.kappa, axis=1)  # (M, 4 kappa)
-    sig0, sig1, sig2 = (poly_basis(ts, k) @ traj.coeffs for k in range(3))  # (M, 4 kappa, 4)
+    sig0, sig1, sig2 = basis_rows(ts, range(3)) @ traj.coeffs  # (M, 4 kappa, 4) each
     r = sig0[..., 3]
     dist, _, _ = clearance_batch(problem.field, sig0[..., :3].reshape(-1, 3), r.reshape(-1),
                                  problem.body)

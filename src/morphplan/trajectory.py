@@ -2,18 +2,31 @@
 (x, y, z, r), and the minimum-jerk construction that maps interior
 waypoints plus per-piece durations to coefficients.
 
-The construction solves one banded linear system per channel: boundary
-value/velocity/acceleration rows, a waypoint row per interior junction and
-derivative-continuity rows up to order 4 (the minimum-jerk class is C^4 at
-junctions, which comfortably covers the required C^2).
+The construction is one dense (6M x 6M) linear system for M pieces, the
+same for every channel: boundary value/velocity/acceleration rows, a
+waypoint row per interior junction and derivative-continuity rows up to
+order 4 (the minimum-jerk class is C^4 at junctions, which comfortably
+covers the required C^2).  `MinJerkSystem` factors it once with LAPACK's
+LU and solves all channels as the columns of one right-hand side.
+
+The basis and Gram helpers are batched, and exact: `basis_rows` equals the
+per-order formula `_FACT[d, k] * t ** (k - d)` (0 for k < d) bit for bit,
+each order's rows as a C-contiguous array of their own, and
+`jerk_energy_matrices` equals the per-piece closed form of the jerk Gram
+matrix, term by term as scalar arithmetic.  Both matter: the optimizer
+carries any last-bit change into the planned trajectory, and a matrix
+product can round differently on a strided operand than on a contiguous
+one.
 """
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import lu_factor, lu_solve
+from scipy.linalg import LinAlgWarning
+from scipy.linalg.lapack import dgetrf, dgetrs
 
 N_COEF = 6  # degree 5
 N_CHANNELS = 4
@@ -28,17 +41,34 @@ for _d in range(1, N_COEF):
         _FACT[_d, _k] = _FACT[_d - 1, _k] * (_k - _d + 1)
 
 
-def poly_basis(t, order: int) -> np.ndarray:
-    """Basis row(s) of the order-th derivative of [1, t, ..., t^5] at time t."""
+# the Gram matrix's nonzero block: (factor, power) of each entry (a, b) of
+# rows and columns 3..5, row by row
+_GRAM_TERMS = [(float(_FACT[3, a] * _FACT[3, b]), a + b - 5)
+               for a in range(3, N_COEF) for b in range(3, N_COEF)]
+
+
+def basis_rows(t, orders) -> np.ndarray:
+    """Basis rows (len(orders),) + t.shape + (6,) of the derivatives of the
+    given orders of [1, t, ..., t^5] at the time(s) t; each order's block is
+    C-contiguous.
+
+    One power table serves every order: t ** e for e = 0..5 after five
+    zero columns, so that order d's row is `_FACT[d]` times the table's
+    columns 5 - d .. 10 - d, which hold t ** (k - d), or 0 for k < d."""
     t = np.asarray(t, dtype=float)
-    out = np.zeros(t.shape + (N_COEF,))
-    for k in range(order, N_COEF):
-        out[..., k] = _FACT[order, k] * t ** (k - order)
+    table = np.zeros(t.shape + (2 * N_COEF - 1,))
+    powers = table[..., N_COEF - 1:]
+    np.power(t[..., None], np.arange(N_COEF), out=powers)
+    # `t ** 2` squares, where the power kernel can round differently
+    powers[..., 2] = t ** 2
+    out = np.empty((len(orders),) + t.shape + (N_COEF,))
+    for rows, d in zip(out, orders):
+        np.multiply(_FACT[d], table[..., N_COEF - 1 - d:2 * N_COEF - 1 - d], out=rows)
     return out
 
 
 # basis rows of orders 0..4 at t = 0
-_START_ROWS = np.stack([poly_basis(0.0, d) for d in range(5)])
+_START_ROWS = basis_rows(0.0, range(5))
 
 
 @dataclass(eq=False)
@@ -84,7 +114,7 @@ class PiecewiseTrajectory:
         coeffs = self.coeffs[i]
         # a (1, 6) @ (6, 4) product per sample and order: one basis row times the
         # piece's coefficients, as the tests' per-time oracle computes it
-        return np.concatenate([poly_basis(tau, order)[:, None, :] @ coeffs for order in orders],
+        return np.concatenate([rows[:, None, :] @ coeffs for rows in basis_rows(tau, orders)],
                               axis=1)
 
 
@@ -101,7 +131,7 @@ class MinJerkSystem:
         self.n_pieces = m
         n = N_COEF * m
         # basis rows of orders 0..5 at each piece's end (M, 6, 6)
-        ends = np.stack([poly_basis(self.durations, d) for d in range(N_COEF)], axis=1)
+        ends = np.ascontiguousarray(basis_rows(self.durations, range(N_COEF)).swapaxes(0, 1))
         self.end_rows = ends
         mat = np.zeros((n, n))
         mat[:3, :N_COEF] = _START_ROWS[:3]
@@ -114,7 +144,7 @@ class MinJerkSystem:
         junctions[k, 1:, k + 1] = _START_ROWS
         mat[n - 3:, N_COEF * (m - 1):] = ends[-1, :3]
         self.waypoint_rows = 3 + N_COEF * k
-        self._lu = lu_factor(mat)
+        self._lu = _lu_factor(mat)
 
     def solve(self, waypoints, boundary_start, boundary_end) -> np.ndarray:
         """waypoints (M-1, C), boundary_* (3, C) value/velocity/acceleration
@@ -128,24 +158,42 @@ class MinJerkSystem:
         rhs[:3] = b0
         rhs[self.waypoint_rows] = waypoints
         rhs[-3:] = b1
-        coef = lu_solve(self._lu, rhs)
+        coef = _lu_solve(self._lu, rhs, trans=0)
         return coef.reshape(m, N_COEF, n_ch)
 
     def adjoint(self, grad_coeffs: np.ndarray) -> np.ndarray:
         """Solve matrix^T lam = grad for gradient backpropagation."""
         m = self.n_pieces
         g = np.asarray(grad_coeffs, dtype=float).reshape(N_COEF * m, -1)
-        return lu_solve(self._lu, g, trans=1)
+        return _lu_solve(self._lu, g, trans=1)
 
-    def duration_rows(self, i: int):
-        """(row, derivative order, sign) triples whose entries depend on T_i."""
-        m = self.n_pieces
-        if i < m - 1:
-            base = 3 + 6 * i
-            rows = [(base, 0, 1.0)]
-            rows += [(base + 1 + d, d, -1.0) for d in range(5)]
-            return rows
-        return [(N_COEF * m - 3 + d, d, 1.0) for d in range(3)]
+
+def _finite(a: np.ndarray) -> np.ndarray:
+    """`a`, checked as scipy checks a LAPACK input: no inf, no NaN."""
+    if not np.isfinite(a).all():
+        raise ValueError("array must not contain infs or NaNs")
+    return a
+
+
+def _lu_factor(mat: np.ndarray):
+    """scipy.linalg.lu_factor without its wrappers: LAPACK's getrf, the
+    routine it calls, with its checks and its singular-matrix warning."""
+    lu, piv, info = dgetrf(_finite(mat))
+    if info < 0:
+        raise ValueError(f"illegal value in argument {-info} of getrf")
+    if info > 0:
+        warnings.warn(f"Diagonal number {info} is exactly zero. Singular matrix.",
+                      LinAlgWarning, stacklevel=3)
+    return lu, piv
+
+
+def _lu_solve(lu_piv, rhs: np.ndarray, trans: int) -> np.ndarray:
+    """scipy.linalg.lu_solve without its wrappers: LAPACK's getrs on the
+    factors of `_lu_factor`, with its checks."""
+    x, info = dgetrs(*lu_piv, _finite(rhs), trans=trans)
+    if info:
+        raise ValueError(f"illegal value in argument {-info} of getrs")
+    return x
 
 
 def fit_min_jerk(waypoints, durations, boundary_start, boundary_end) -> PiecewiseTrajectory:
@@ -156,22 +204,22 @@ def fit_min_jerk(waypoints, durations, boundary_start, boundary_end) -> Piecewis
     return PiecewiseTrajectory(durations=system.durations, coeffs=coeffs)
 
 
-def jerk_energy_matrix(t: float) -> np.ndarray:
-    """Gram matrix Q with c^T Q c = integral of the squared third derivative
-    of c^T beta over [0, t]."""
-    q = np.zeros((N_COEF, N_COEF))
-    for a in range(3, N_COEF):
-        for b in range(3, N_COEF):
-            power = a + b - 5
-            q[a, b] = _FACT[3, a] * _FACT[3, b] * t**power / power
+def jerk_energy_matrices(durations) -> np.ndarray:
+    """Gram matrices Q_i (M, 6, 6) with c^T Q_i c = integral of the squared
+    third derivative of c^T beta over [0, T_i].  Entry (a, b), for a, b >= 3,
+    is F_a F_b T_i^p / p with p = a + b - 5 and F the third-derivative
+    factors, computed on Python floats: their power rounds as numpy's scalar
+    power does, where numpy's array power can round differently."""
+    durations = np.asarray(durations, dtype=float).reshape(-1)
+    q = np.zeros((len(durations), N_COEF, N_COEF))
+    q[:, 3:, 3:] = np.array([f * t**power / power for t in durations.tolist()
+                             for f, power in _GRAM_TERMS]).reshape(-1, 3, 3)
     return q
 
 
 def jerk_energy(traj: PiecewiseTrajectory, channels) -> float:
     total = 0.0
-    for i in range(traj.n_pieces):
-        q = jerk_energy_matrix(traj.durations[i])
-        c = traj.coeffs[i]
+    for q, c in zip(jerk_energy_matrices(traj.durations), traj.coeffs):
         for ch in channels:
             total += float(c[:, ch] @ q @ c[:, ch])
     return total

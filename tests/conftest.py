@@ -1,9 +1,35 @@
+import math
+
 import numpy as np
 import pytest
 
 from morphplan.dynamics import VehicleParams
 from morphplan.esdf import BodyGeometry
 from morphplan.trajectory import fit_min_jerk
+
+
+def poly_basis(t, order: int) -> np.ndarray:
+    """Basis row(s) of the order-th derivative of [1, t, ..., t^5] at time t,
+    entry k being k!/(k - order)! * t ** (k - order): the per-order formula
+    that `trajectory.basis_rows` batches, kept as its reference."""
+    t = np.asarray(t, dtype=float)
+    out = np.zeros(t.shape + (6,))
+    for k in range(order, 6):
+        out[..., k] = float(math.perm(k, order)) * t ** (k - order)
+    return out
+
+
+def jerk_energy_matrix(t) -> np.ndarray:
+    """Gram matrix Q with c^T Q c = integral of the squared third derivative
+    of c^T beta over [0, t], entry by entry on numpy scalars: the closed form
+    that `trajectory.jerk_energy_matrices` batches, kept as its reference."""
+    t = np.float64(t)
+    q = np.zeros((6, 6))
+    for a in range(3, 6):
+        for b in range(3, 6):
+            power = a + b - 5
+            q[a, b] = np.float64(math.perm(a, 3)) * np.float64(math.perm(b, 3)) * t**power / power
+    return q
 
 
 def vehicle_params(**fields):

@@ -364,7 +364,9 @@ def test_interp_equals_reference_formula(dims, resolution, shifted, seed):
     """Bit for bit, sign bits included, values and gradients, on voxel
     centres, cell faces, the map bounds, points beyond them and random
     points; axes of size 1 included.  The kernel is the extended formula
-    everywhere, and inside the map it is the plain interpolant."""
+    everywhere, and inside the map it is the plain interpolant, both within
+    a batch that also holds points beyond the map and in a batch of inside
+    points alone, where the kernel skips the beyond-the-map terms."""
     rng = np.random.default_rng(seed)
     origin = rng.uniform(-2.0, 2.0, 3) if shifted else np.zeros(3)
     grid = VoxelGrid(origin=origin, resolution=resolution, occupancy=np.zeros(dims, dtype=bool))
@@ -385,13 +387,16 @@ def test_interp_equals_reference_formula(dims, resolution, shifted, seed):
     pts = origin + coord * resolution
     inside = points_in_bounds(field, pts)
     for want_grad in (False, True):
-        got = _interp(field, pts, want_grad)
-        for sel, extend in ((slice(None), True), (inside, False)):
-            want = reference_interp(field, pts[sel], extend, want_grad)
-            assert got[0][sel].tobytes() == want[0].tobytes()
-            assert (got[1] is None) == (want[1] is None)
+        mixed = _interp(field, pts, want_grad)
+        # the points inside the map, within the mixed batch and as a batch of their own
+        cases = [(mixed, slice(None), pts, True), (mixed, inside, pts[inside], False),
+                 (_interp(field, pts[inside], want_grad), slice(None), pts[inside], True)]
+        for (values, grads), sel, points, extend in cases:
+            want = reference_interp(field, points, extend, want_grad)
+            assert values[sel].tobytes() == want[0].tobytes()
+            assert (grads is None) == (want[1] is None)
             if want_grad:
-                assert got[1][sel].tobytes() == want[1].tobytes()
+                assert grads[sel].tobytes() == want[1].tobytes()
 
 
 @settings(max_examples=100, deadline=None)
@@ -460,6 +465,21 @@ class TestGradient:
         assert abs(d_step - lin) < 1e-3
 
 
+def reference_surface_points(body, centers, radii):
+    """The hull sampler as it stood before its layout was cached: the sample
+    directions and ring heights rebuilt on every call."""
+    ang = 2.0 * np.pi * np.arange(body.n_theta) / body.n_theta
+    zs = -0.5 * body.height + body.height * np.arange(body.n_l + 1) / body.n_l
+    dir_xy = np.stack([np.cos(ang), np.sin(ang), np.zeros_like(ang)], axis=1)
+    radial = np.repeat(dir_xy, len(zs), axis=0)
+    pts = centers[:, None, :] + radial[None, :, :] * radii[:, None, None]
+    pts[:, :, 2] = centers[:, None, 2] + np.tile(zs, body.n_theta)[None, :]
+    if len(body.attachments):
+        pts = np.concatenate([pts, centers[:, None, :] + body.attachments[None, :, :]], axis=1)
+        radial = np.vstack([radial, np.zeros_like(body.attachments)])
+    return pts, radial
+
+
 def one_row(field, center, body, radius):
     """clearance_batch for a single pose."""
     d, gp, gr = clearance_batch(field, np.reshape(center, (1, 3)), np.array([radius]), body)
@@ -477,6 +497,22 @@ class TestBodyClearance:
         # the radius only moves the lateral samples, along their radial direction
         wide, _ = body.surface_points(center, np.array([0.3]))
         assert np.allclose(wide[0] - pts[0], 0.1 * radial)
+
+    @pytest.mark.parametrize("attachments", [np.zeros((0, 3)), np.array([[0.0, 0.0, -0.3],
+                                                                          [0.1, -0.2, 0.05]])])
+    def test_surface_points_equal_the_uncached_formula(self, attachments):
+        """Bit for bit, on repeated calls: the layout is built once per body,
+        the points' arithmetic is the formula's."""
+        body = BodyGeometry(height=0.12, n_theta=16, n_l=2, attachments=attachments)
+        rng = np.random.default_rng(9)
+        for _ in range(3):
+            centers = rng.uniform(-2.0, 2.0, (40, 3))
+            radii = rng.uniform(0.1, 0.3, 40)
+            pts, radial = body.surface_points(centers, radii)
+            want_pts, want_radial = reference_surface_points(body, centers, radii)
+            assert pts.tobytes() == want_pts.tobytes()
+            assert radial.tobytes() == want_radial.tobytes()
+            assert not radial.flags.writeable
 
     def test_empty_map_truncation(self):
         grid = build_grid([], [0, 0, 0], [4, 4, 4], 0.1)

@@ -100,6 +100,26 @@ def test_clutter_slot_leg_golden_cost_and_iterations():
     assert out.report.iterations == 82 + 90 + 95
 
 
+def test_clutter_sphere_leg_golden_cost_and_iterations():
+    """benchmark.json, map seed 0, adaptive, past the first sphere from
+    x = 1.2 to 3.8 m: four solves, each stopped at the 300-iteration cap,
+    and the gate passes after the last.  This leg follows the last bit of
+    every evaluation: one-ulp changes of the objective's value, of one
+    entry of the jerk Gram matrix, or the Gram matrices' powers taken as a
+    numpy array power, moved its total cost by up to 1.9e-5 relative, so an
+    exact rewrite of the objective must leave this cost as it is."""
+    raw = json.loads((SCENARIOS / "benchmark.json").read_text())
+    raw["start"]["position"] = [1.2, 1.0, 0.8]
+    raw["goal"]["position"] = [3.8, 1.0, 0.8]
+    scenario = parse_scenario(raw)
+    out = run_plan(scenario, mode="adaptive", map_seed=0)
+    assert out.report.total_cost == pytest.approx(12.058869851025188, rel=1e-12)
+    assert out.report.iterations == 4 * 300
+    problem = scenario.opt_problem(scenario.build_field(map_seed=0), "adaptive")
+    residuals = traj_opt.verify_trajectory(out.trajectory, problem)
+    assert max(residuals[k] for k in traj_opt.GATE_FAMILIES) <= traj_opt.VERIFY_TOL
+
+
 def test_cli_plan_writes_outputs(tmp_path):
     code = cli.main(["plan", str(SCENARIOS / "slot.json"), "-o", str(tmp_path), "--mode", "fixed-min"])
     assert code == 0

@@ -19,9 +19,9 @@ from morphplan.traj_opt import (
     trajectory_costs,
     verify_trajectory,
 )
-from morphplan.trajectory import MinJerkSystem, fit_min_jerk, jerk_energy, poly_basis
+from morphplan.trajectory import MinJerkSystem, fit_min_jerk, jerk_energy
 
-from conftest import plan_rows
+from conftest import plan_rows, poly_basis
 
 
 def boundary(p, r, v=(0, 0, 0), vr=0.0):

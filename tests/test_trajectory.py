@@ -1,17 +1,26 @@
 import numpy as np
 import pytest
 
+import scipy.linalg
+from scipy.linalg import LinAlgWarning
+
 from morphplan.trajectory import (
+    MinJerkSystem,
     PiecewiseTrajectory,
+    _lu_factor,
+    _lu_solve,
+    basis_rows,
     fit_min_jerk,
     jerk_energy,
-    poly_basis,
+    jerk_energy_matrices,
     read_coeff_dump,
     read_sample_csv,
     write_coeff_dump,
     write_numeric_csv,
     write_sample_csv,
 )
+
+from conftest import jerk_energy_matrix, poly_basis
 
 
 def rest(value4):
@@ -85,6 +94,63 @@ class TestEval:
             before = at(traj, t1 - 1e-12, order)
             after = at(traj, t1 + 1e-12, order)
             assert np.all(np.abs(before - after) < 1e-6)
+
+
+class TestExactForms:
+    """The batched forms equal the per-piece and per-order formulas they
+    replace bit for bit, sign bits included: the optimizer carries any
+    last-bit change into the planned trajectory."""
+
+    def test_basis_rows_equal_the_per_order_formula(self):
+        rng = np.random.default_rng(11)
+        edges = [0.0, -0.0, 1.0, 2.0, 1e-300, 5e-324, -1.5, 1e300, np.inf, np.nan]
+        times = [np.concatenate([rng.uniform(1e-3, 1e2, 4000), 10.0 ** rng.uniform(-6, 3, 4000),
+                                 edges]),
+                 rng.uniform(0.0, 3.0, (7, 16)), 0.0, 1.37]
+        with np.errstate(over="ignore", invalid="ignore"):
+            for t in times:
+                for orders in (range(6), range(4), (3,), (0, 2)):
+                    rows = basis_rows(t, orders)
+                    assert rows.shape == (len(orders),) + np.shape(t) + (6,)
+                    for block, d in zip(rows, orders):
+                        assert block.flags.c_contiguous
+                        assert block.tobytes() == poly_basis(t, d).tobytes()
+
+    def test_jerk_energy_matrices_equal_the_per_piece_closed_form(self):
+        durations = 10.0 ** np.random.default_rng(12).uniform(-3, 2, 5000)
+        durations[:2] = 1e-3, 1e2
+        q = jerk_energy_matrices(durations)
+        assert q.shape == (len(durations), 6, 6)
+        for qi, t in zip(q, durations):
+            assert qi.tobytes() == jerk_energy_matrix(t).tobytes()
+
+    def test_lu_equals_scipy(self):
+        """`_lu_factor` and `_lu_solve` run the LAPACK routines that
+        scipy.linalg.lu_factor and lu_solve run, with their checks."""
+        rng = np.random.default_rng(14)
+        for m in (1, 3, 8):
+            system = MinJerkSystem(rng.uniform(0.1, 3.0, m))
+            mat = rng.normal(size=(6 * m, 6 * m))
+            lu, piv = _lu_factor(mat)
+            want_lu, want_piv = scipy.linalg.lu_factor(mat)
+            assert lu.tobytes() == want_lu.tobytes() and np.array_equal(piv, want_piv)
+            rhs = rng.normal(size=(6 * m, 4))
+            for trans in (0, 1):
+                want = scipy.linalg.lu_solve((want_lu, want_piv), rhs, trans=trans)
+                assert _lu_solve((lu, piv), rhs, trans).tobytes() == want.tobytes()
+            assert system.adjoint(rhs).tobytes() == scipy.linalg.lu_solve(
+                system._lu, rhs, trans=1).tobytes()
+
+    def test_lu_keeps_scipys_checks(self):
+        with pytest.raises(ValueError):
+            MinJerkSystem([1.0, np.inf])
+        system = MinJerkSystem([1.0, 2.0])
+        with pytest.raises(ValueError):
+            system.solve(np.full((1, 4), np.nan), rest(np.zeros(4)), rest(np.ones(4)))
+        with pytest.raises(ValueError):
+            system.adjoint(np.full((12, 4), np.inf))
+        with pytest.warns(LinAlgWarning, match="Singular matrix"):
+            _lu_factor(np.zeros((3, 3)))
 
 
 class TestFit:
