@@ -1,9 +1,9 @@
 """Command-line front door: plan, simulate, benchmark and plot.
 
-Exit codes: 1 scenario/input parse error, 2 no path (or invalid endpoints,
-budget exhausted), 3 optimization failure, 4 constraint verification
-failure, 5 simulation/controller failure.  Logs go to stderr (level from
-MORPHPLAN_LOG), data only to files.
+Exit codes: 1 usage error or scenario/input parse error, 2 no path (or
+invalid endpoints, budget exhausted), 3 optimization failure, 4 constraint
+verification failure, 5 simulation/controller failure.  Logs go to stderr
+(level from MORPHPLAN_LOG), data only to files.
 """
 
 from __future__ import annotations
@@ -41,6 +41,12 @@ def _setup_logging():
                         format="%(levelname)s %(name)s: %(message)s")
 
 
+def _positive_int(text: str) -> int:
+    if not (text.isdecimal() and int(text) >= 1):
+        raise argparse.ArgumentTypeError(f"must be a whole number of at least 1, got {text!r}")
+    return int(text)
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="morphplan",
                                      description="shape-adaptive planning toolkit")
@@ -59,7 +65,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("benchmark", help="compare the three modes over the seed list")
     p.add_argument("scenario")
     p.add_argument("-o", "--out", required=True)
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=_positive_int, default=1)
 
     p = sub.add_parser("plot", help="render CSV outputs as static SVG")
     p.add_argument("inputs", nargs="+")
@@ -69,7 +75,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     _setup_logging()
-    args = _build_parser().parse_args(argv)
+    try:
+        args = _build_parser().parse_args(argv)
+    except SystemExit as err:   # argparse exits 2 on a usage error, 0 after --help
+        return EXIT_PARSE if err.code else 0
     try:
         if args.command == "plan":
             from .pipeline import cmd_plan

@@ -1,6 +1,6 @@
-"""Tracking stack: receding-horizon thrust/torque optimizer, external-force
-estimation fed into the horizon model, incremental torque compensation,
-allocation inversion and the servo proportional loop.
+"""Tracking stack: receding-horizon thrust/torque optimizer, external-wrench
+estimation fed into the horizon model, allocation inversion and the servo
+proportional loop.
 
 The horizon model is `dynamics.rigid_body_step`, the same RK4 rigid body the
 simulator (`dynamics.step`) integrates.  The solver is single-shooting
@@ -16,13 +16,13 @@ from the Cholesky-factored normal equations, or from a bounded solver when
 the step hits an input bound; backtracking keeps each iteration monotone,
 and the solve reports the step fraction it accepted.  Attitude error enters
 the cost as the vector part of the reference-relative quaternion.  The
-estimated external force acts on the model's translational dynamics, so the
-solver plans the tilt and collective that cancel it rather than correcting
-it after a position error builds up.  `run_tracking` samples the reference of
-every simulator step and the horizon of every control tick in two batched
-`flat_reference` calls before its loop, and builds the radius model
-(allocation, inertia) once per step; the horizon solve, the allocation and
-the simulator step all take that one model.  The loop's state is the state
+estimated external wrench (force and torque) acts on the model, so the
+solver plans the inputs that cancel it; nothing is corrected after the
+solve.  `run_tracking` samples the reference of every simulator step and
+the horizon of every control tick in two batched `flat_reference` calls
+before its loop, and builds the radius model (allocation, inertia) once per
+step; the horizon solve, the allocation and the simulator step all take
+that one model.  The loop's state is the state
 row of `dynamics.rigid_body_step`, 13 floats [p, v, q, w], which the
 simulator steps and the horizon solve starts from as it is; beside it the
 loop carries the servo angle and the radius it maps to.  Each step appends
@@ -49,6 +49,7 @@ from .dynamics import (
     RadiusModel,
     SecondOrderLowPass,
     VehicleParams,
+    Wrench,
     quat_to_rot,
     radius_model,
     rigid_body_step,
@@ -122,19 +123,19 @@ class NmpcInfo:
 
 def nmpc_solve(x_now: np.ndarray, x_ref: np.ndarray, u_ref: np.ndarray,
                config: NmpcConfig, params: VehicleParams, model: RadiusModel,
-               warm_start: np.ndarray | None, f_ext) -> tuple[np.ndarray, NmpcInfo]:
+               warm_start: np.ndarray | None, wrench: Wrench) -> tuple[np.ndarray, NmpcInfo]:
     """Finite-horizon tracking solve; returns the first input [f, tau] (4,)
     of the solution, and the solve's `NmpcInfo`.
 
     x_now (13,), x_ref (N+1, 13), u_ref (N, 4) or (N+1, 4).  The model is the
     rigid body with the inertia of `model` (the current radius's
-    `radius_model`, held over the horizon) under the constant world-frame
-    external force f_ext [N], discretized with RK4 at
-    config.dt.  The Gauss-Newton iteration starts from warm_start,
-    the previous tick's (N, 4) input sequence, as given, or from u_ref when
-    it is None; it stops after config.max_iters iterations or once the input
-    step is below config.tol (then `converged`).  Each iteration linearizes
-    on the exact RK4 sensitivities of its rollout and backtracks along the
+    `radius_model`, held over the horizon) under the constant external
+    wrench, as `dynamics.step` takes it, discretized with RK4 at config.dt.
+    The Gauss-Newton iteration starts from warm_start, the previous tick's
+    (N, 4) input sequence, as given, or from u_ref when it is None; it stops
+    after config.max_iters iterations or once the input step is below
+    config.tol (then `converged`).  Each iteration linearizes on the exact
+    RK4 sensitivities of its rollout and backtracks along the
     Gauss-Newton step over fractions 1, 1/2, 1/4 and 1/8 until the cost does
     not rise; when none qualifies the inputs stay and the solve ends
     (`converged`, with `step` 0).
@@ -145,10 +146,9 @@ def nmpc_solve(x_now: np.ndarray, x_ref: np.ndarray, u_ref: np.ndarray,
     if x_ref.shape != (n + 1, 13):
         raise ValueError(f"reference must be ({n + 1}, 13)")
     u_ref = np.asarray(u_ref, dtype=float)[:n]
-    f_ext = np.asarray(f_ext, dtype=float).reshape(3)
-
-    body = (f_ext.tolist(), params.mass, model.inertia.tolist(), model.inertia_inv.tolist(),
-            config.dt)
+    torque_ext = np.concatenate([[0.0], wrench.torque])   # added to each step's [f, tau]
+    body = (wrench.force.tolist(), params.mass, model.inertia.tolist(),
+            model.inertia_inv.tolist(), config.dt)
 
     u_seq = u_ref if warm_start is None else warm_start
     u_seq = np.clip(u_seq, config.u_min, config.u_max)
@@ -164,7 +164,7 @@ def nmpc_solve(x_now: np.ndarray, x_ref: np.ndarray, u_ref: np.ndarray,
         """States x_0..x_N, and the RK stage points of each step."""
         xs = [x_now.tolist()]
         stages = []
-        for u in useq.tolist():
+        for u in (useq + torque_ext).tolist():
             xs.append(rigid_body_step(xs[-1], u[0], u[1:], *body, stages))
         return np.array(xs), stages
 
@@ -254,17 +254,6 @@ def estimate_external_force(mass: float, accel_meas, thrust: float, z_body) -> n
         - thrust * np.asarray(z_body, dtype=float)
 
 
-def indi_torque(torque_cmd, omega, inertia, torque_filtered, omega_dot_filtered) -> np.ndarray:
-    """Increment the filtered applied torque by the inertia-scaled angular
-    acceleration error."""
-    torque_cmd = np.asarray(torque_cmd, dtype=float).reshape(3)
-    omega = np.asarray(omega, dtype=float).reshape(3)
-    inertia = np.asarray(inertia, dtype=float).reshape(3, 3)
-    omega_dot_des = np.linalg.solve(inertia, torque_cmd - np.cross(omega, inertia @ omega))
-    return np.asarray(torque_filtered, dtype=float) \
-        + inertia @ (omega_dot_des - np.asarray(omega_dot_filtered, dtype=float))
-
-
 def allocate(thrust_des: float, torque, h_mat, thrust_min: float, thrust_max: float):
     """Invert the allocation; on saturation the torque shrinks uniformly while
     the collective is preserved.  Returns (rotor thrusts, clamped flag)."""
@@ -333,16 +322,14 @@ def flat_reference(traj, times, params: VehicleParams):
 class TrackingConfig:
     """Closed-loop harness settings.
 
-    force_compensation passes the low-pass external-force estimate to the
-    horizon model; off, the solver plans for zero external force (the
-    estimate is still computed and logged).  indi adds the incremental
-    torque correction at the simulation rate.
+    force_compensation passes the estimated external wrench to the horizon
+    model, and nothing is corrected after the solve; off, the solver plans
+    for zero external wrench (the force estimate is still logged).
     """
 
     sim_dt: float = 0.005
     control_dt: float = 0.01
     force_compensation: bool = True
-    indi: bool = True
     force_cutoff_hz: float = 5.0
     omega_cutoff_hz: float = 20.0
     servo_rate_limit: float = 6.0
@@ -395,9 +382,10 @@ def run_tracking(traj, params: VehicleParams, nmpc: NmpcConfig,
     The loop carries the state row x (13 floats [p, v, q, w]), the servo
     angle and the radius it maps to, and builds the radius model at that
     radius once per step for the horizon solve, the allocation and `step`.
-    Tick order per control step: force estimate, then the horizon solve with
-    that estimate in its model when force compensation is on; torque
-    compensation and allocation run at the simulation rate.  Returns the
+    Tick order per control step: force estimate, torque estimate (Euler's
+    equation on the filtered angular acceleration and applied torque, as
+    INDI forms it, Smeur et al., JGCD 2016), then the horizon solve with
+    that wrench in its model when force compensation is on.  Returns the
     log (one `TRACKING_LOG_HEADER` row per step, taken before the step),
     the position RMSE over the run, and each tick's Gauss-Newton iteration
     count, converged flag and accepted step fraction.
@@ -438,6 +426,10 @@ def run_tracking(traj, params: VehicleParams, nmpc: NmpcConfig,
         t = k * config.sim_dt
         wrench = disturbance(t) if disturbance is not None else None
         model = radius_model(params, radius)
+        omega = np.array(x[10:13])
+        omega_dot_f = omega_lp.update((omega - omega_prev) / config.sim_dt)
+        omega_prev = omega
+        tau_f = model.allocation[1:] @ thrust_lp.update(last_thrusts)
 
         if k % ticks_per_control == 0:   # step 0 is a tick, so u_cmd is set before its use
             tick = k // ticks_per_control
@@ -448,28 +440,21 @@ def run_tracking(traj, params: VehicleParams, nmpc: NmpcConfig,
                 accel = accel + rng.normal(scale=config.accel_noise_std, size=3)
             f_ext_est = force_lp.update(estimate_external_force(
                 params.mass, accel, float(np.sum(last_thrusts)), z_b))
+            if config.force_compensation:   # Euler's equation, solved for the external torque
+                estimate = Wrench(f_ext_est, model.inertia @ omega_dot_f
+                                  + np.cross(omega, model.inertia @ omega) - tau_f)
+            else:
+                estimate = Wrench()
             u_cmd, info = nmpc_solve(x, horizon_x[tick], horizon_u[tick], nmpc, params, model,
-                                     warm_start=warm,
-                                     f_ext=f_ext_est if config.force_compensation else np.zeros(3))
+                                     warm_start=warm, wrench=estimate)
             warm = info.inputs
             gn_iterations[tick], gn_converged[tick], gn_step[tick] = \
                 info.iterations, info.converged, info.step
 
-        omega = np.array(x[10:13])
-        omega_dot_f = omega_lp.update((omega - omega_prev) / config.sim_dt)
-        omega_prev = omega
-        tau_f = model.allocation[1:] @ thrust_lp.update(last_thrusts)
-
-        if config.indi:
-            tau_cmd = indi_torque(u_cmd[1:], omega, model.inertia, tau_f, omega_dot_f)
-        else:
-            tau_cmd = u_cmd[1:]
-
-        thrusts, _ = allocate(u_cmd[0], tau_cmd, model.allocation, params.thrust_min,
+        thrusts, _ = allocate(u_cmd[0], u_cmd[1:], model.allocation, params.thrust_min,
                               params.thrust_max)
         kappa = servo_command(ref_radii[k], theta, params, config.servo_rate_limit)
-        rows.append([t, *ref_states[k, 0:3], *x, radius, theta, *f_ext_est, u_cmd[0],
-                     *tau_cmd, *thrusts])
+        rows.append([t, *ref_states[k, 0:3], *x, radius, theta, *f_ext_est, *u_cmd, *thrusts])
 
         x, theta = step(x, theta, thrusts, kappa, wrench, params, config.sim_dt, model=model)
         radius = params.radius_of_servo_angle(theta)

@@ -402,7 +402,10 @@ def noise_wrench(force_std, torque_std, cutoff_hz: float, dt: float,
                  duration: float, seed: int):
     """Band-limited noise: white gaussian per step, through a `LowPassFilter`
     that starts at zero.  Pre-generated on a fixed grid so runs are
-    reproducible."""
+    reproducible.  A cutoff <= 0, which filters nothing, or a negative std
+    raises ValueError."""
+    if not cutoff_hz > 0.0 or min(np.min(force_std), np.min(torque_std)) < 0.0:
+        raise ValueError("noise needs a positive cutoff_hz and non-negative standard deviations")
     rng = np.random.default_rng(seed)
     n = int(np.ceil(duration / dt)) + 2
     raw = np.hstack([rng.normal(scale=force_std, size=(n, 3)),

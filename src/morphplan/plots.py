@@ -101,19 +101,13 @@ def plot_tracking_error(times, positions, references, path):
     canvas.write(path)
 
 
-def _checked(path, *arrays):
-    """The arrays read from `path`; ValueError if they hold no row or a NaN."""
-    if len(arrays[0]) == 0:
-        raise ValueError(f"no rows in {path}")
-    if any(np.isnan(a).any() for a in arrays):
-        raise ValueError(f"a value in {path} is not a number")
-    return arrays
-
-
 def plot_input_file(path, out_dir):
     """Dispatch on the CSV header: trajectory exports get the top-down and
-    series plots, tracking logs get the error plot.  A missing column, a
-    row that does not parse, a NaN or no rows raise ValueError."""
+    series plots, tracking logs get the error plot.  Both read their columns
+    with `trajectory.read_csv_columns`: a missing column, a row that does not
+    parse, a value that is not finite or no rows raise ValueError."""
+    from .trajectory import read_csv_columns, read_sample_csv
+
     path = Path(path)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -121,15 +115,10 @@ def plot_input_file(path, out_dir):
         header = fh.readline().strip()
     stem = path.stem
     if header.startswith("t,ref_x"):
-        raw = np.atleast_1d(np.genfromtxt(path, delimiter=",", names=True))
-        times, pos, ref = _checked(
-            path, raw["t"], np.stack([raw["x"], raw["y"], raw["z"]], axis=-1),
-            np.stack([raw["ref_x"], raw["ref_y"], raw["ref_z"]], axis=-1))
-        plot_tracking_error(times, pos, ref, out / f"{stem}_error.svg")
+        data = read_csv_columns(path, ("t", "x", "y", "z", "ref_x", "ref_y", "ref_z"))
+        plot_tracking_error(data[:, 0], data[:, 1:4], data[:, 4:7], out / f"{stem}_error.svg")
         return [out / f"{stem}_error.svg"]
     if header.startswith("t,x"):
-        from .trajectory import read_sample_csv
-
         times, data = read_sample_csv(path)
         plot_topdown(times, data, out / f"{stem}_topdown.svg")
         plot_series(times, data, out / f"{stem}_series.svg")

@@ -44,8 +44,8 @@ SCHEMA = {
                "goal_radius_tol"},
     "opt": {"w_clearance", "w_dynamics", "clearance_buffer", "kappa"},
     "control": {f.name for f in dataclasses.fields(NmpcConfig)} | {
-        "control_dt", "force_compensation", "indi", "force_cutoff_hz",
-        "omega_cutoff_hz", "servo_rate_limit"},
+        "control_dt", "force_compensation", "force_cutoff_hz", "omega_cutoff_hz",
+        "servo_rate_limit"},
     # VehicleParams but its body (the `body` section); sim.dt is TrackingConfig.sim_dt
     "sim": {f.name for f in dataclasses.fields(VehicleParams)} - {"body"} | {
         "dt", "accel_noise_std", "duration_pad", "disturbance"},

@@ -281,10 +281,18 @@ def read_sample_csv(path):
     """Read a fixed-rate trajectory export back as (times, data (N, 4, 4)).
     A missing column, a row that does not parse, a value that is not finite
     or no rows raise ValueError."""
+    data = read_csv_columns(path, SAMPLE_COLUMNS)
+    return data[:, 0], data[:, 1:].reshape(len(data), 4, 4)
+
+
+def read_csv_columns(path, columns) -> np.ndarray:
+    """The named columns of a CSV file with a header row, (rows, columns).
+    A missing column, a row that does not parse, a value that is not finite
+    or no rows raise ValueError."""
     raw = np.atleast_1d(np.genfromtxt(path, delimiter=",", names=True))
-    data = np.stack([raw[c] for c in SAMPLE_COLUMNS], axis=1)
+    data = np.stack([raw[c] for c in columns], axis=1)
     if len(data) == 0:
         raise ValueError(f"no rows in {path}")
     if not np.isfinite(data).all():
         raise ValueError(f"a value in {path} is not finite")
-    return data[:, 0], data[:, 1:].reshape(len(data), 4, 4)
+    return data

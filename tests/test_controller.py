@@ -11,7 +11,6 @@ from morphplan.controller import (
     allocate,
     estimate_external_force,
     flat_reference,
-    indi_torque,
     nmpc_solve,
     run_tracking,
     servo_command,
@@ -20,6 +19,7 @@ from morphplan.controller import (
 )
 from morphplan.dynamics import (
     LowPassFilter,
+    Wrench,
     allocation_matrix,
     constant_wrench,
     radius_model,
@@ -66,7 +66,7 @@ class TestNmpc:
         cfg = NmpcConfig()
         x_ref, u_ref = hover_refs(params, cfg.horizon)
         out, info = nmpc_solve(x_ref[0], x_ref, u_ref, cfg, params, max_model(params), None,
-                               np.zeros(3))
+                               Wrench())
         assert out[0] == pytest.approx(params.hover_thrust, abs=1e-6)
         assert np.allclose(out[1:], 0.0, atol=1e-6)
         assert info.converged
@@ -77,7 +77,7 @@ class TestNmpc:
         x_ref, u_ref = hover_refs(params, cfg.horizon)
         x0 = x_ref[0].copy()
         x0[2] -= 0.3  # below the reference
-        out, _ = nmpc_solve(x0, x_ref, u_ref, cfg, params, max_model(params), None, np.zeros(3))
+        out, _ = nmpc_solve(x0, x_ref, u_ref, cfg, params, max_model(params), None, Wrench())
         assert out[0] > params.hover_thrust + 0.5
         assert np.linalg.norm(out[1:]) < 0.05
 
@@ -91,10 +91,10 @@ class TestNmpc:
         x0[2] -= 3.0
         x0[5] = -2.5  # falling fast: wants much more than the bound allows
         out, _ = nmpc_solve(x0, x_ref, u_ref, NmpcConfig(u_max=u_max), params,
-                            max_model(params), None, np.zeros(3))
+                            max_model(params), None, Wrench())
         assert out[0] == pytest.approx(11.0, abs=1e-8)
         out, full = nmpc_solve(x0, x_ref, u_ref, NmpcConfig(u_max=u_max, max_iters=30), params,
-                               max_model(params), None, np.zeros(3))
+                               max_model(params), None, Wrench())
         assert out[0] == pytest.approx(11.0, abs=1e-8)
         assert full.converged
 
@@ -105,11 +105,11 @@ class TestNmpc:
         x0 = x_ref[0].copy()
         x0[0:3] += [0.2, -0.1, -0.3]
         x0[3:6] = [0.5, 0.2, -0.4]
-        _, first = nmpc_solve(x0, x_ref, u_ref, cfg, params, max_model(params), None, np.zeros(3))
+        _, first = nmpc_solve(x0, x_ref, u_ref, cfg, params, max_model(params), None, Wrench())
         assert first.converged and first.iterations > 1
         # a one-stage shift of the solution would move these inputs by far more than tol
         out, again = nmpc_solve(x0, x_ref, u_ref, cfg, params, max_model(params),
-                                warm_start=first.inputs, f_ext=np.zeros(3))
+                                warm_start=first.inputs, wrench=Wrench())
         assert again.converged and again.iterations == 1
         assert np.max(np.abs(again.inputs - first.inputs)) < cfg.tol
         assert out[0] == pytest.approx(first.inputs[0, 0], rel=0.0, abs=cfg.tol)
@@ -121,9 +121,9 @@ class TestNmpc:
         x0[0:3] += [0.2, -0.1, -0.3]
         x0[3:6] = [0.5, 0.2, -0.4]
         _, capped = nmpc_solve(x0, x_ref, u_ref, NmpcConfig(), params, max_model(params), None,
-                               np.zeros(3))
+                               Wrench())
         _, full = nmpc_solve(x0, x_ref, u_ref, NmpcConfig(max_iters=30), params,
-                             max_model(params), None, np.zeros(3))
+                             max_model(params), None, Wrench())
         # the default is the real-time iteration: one iteration, the full step
         assert capped.iterations == NmpcConfig().max_iters == 1
         assert not capped.converged and capped.step == 1.0
@@ -134,7 +134,7 @@ class TestNmpc:
         cfg = NmpcConfig()
         x_ref, u_ref = hover_refs(params, cfg.horizon - 1)
         with pytest.raises(ValueError):
-            nmpc_solve(x_ref[0], x_ref, u_ref, cfg, params, max_model(params), None, np.zeros(3))
+            nmpc_solve(x_ref[0], x_ref, u_ref, cfg, params, max_model(params), None, Wrench())
 
     def test_upward_external_force_lowers_thrust(self):
         """At the default budget of one iteration and solved to tol."""
@@ -142,7 +142,7 @@ class TestNmpc:
         x_ref, u_ref = hover_refs(params, NmpcConfig().horizon)
         for cfg in (NmpcConfig(), NmpcConfig(max_iters=30)):
             out, info = nmpc_solve(x_ref[0], x_ref, u_ref, cfg, params, max_model(params),
-                                   warm_start=None, f_ext=[0.0, 0.0, 1.0])
+                                   warm_start=None, wrench=Wrench(force=[0.0, 0.0, 1.0]))
             # the model carries 1 N of the weight; the input cost pulls the
             # collective only slightly back toward the hover reference
             assert params.hover_thrust - out[0] == pytest.approx(1.0, abs=0.01)
@@ -154,10 +154,22 @@ class TestNmpc:
         cfg = NmpcConfig()
         x_ref, u_ref = hover_refs(params, cfg.horizon)
         out, _ = nmpc_solve(x_ref[0], x_ref, u_ref, cfg, params, max_model(params),
-                            warm_start=None, f_ext=[1.0, 0.0, 0.0])
+                            warm_start=None, wrench=Wrench(force=[1.0, 0.0, 0.0]))
         # a push toward +x is cancelled by tilting z_body toward -x, which
         # takes a negative torque about body y
         assert out[2] < -0.05
+        assert abs(out[1]) < 1e-6
+        assert abs(out[3]) < 1e-6
+
+    def test_external_torque_is_opposed(self):
+        params = vehicle_params()
+        cfg = NmpcConfig()
+        x_ref, u_ref = hover_refs(params, cfg.horizon)
+        out, _ = nmpc_solve(x_ref[0], x_ref, u_ref, cfg, params, max_model(params),
+                            warm_start=None, wrench=Wrench(torque=[0.0, 0.02, 0.0]))
+        # the first torque command about body y pushes against the
+        # disturbance, and the others stay at zero
+        assert out[2] < -0.01
         assert abs(out[1]) < 1e-6
         assert abs(out[3]) < 1e-6
 
@@ -214,26 +226,6 @@ class TestForceEstimate:
         # raw estimate equals target, so after 5 time constants the filter is
         # within exp(-5) < 1%% of it
         assert np.linalg.norm(out - target) <= 0.05 * np.linalg.norm(target)
-
-
-class TestIndi:
-    def test_zero_increment(self):
-        inertia = np.diag([0.01, 0.012, 0.02])
-        omega = np.array([0.1, -0.2, 0.05])
-        tau_u = np.array([0.02, 0.01, -0.005])
-        omega_dot_des = np.linalg.solve(inertia, tau_u - np.cross(omega, inertia @ omega))
-        tau_f = np.array([0.003, -0.001, 0.002])
-        out = indi_torque(tau_u, omega, inertia, tau_f, omega_dot_des)
-        assert np.allclose(out, tau_f, atol=1e-15)
-
-    def test_hand_case(self):
-        inertia = np.diag([0.01, 0.01, 0.01])
-        out = indi_torque([0.01, 0, 0], np.zeros(3), inertia, np.zeros(3), np.zeros(3))
-        assert np.allclose(out, [0.01, 0, 0], atol=1e-15)
-
-    def test_singular_inertia_raises(self):
-        with pytest.raises(np.linalg.LinAlgError):
-            indi_torque([0.01, 0, 0], np.zeros(3), np.zeros((3, 3)), np.zeros(3), np.zeros(3))
 
 
 class TestAllocate:
@@ -337,9 +329,9 @@ class TestFlatReference:
 # position RMSEs of the tracker on the undisturbed conftest figure-eight,
 # compensation on and off: at the default budget (1 iteration per tick) and
 # at a budget of 3
-ON_RMSE_DEFAULT = 0.004343426493339874
+ON_RMSE_DEFAULT = 0.004343429893543629
 OFF_RMSE_DEFAULT = 0.00434347519366996
-ON_RMSE_BUDGET_3 = 0.004345863617459309
+ON_RMSE_BUDGET_3 = 0.00434586301912951
 OFF_RMSE_BUDGET_3 = 0.0043459123752809005
 DEFAULT_BUDGET = NmpcConfig().max_iters
 
@@ -358,8 +350,7 @@ def fig8_run(fig8_traj):
                            if wrench else None)
             runs[key] = run_tracking(
                 fig8_traj, params, NmpcConfig(max_iters=max_iters),
-                TrackingConfig(force_compensation=compensation, indi=compensation,
-                               duration_pad=0.0),
+                TrackingConfig(force_compensation=compensation, duration_pad=0.0),
                 disturbance=disturbance)
         return runs[key]
 
@@ -381,9 +372,10 @@ class TestRunTracking:
         off = fig8_run(30, compensation=False)
         assert on.rmse <= 1.05 * off.rmse + 1e-6
         assert off.rmse <= 1.05 * on.rmse + 1e-6
-        # measured with the earlier numpy-batch model and SVD least-squares
-        # step; a change of arithmetic alone must stay within 1e-9 m
-        assert on.rmse == pytest.approx(0.004346184903904435, rel=0.0, abs=1e-9)
+        # off measured with the earlier numpy-batch model and SVD
+        # least-squares step, on with the torque estimate in the model; a
+        # change of arithmetic alone must stay within 1e-9 m
+        assert on.rmse == pytest.approx(0.004346184277964422, rel=0.0, abs=1e-9)
         assert off.rmse == pytest.approx(0.004346233636593493, rel=0.0, abs=1e-9)
 
     def test_default_budget_golden(self, fig8_run):
@@ -444,7 +436,7 @@ class TestRunTracking:
 
     def test_one_iteration_backtracks_above_the_planners_speed(self):
         """At a 2.5 m/s peak, above the planner's 2 m/s `v_max`, the default
-        budget cuts its one step back on some ticks (6 of 525), so the trial
+        budget cuts its one step back on some ticks (5 of 525), so the trial
         rollouts act at a budget of 1; a change of arithmetic alone must stay
         within 1e-9 m."""
         assert DEFAULT_BUDGET == 1
@@ -452,7 +444,7 @@ class TestRunTracking:
                               TrackingConfig(duration_pad=0.0), disturbance=None)
         assert np.all(result.gn_iterations == 1)
         assert np.any(result.gn_step < 1.0)
-        assert result.rmse == pytest.approx(0.08991919285887273, rel=0.0, abs=1e-9)
+        assert result.rmse == pytest.approx(0.041837814674074846, rel=0.0, abs=1e-9)
 
     def test_logged_references_equal_scalar_flat_reference(self, fig8_traj, fig8_run):
         result = fig8_run(3, compensation=True)
@@ -473,15 +465,17 @@ class TestRunTracking:
         err = np.linalg.norm(result.force_estimates[after] - injected, axis=1)
         assert err.max() <= 0.05 * np.linalg.norm(injected)
 
-    def test_indi_improves_torque_rejection(self):
+    def test_torque_estimate_rejects_a_torque_disturbance(self):
+        """Hovering under a constant torque alone, the torque estimate in the
+        horizon model cuts the position RMSE to a quarter or less."""
         params = vehicle_params()
         traj = hover_traj(duration=2.0)
         wrench = constant_wrench([0, 0, 0], [0.02, -0.015, 0.0])
-        base = TrackingConfig(force_compensation=False, indi=False, duration_pad=0.0)
-        with_indi = TrackingConfig(force_compensation=False, indi=True, duration_pad=0.0)
-        off = run_tracking(traj, params, NmpcConfig(), base, disturbance=wrench)
-        on = run_tracking(traj, params, NmpcConfig(), with_indi, disturbance=wrench)
-        assert on.rmse < off.rmse
+        rmse = {on: run_tracking(traj, params, NmpcConfig(),
+                                 TrackingConfig(force_compensation=on, duration_pad=0.0),
+                                 disturbance=wrench).rmse
+                for on in (True, False)}
+        assert rmse[True] <= 0.25 * rmse[False]
 
     def test_log_csv(self, tmp_path):
         params = vehicle_params()

@@ -238,14 +238,36 @@ def test_cli_plot_trajectory_and_tracking_log(tmp_path):
     ("header_only", "t,x,y,z,r\n"),
     ("empty_log", "t,ref_x,ref_y,ref_z,x,y,z\n"),
     ("nan_log", "t,ref_x,ref_y,ref_z,x,y,z\n0,0,0,1,0,0,nan\n"),
+    ("inf_log", "t,ref_x,ref_y,ref_z,x,y,z\n0,0,0,1,0,0,1\n1,0,0,1,inf,0,1\n"),
 ])
 def test_cli_plot_rejects_malformed_input(tmp_path, name, text):
-    """A CSV with a missing column, no rows or a NaN exits 1 and draws
-    nothing; the program itself never writes one."""
+    """A CSV with a missing column, no rows or a value that is not finite
+    exits 1 and draws nothing; the program itself never writes one."""
     path = tmp_path / f"{name}.csv"
     path.write_text(text)
     assert cli.main(["plot", str(path), "-o", str(tmp_path)]) == cli.EXIT_PARSE
     assert not list(tmp_path.glob("*.svg"))
+
+
+@pytest.mark.parametrize("args", [
+    [],
+    ["plan", "empty.json"],
+    ["plan", "empty.json", "-o", "out", "--mode", "shrink"],
+    ["benchmark", "empty.json", "-o", "out", "--jobs", "-3"],
+    ["benchmark", "empty.json", "-o", "out", "--jobs", "0"],
+    ["benchmark", "empty.json", "-o", "out", "--jobs", "two"],
+], ids=["no command", "plan without -o", "unknown mode", "negative jobs", "zero jobs",
+        "jobs not a number"])
+def test_cli_usage_error_exits_1(tmp_path, args, capsys):
+    """A command line argparse rejects exits 1, as a parse error, runs
+    nothing and says why on stderr; --jobs must be a whole number of at
+    least 1.  --help still exits 0."""
+    argv = [str(SCENARIOS / a) if a.endswith(".json") else str(tmp_path / a) if a == "out" else a
+            for a in args]
+    assert cli.main(argv) == cli.EXIT_PARSE
+    assert not (tmp_path / "out").exists()
+    assert "error:" in capsys.readouterr().err
+    assert cli.main(["benchmark", "--help"]) == 0
 
 
 SAMPLE_HEADER = "t,x,y,z,r,dx,dy,dz,dr,ddx,ddy,ddz,ddr,dddx,dddy,dddz,dddr\n"

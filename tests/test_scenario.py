@@ -54,6 +54,9 @@ def _box_without_max(raw):
     raw["map"]["obstacles"] = [{"type": "box", "min": [1.0, 1.0, 0.0]}]
 
 
+NOISE = {"profile": "noise", "force_std": [0.5, 0.5, 0.5], "torque_std": [0.01, 0.01, 0.01],
+         "cutoff_hz": 5.0}
+
 MALFORMED = {
     "negative mass": _set("sim.mass", -1),
     "zero input weight": _set("control.w_input", [0.0, 0.4, 0.4, 0.4]),
@@ -94,6 +97,11 @@ MALFORMED = {
     "central_radius as a string": _set("sim.central_radius", "0.06"),
     "fractional body angles": _set("body.n_theta", 12.5),
     "fractional body rings": _set("body.n_l", 1.5),
+    "removed indi": _set("control.indi", False),
+    # a cutoff at or below zero filters nothing: the gain grows, or the noise is zero
+    "negative noise cutoff": _set("sim.disturbance", NOISE | {"cutoff_hz": -5.0}),
+    "zero noise cutoff": _set("sim.disturbance", NOISE | {"cutoff_hz": 0.0}),
+    "negative noise std": _set("sim.disturbance", NOISE | {"torque_std": [-0.01, 0.0, 0.0]}),
 }
 
 
@@ -208,9 +216,10 @@ def test_sim_section_reaches_tracking_and_energy():
     raw = empty_raw()
     raw["seed"] = 7
     raw["sim"].update(dt=0.0025, duration_pad=0.1, energy_c2=50)
-    raw["control"] = {"indi": False, "horizon": 12}
+    raw["control"] = {"force_compensation": False, "horizon": 12}
     sc = parse_scenario(raw)
-    assert_fields(sc.tracking_config(), dict(sim_dt=0.0025, duration_pad=0.1, indi=False, seed=7))
+    assert_fields(sc.tracking_config(), dict(sim_dt=0.0025, duration_pad=0.1,
+                                             force_compensation=False, seed=7))
     assert sc.nmpc_config().horizon == 12
     assert_fields(sc.vehicle_params(), dict(energy_c1=1.0, energy_c2=50))
     np.testing.assert_array_equal(sc.disturbance(1.0)(0.5).force, [0.5, 0.0, 0.0])
